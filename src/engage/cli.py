@@ -25,12 +25,10 @@ from .ingestion import (
     ParseError,
     SnapshotStore,
     StorageError,
-    Transport,
     TransportError,
-    default_transport,
+    collect_sweeps,
     dedup_latest,
     fetch_by_ids,
-    fetch_sweep,
     load_snapshots,
     select_study_sample,
     store_snapshots,
@@ -66,18 +64,6 @@ logger = logging.getLogger(__name__)
 
 def _bundled_path(relative: str) -> Path:
     return Path(str(resources.files("engage").joinpath(relative)))
-
-
-class _CountingTransport:
-    """Wraps any transport to count the pages actually fetched."""
-
-    def __init__(self, inner: Transport):
-        self._inner = inner
-        self.pages = 0
-
-    def get_page(self, params: dict[str, str]) -> dict:
-        self.pages += 1
-        return self._inner.get_page(params)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -141,16 +127,6 @@ def _read_id_list(path: Path) -> list[str]:
     return ids
 
 
-def _collect_sweeps(config: FetchConfig, occasions: int):
-    collected = []
-    pages = 0
-    for sweep in range(1, occasions + 1):
-        transport = _CountingTransport(default_transport(config, sweep=sweep))
-        collected.extend(fetch_sweep(config, transport=transport))
-        pages += transport.pages
-    return collected, pages
-
-
 # --- subcommands -------------------------------------------------------------
 
 def run_fetch(args: argparse.Namespace) -> int:
@@ -182,11 +158,10 @@ def run_fetch(args: argparse.Namespace) -> int:
             "fixtures/sampled_video_ids.txt"
         )
         video_ids = _read_id_list(ids_path)
-        transport = _CountingTransport(default_transport(config))
-        collected = fetch_by_ids(config, video_ids, transport=transport)
-        pages = transport.pages
+        collected = fetch_by_ids(config, video_ids)
+        pages = -(-len(video_ids) // config.page_size)  # one request per id batch
     else:
-        collected, pages = _collect_sweeps(config, occasions)
+        collected, pages = collect_sweeps(config, occasions)
 
     unique = dedup_latest(collected)
     store_snapshots(SnapshotStore(store_path), collected)
@@ -199,6 +174,19 @@ def _require(value, command: str, flag: str) -> str:
     if value is None:
         raise ConfigError(f"{command} needs {flag} (flag or config file section)")
     return value
+
+
+def _analyze(store: SnapshotStore, n: int, out: Path, bins: dict | None = None):
+    """Load, select the top n, build the report and write it as bundle JSON."""
+    candidates = load_snapshots(store)
+    sample = select_study_sample(candidates, n=n)
+    if not sample.snapshots:
+        raise EmptySampleError(
+            f"no comment-enabled videos among {len(candidates.snapshots)} in {store.path}"
+        )
+    bundle = build_report(sample, bins=bins)
+    _write_text(out, render(bundle, "json"))
+    return candidates, sample, bundle
 
 
 def run_analyze(args: argparse.Namespace) -> int:
@@ -215,17 +203,9 @@ def run_analyze(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad bins file {bins_path}: {exc}") from exc
 
-    candidates = load_snapshots(SnapshotStore(store_path))
-    sample = select_study_sample(candidates, n=n)
-    if not sample.snapshots:
-        raise EmptySampleError(
-            f"no comment-enabled videos among {len(candidates.snapshots)} in {store_path}"
-        )
-
-    bundle = build_report(sample, bins=bins)
+    _, sample, bundle = _analyze(SnapshotStore(store_path), n, out, bins)
     for note in bundle.provenance["coverage_notes"]:
         print(f"warning: {note}", file=sys.stderr)
-    _write_text(out, render(bundle, "json"))
     print(f"analyzed {len(sample.snapshots)} videos ({sample.selection_note})")
     print(f"bundle: {out}")
     return EXIT_OK
@@ -326,16 +306,11 @@ def run_replicate(args: argparse.Namespace) -> int:
 
     config = FetchConfig(fixture_dir=fixture)
     occasions = _detect_sweeps(fixture)
-    collected, pages = _collect_sweeps(config, occasions)
+    collected, pages = collect_sweeps(config, occasions)
     store_snapshots(store, collected)
     print(f"fetched {pages} pages, {len(collected)} snapshots ({occasions} sweeps)")
 
-    candidates = load_snapshots(store)
-    sample = select_study_sample(candidates, n=expected_n)
-    if not sample.snapshots:
-        raise EmptySampleError("fixture produced no comment-enabled videos")
-    bundle = build_report(sample)
-    _write_text(out_dir / "bundle.json", render(bundle, "json"))
+    candidates, sample, bundle = _analyze(store, expected_n, out_dir / "bundle.json")
     _write_report_files(bundle, out_dir, RENDER_FORMATS)
     print(f"artifacts: {out_dir}")
 

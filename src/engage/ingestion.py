@@ -323,14 +323,32 @@ def fetch_sweep(
     """One full pass over the chart: follow page tokens up to max_pages."""
     if transport is None:
         transport = default_transport(config, sweep=sweep)
+    return collect_sweeps(config, 1, lambda _: transport)[0]
+
+
+def collect_sweeps(
+    config: FetchConfig,
+    occasions: int,
+    transport_factory: Callable[[int], Transport] | None = None,
+) -> tuple[list[VideoStatsSnapshot], int]:
+    """Run ``occasions`` sweeps, sweep k through ``transport_factory(k)``;
+    returns every snapshot in fetch order and the number of pages fetched."""
+    if occasions < 1:
+        raise ConfigError(f"occasions must be >= 1, got {occasions}")
+    if transport_factory is None:
+        transport_factory = lambda sweep: default_transport(config, sweep=sweep)
     snapshots: list[VideoStatsSnapshot] = []
-    token: str | None = None
-    for _ in range(config.max_pages):
-        page, token = fetch_trending_page(config, page_token=token, transport=transport)
-        snapshots.extend(page)
-        if token is None:
-            break
-    return snapshots
+    pages = 0
+    for sweep in range(1, occasions + 1):
+        transport = transport_factory(sweep)
+        token: str | None = None
+        for _ in range(config.max_pages):
+            page, token = fetch_trending_page(config, page_token=token, transport=transport)
+            snapshots.extend(page)
+            pages += 1
+            if token is None:
+                break
+    return snapshots, pages
 
 
 def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnapshot]:
@@ -360,14 +378,7 @@ def sample_trending(
     occasions over days is done by re-running the fetch command, with the
     snapshot store accumulating the union).
     """
-    if occasions < 1:
-        raise ConfigError(f"occasions must be >= 1, got {occasions}")
-    if transport_factory is None:
-        transport_factory = lambda sweep: default_transport(config, sweep=sweep)
-
-    collected: list[VideoStatsSnapshot] = []
-    for sweep in range(1, occasions + 1):
-        collected.extend(fetch_sweep(config, transport_factory(sweep)))
+    collected, _ = collect_sweeps(config, occasions, transport_factory)
     if not collected:
         raise EmptySampleError("no snapshots after all sweeps")
 
@@ -422,12 +433,6 @@ def select_study_sample(candidates: StudySample, n: int) -> StudySample:
         logger.warning("only %d eligible videos for requested n=%d", len(eligible), n)
         note += f" (shortfall: requested {n})"
     return StudySample(snapshots=chosen, selection_note=note)
-
-
-SNAPSHOT_FIELDS = (
-    "video_id", "fetched_at", "views", "likes", "dislikes", "comments",
-    "comments_enabled", "category",
-)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ moderate correlations), CSV (separate r/p/n columns, no markup) and JSON
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 from .ingestion import format_rfc3339
@@ -33,6 +33,7 @@ from .stats import (
 )
 
 BUNDLE_FORMAT = "engage-bundle/1"
+MATRIX_KEYS = ("corr_full", "corr_upper_quartiles")
 
 METRIC_NAMES = ("CpkI", "VpkI", "DisP")
 BASIC_NAMES = ("Views", "Comments", "Votes")
@@ -165,12 +166,9 @@ def rebin_bundle(bundle: ReportBundle, bins: Mapping[str, BinSpec]) -> ReportBun
     for name, spec in bins.items():
         if name not in bundle.rates:
             raise ValueError(f"bundle has no rate series for {name!r}")
-        hist = histogram(bundle.rates[name], spec)
-        histograms[name] = hist
-        best = max(hist.rows, key=lambda row: row[1], default=None)
-        mode = best[0] if best is not None and best[1] > 0 else None
+        histograms[name] = histogram(bundle.rates[name], spec)
         if name in summaries:
-            summaries[name] = replace(summaries[name], bin_mode=mode)
+            summaries[name] = replace(summaries[name], bin_mode=histograms[name].mode)
     return replace(bundle, histograms=histograms, summary_metrics=summaries)
 
 
@@ -483,76 +481,52 @@ def _csv_report(bundle: ReportBundle) -> str:
 
 # --- json ------------------------------------------------------------------
 
-def _summary_to_json(s: SampleSummary) -> dict:
-    return {
-        "n": s.n, "mean": s.mean, "std_dev": s.std_dev, "min": s.min, "max": s.max,
-        "skewness": s.skewness, "kurtosis": s.kurtosis, "bin_mode": s.bin_mode,
-    }
+def _to_json(obj) -> dict:
+    """A dataclass's fields as a dict, one level deep (``dataclasses.asdict``
+    deep-copies every value, which is slow on large bundles)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _summary_from_json(d: dict) -> SampleSummary:
-    return SampleSummary(
-        n=d["n"], mean=d["mean"], std_dev=d["std_dev"], min=d["min"], max=d["max"],
-        skewness=d["skewness"], kurtosis=d["kurtosis"], bin_mode=d["bin_mode"],
-    )
-
-
-def _matrix_to_json(m: CorrelationMatrix) -> dict:
-    return {
-        "names": list(m.names),
-        "cells": [
-            [
-                {"r": c.r, "p_value": c.p_value, "n": c.n, "error": c.error}
-                for c in row
-            ]
-            for row in m.cells
-        ],
-    }
-
-
-def _matrix_from_json(d: dict) -> CorrelationMatrix:
-    return CorrelationMatrix(
-        names=tuple(d["names"]),
-        cells=tuple(
-            tuple(
-                CorrelationCell(r=c["r"], p_value=c["p_value"], n=c["n"], error=c["error"])
-                for c in row
-            )
-            for row in d["cells"]
-        ),
-    )
+def _from_json(cls, data: dict):
+    """Rebuild a dataclass from its field dict; a missing key raises KeyError."""
+    return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def bundle_to_json(bundle: ReportBundle) -> dict:
-    return {
+    data = {
         "format": BUNDLE_FORMAT,
         "provenance": bundle.provenance,
-        "summary_basic": {k: _summary_to_json(v) for k, v in bundle.summary_basic.items()},
-        "summary_metrics": {k: _summary_to_json(v) for k, v in bundle.summary_metrics.items()},
-        "corr_full": _matrix_to_json(bundle.corr_full),
-        "corr_upper_quartiles": _matrix_to_json(bundle.corr_upper_quartiles),
-        "histograms": {
-            name: {
-                "rows": [[label, count] for label, count in hist.rows],
-                "underflow": hist.underflow,
-                "overflow": hist.overflow,
-            }
-            for name, hist in bundle.histograms.items()
-        },
+        "summary_basic": {k: _to_json(v) for k, v in bundle.summary_basic.items()},
+        "summary_metrics": {k: _to_json(v) for k, v in bundle.summary_metrics.items()},
+        "histograms": {name: _to_json(hist) for name, hist in bundle.histograms.items()},
         "categories": [[cat, count] for cat, count in bundle.categories],
         "rates": {name: list(values) for name, values in bundle.rates.items()},
     }
+    for key in MATRIX_KEYS:
+        m = getattr(bundle, key)
+        data[key] = {"names": list(m.names), "cells": [[_to_json(c) for c in row] for row in m.cells]}
+    return data
 
 
 def bundle_from_json(data: dict) -> ReportBundle:
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a report bundle (format={data.get('format')!r})")
+    matrices = {
+        key: CorrelationMatrix(
+            names=tuple(data[key]["names"]),
+            cells=tuple(
+                tuple(_from_json(CorrelationCell, c) for c in row)
+                for row in data[key]["cells"]
+            ),
+        )
+        for key in MATRIX_KEYS
+    }
     return ReportBundle(
         provenance=data["provenance"],
-        summary_basic={k: _summary_from_json(v) for k, v in data["summary_basic"].items()},
-        summary_metrics={k: _summary_from_json(v) for k, v in data["summary_metrics"].items()},
-        corr_full=_matrix_from_json(data["corr_full"]),
-        corr_upper_quartiles=_matrix_from_json(data["corr_upper_quartiles"]),
+        summary_basic={k: _from_json(SampleSummary, v) for k, v in data["summary_basic"].items()},
+        summary_metrics={
+            k: _from_json(SampleSummary, v) for k, v in data["summary_metrics"].items()
+        },
         histograms={
             name: Histogram(
                 rows=tuple((label, count) for label, count in h["rows"]),
@@ -563,6 +537,7 @@ def bundle_from_json(data: dict) -> ReportBundle:
         },
         categories=[(cat, count) for cat, count in data["categories"]],
         rates={name: list(values) for name, values in data["rates"].items()},
+        **matrices,
     )
 
 

@@ -104,8 +104,11 @@ class Histogram:
     overflow: int = 0
 
     @property
-    def n_defined(self) -> int:
-        return sum(count for _, count in self.rows) + self.underflow + self.overflow
+    def mode(self) -> str | None:
+        """Label of the most populated bin, the lowest on ties; None if all are empty."""
+        # max() keeps the first (lowest) bin on ties
+        best = max(self.rows, key=lambda row: row[1], default=None)
+        return best[0] if best is not None and best[1] > 0 else None
 
 
 @dataclass(frozen=True)
@@ -188,17 +191,9 @@ def summarize(values: Iterable[OptionalNumber], bins: BinSpec | None = None) -> 
                     - 3 * (n - 1) ** 2 / ((n - 2) * (n - 3))
                 )
 
-    bin_mode = None
-    if bins is not None:
-        hist = histogram(xs, bins)
-        best = max(hist.rows, key=lambda row: row[1], default=None)
-        if best is not None and best[1] > 0:
-            # max() keeps the first (lowest) bin on ties
-            bin_mode = best[0]
-
     return SampleSummary(
         n=n, mean=mean, std_dev=std_dev, min=lo, max=hi, skewness=skew, kurtosis=kurt,
-        bin_mode=bin_mode,
+        bin_mode=histogram(xs, bins).mode if bins is not None else None,
     )
 
 
@@ -218,21 +213,33 @@ def pearson(
         raise ValueError(f"series lengths differ: {len(xs)} != {len(ys)}")
     pairs = [(float(x), float(y)) for x, y in zip(xs, ys) if x is not None and y is not None]
     n = len(pairs)
-    if n < 2:
-        return CorrelationCell(r=None, p_value=None, n=n, error="fewer than 2 pairs")
-
     px = [x for x, _ in pairs]
     py = [y for _, y in pairs]
+    error = _undefined(px, py)
+    if error is not None:
+        return CorrelationCell(r=None, p_value=None, n=n, error=error)
+
     mx = math.fsum(px) / n
     my = math.fsum(py) / n
     ssx = math.fsum((x - mx) ** 2 for x in px)
     ssy = math.fsum((y - my) ** 2 for y in py)
     if ssx == 0 or ssy == 0:
+        # squared deviations of subnormal values can underflow to 0
         return CorrelationCell(r=None, p_value=None, n=n, error="constant series")
     cov = math.fsum((x - mx) * (y - my) for x, y in pairs)
     r = cov / math.sqrt(ssx * ssy)
     r = max(-1.0, min(1.0, r))
     return CorrelationCell(r=r, p_value=_pearson_p(r, n), n=n)
+
+
+def _undefined(*paired: Sequence[float]) -> str | None:
+    """Why paired series have no correlation: too few pairs, or all paired
+    values of one series equal (tested exactly, not via a rounded mean)."""
+    if len(paired[0]) < 2:
+        return "fewer than 2 pairs"
+    if any(min(series) == max(series) for series in paired):
+        return "constant series"
+    return None
 
 
 def _pearson_p(r: float, n: int) -> float | None:
@@ -250,8 +257,8 @@ def correlation_matrix(
 
     Rows where either member of a pair is absent are deleted pairwise, so
     each cell carries its own n. Diagonal cells are exactly r = 1 except
-    for degenerate columns, which get error cells across their whole row
-    and column.
+    for degenerate columns (fewer than 2 defined values, or all equal): their
+    diagonal names the condition, and every cell in their row is an error cell.
     """
     names = tuple(columns.keys())
     series = [columns[name] for name in names]
@@ -264,14 +271,11 @@ def correlation_matrix(
     cells: list[list[CorrelationCell | None]] = [[None] * k for _ in range(k)]
     for i in range(k):
         xi = series[i]
-        defined = [float(v) for v in xi if v is not None]
-        if len(defined) < 2:
-            diag = CorrelationCell(r=None, p_value=None, n=len(defined), error="fewer than 2 pairs")
-        elif min(defined) == max(defined):
-            diag = CorrelationCell(r=None, p_value=None, n=len(defined), error="constant series")
-        else:
-            diag = CorrelationCell(r=1.0, p_value=None, n=len(defined))
-        cells[i][i] = diag
+        defined = _defined(xi)
+        error = _undefined(defined)
+        cells[i][i] = CorrelationCell(
+            r=None if error else 1.0, p_value=None, n=len(defined), error=error
+        )
         for j in range(i + 1, k):
             cell = pearson(xi, series[j])
             cells[i][j] = cell

@@ -66,6 +66,16 @@ def test_fetch_offline_occasions_cap(tmp_path, capsys):
     assert "fetched 2 pages, 60 snapshots, 60 unique ids" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("occasions", ["0", "-1"])
+def test_fetch_occasions_below_one_exit2(tmp_path, capsys, occasions):
+    store = tmp_path / "s.jsonl"
+    argv = ["fetch", "--offline", str(BUNDLED_FIXTURES),
+            "--occasions", occasions, "--store", str(store)]
+    assert main(argv) == 2
+    assert "occasions must be >= 1" in capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_fetch_live_without_key_is_config_error(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "ENGAGE_API_KEY"}
     proc = subprocess.run(
@@ -258,6 +268,20 @@ def test_replicate_detects_disp_out_of_bounds(tmp_path, capsys):
     assert "FAIL DisP bounds" in captured.out
     assert target in captured.out
     assert "replication check failed: DisP bounds" in captured.err
+
+
+def test_replicate_without_comment_enabled_videos_exit5(tmp_path, capsys):
+    fixture = tmp_path / "fixture"
+    shutil.copytree(BUNDLED_FIXTURES, fixture)
+    for page in fixture.glob("sweep*_page*.json"):
+        data = json.loads(page.read_text(encoding="utf-8"))
+        for item in data["items"]:
+            item["statistics"].pop("commentCount", None)
+        page.write_text(json.dumps(data), encoding="utf-8")
+
+    argv = ["replicate", "--fixture-dir", str(fixture), "--out", str(tmp_path / "art")]
+    assert main(argv) == 5
+    assert "no comment-enabled videos among 106 in" in capsys.readouterr().err
 
 
 def test_replicate_bad_manifest_exit2(tmp_path, capsys):

@@ -3,6 +3,8 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from engage.metrics import VideoStatsSnapshot
@@ -215,6 +217,39 @@ def test_correlation_matrix_degenerate_column():
     assert m.cell("b", "b").error == "constant series"
     assert m.cell("a", "b").error == "constant series"
     assert m.cell("a", "a").r == 1.0
+
+
+def test_pearson_constant_series_with_inexact_mean():
+    # fsum([0.1] * 3) / 3 is not 0.1, so the deviations from the mean are not 0
+    cell = pearson([0.1] * 3, [1, 2, 4])
+    assert cell.error == "constant series"
+    assert cell.r is None and cell.p_value is None
+
+
+def test_correlation_matrix_constant_row_has_no_numeric_cell():
+    m = correlation_matrix({
+        "x": [1, 2, 4, 8],
+        "c": [0.1, 0.1, None, 0.1],
+        "y": [3, None, 1, 2],
+    })
+    row = m.names.index("c")
+    assert m.cells[row][row].error == "constant series"
+    assert all(cell.r is None and cell.error for cell in m.cells[row])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+moderate = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@given(constant=finite, others=st.lists(moderate, min_size=2, max_size=30))
+def test_any_finite_constant_is_a_constant_series(constant, others):
+    constants = [constant] * len(others)
+    cell = pearson(constants, others)
+    assert cell.error == "constant series"
+    assert cell.r is None and cell.p_value is None
+    m = correlation_matrix({"c": constants, "o": others})
+    assert m.cell("c", "c").error == "constant series"
+    assert m.cell("c", "o").error == "constant series"
 
 
 def test_correlation_matrix_rejects_ragged_columns():
