@@ -23,7 +23,6 @@ from .ingestion import (
     EmptySampleError,
     FetchConfig,
     ParseError,
-    SnapshotStore,
     StorageError,
     TransportError,
     collect_sweeps,
@@ -164,7 +163,7 @@ def run_fetch(args: argparse.Namespace) -> int:
         collected, pages = collect_sweeps(config, occasions)
 
     unique = dedup_latest(collected)
-    store_snapshots(SnapshotStore(store_path), collected)
+    store_snapshots(store_path, collected)
     print(f"fetched {pages} pages, {len(collected)} snapshots, {len(unique)} unique ids")
     print(f"store: {store_path}")
     return EXIT_OK
@@ -176,13 +175,13 @@ def _require(value, command: str, flag: str) -> str:
     return value
 
 
-def _analyze(store: SnapshotStore, n: int, out: Path, bins: dict | None = None):
+def _analyze(store: Path, n: int, out: Path, bins: dict | None = None):
     """Load, select the top n, build the report and write it as bundle JSON."""
     candidates = load_snapshots(store)
     sample = select_study_sample(candidates, n=n)
     if not sample.snapshots:
         raise EmptySampleError(
-            f"no comment-enabled videos among {len(candidates.snapshots)} in {store.path}"
+            f"no comment-enabled videos among {len(candidates.snapshots)} in {store}"
         )
     bundle = build_report(sample, bins=bins)
     _write_text(out, render(bundle, "json"))
@@ -203,7 +202,7 @@ def run_analyze(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad bins file {bins_path}: {exc}") from exc
 
-    _, sample, bundle = _analyze(SnapshotStore(store_path), n, out, bins)
+    _, sample, bundle = _analyze(store_path, n, out, bins)
     for note in bundle.provenance["coverage_notes"]:
         print(f"warning: {note}", file=sys.stderr)
     print(f"analyzed {len(sample.snapshots)} videos ({sample.selection_note})")
@@ -297,10 +296,10 @@ def run_replicate(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad replication manifest {expected_path}: {exc}") from exc
 
     out_dir = Path(args.out) if args.out else Path("replication")
-    store = SnapshotStore(out_dir / "snapshots.jsonl")
+    store = out_dir / "snapshots.jsonl"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        store.path.unlink(missing_ok=True)
+        store.unlink(missing_ok=True)
     except OSError as exc:
         raise StorageError(f"cannot prepare {out_dir}: {exc}") from exc
 

@@ -120,6 +120,8 @@ def format_rfc3339(dt: datetime) -> str:
 
 
 def parse_rfc3339(text: str) -> datetime:
+    if not isinstance(text, str):
+        raise ParseError(f"bad timestamp {text!r}", field="fetched_at")
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as exc:
@@ -228,54 +230,73 @@ def default_transport(config: FetchConfig, sweep: int = 1) -> Transport:
     return LiveTransport(config.api_key, request_interval_ms=config.request_interval_ms)
 
 
-def _count_field(stats: dict, api_name: str, field: str, video_id: str) -> int | None:
-    if api_name not in stats:
-        return None
-    raw = stats[api_name]
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ParseError(
-            f"video {video_id}: {field} is not an integer: {raw!r}", field=field
-        ) from None
-    if value < 0:
-        # kept as-is: the analysis-side range checks are the guard for bad feeds
-        logger.warning("video %s: negative %s count %d in payload", video_id, field, value)
-    return value
+# The snapshot's four count fields, each with its name in the API statistics.
+API_COUNT_NAMES = {
+    "views": "viewCount",
+    "likes": "likeCount",
+    "dislikes": "dislikeCount",
+    "comments": "commentCount",
+}
+# Largest count magnitude accepted from the API or a store, as for an unsigned
+# 64-bit counter: a larger one is corrupt and overflows the report's floats.
+MAX_COUNT = 2**64 - 1
 
 
-def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
-    """One API item to a snapshot; raises ParseError naming the bad field."""
-    video_id = item.get("id")
+def _snapshot(video_id, fetched_at, counts, comments_enabled, category) -> VideoStatsSnapshot:
+    """The one definition of a valid snapshot, for API items and store records.
+
+    ``counts`` maps field names to counts; an absent or null count is a
+    hidden counter, except ``views``, which is required. Raises ParseError
+    naming the first bad field.
+    """
     if not isinstance(video_id, str) or not video_id:
-        raise ParseError(f"item has no usable id: {video_id!r}", field="video_id")
-    stats = item.get("statistics")
-    if not isinstance(stats, dict):
-        raise ParseError(f"video {video_id}: missing statistics block", field="views")
-    views = _count_field(stats, "viewCount", "views", video_id)
-    if views is None:
-        raise ParseError(f"video {video_id}: missing views", field="views")
-    likes = _count_field(stats, "likeCount", "likes", video_id)
-    dislikes = _count_field(stats, "dislikeCount", "dislikes", video_id)
-    comments = _count_field(stats, "commentCount", "comments", video_id)
-
-    snippet = item.get("snippet") or {}
-    category_id = str(snippet.get("categoryId", "")) if isinstance(snippet, dict) else ""
-    category = CATEGORY_LABELS.get(category_id, f"Category {category_id}" if category_id else "")
-
+        raise ParseError(f"bad video_id: {video_id!r}", field="video_id")
+    for field in API_COUNT_NAMES:
+        value = counts.get(field)
+        if value is None and field != "views":
+            continue
+        if type(value) is not int or abs(value) > MAX_COUNT:
+            raise ParseError(
+                f"video {video_id}: {field} is not a 64-bit count: {value!r}", field=field
+            )
+        if value < 0:
+            # kept as-is: the analysis-side range checks are the guard for bad feeds
+            logger.warning("video %s: negative %s count %d", video_id, field, value)
+    if not isinstance(comments_enabled, bool):
+        raise ParseError(f"bad comments_enabled: {comments_enabled!r}", field="comments_enabled")
+    if not isinstance(category, str):
+        raise ParseError(f"bad category: {category!r}", field="category")
     return normalize_snapshot(
         VideoStatsSnapshot(
             video_id=video_id,
             fetched_at=fetched_at,
-            views=views,
-            likes=likes,
-            dislikes=dislikes,
-            comments=comments,
-            # the API omits the comment count when commenting is disabled
-            comments_enabled=comments is not None,
+            views=counts.get("views"),
+            likes=counts.get("likes"),
+            dislikes=counts.get("dislikes"),
+            comments=counts.get("comments"),
+            comments_enabled=comments_enabled,
             category=category,
         )
     )
+
+
+def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
+    """One API item to a snapshot; raises ParseError naming the bad field."""
+    stats = item.get("statistics")
+    if not isinstance(stats, dict):
+        stats = {}
+    counts = {}
+    for field, name in API_COUNT_NAMES.items():
+        if name in stats:
+            try:
+                counts[field] = int(stats[name])
+            except (TypeError, ValueError, OverflowError):
+                counts[field] = stats[name]  # left for _snapshot to reject
+    snippet = item.get("snippet") or {}
+    category_id = str(snippet.get("categoryId", "")) if isinstance(snippet, dict) else ""
+    category = CATEGORY_LABELS.get(category_id, f"Category {category_id}" if category_id else "")
+    # the API omits the comment count when commenting is disabled
+    return _snapshot(item.get("id"), fetched_at, counts, "comments" in counts, category)
 
 
 def _parse_page(payload: dict) -> tuple[list[VideoStatsSnapshot], str | None]:
@@ -435,71 +456,23 @@ def select_study_sample(candidates: StudySample, n: int) -> StudySample:
     return StudySample(snapshots=chosen, selection_note=note)
 
 
-@dataclass(frozen=True)
-class SnapshotStore:
-    """Append-only line-delimited JSON file of snapshots."""
-
-    path: Path
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "path", Path(self.path))
-
-
 def snapshot_to_record(snapshot: VideoStatsSnapshot) -> dict:
-    return {
-        "video_id": snapshot.video_id,
-        "fetched_at": format_rfc3339(snapshot.fetched_at),
-        "views": snapshot.views,
-        "likes": snapshot.likes,
-        "dislikes": snapshot.dislikes,
-        "comments": snapshot.comments,
-        "comments_enabled": snapshot.comments_enabled,
-        "category": snapshot.category,
-    }
+    return {**vars(snapshot), "fetched_at": format_rfc3339(snapshot.fetched_at)}
 
 
 def snapshot_from_record(record: dict) -> VideoStatsSnapshot:
     if not isinstance(record, dict):
         raise ParseError("record is not a JSON object")
-    video_id = record.get("video_id")
-    if not isinstance(video_id, str) or not video_id:
-        raise ParseError(f"bad video_id: {video_id!r}", field="video_id")
-    raw_time = record.get("fetched_at")
-    if not isinstance(raw_time, str):
-        raise ParseError(f"bad fetched_at: {raw_time!r}", field="fetched_at")
-    counts = {}
-    for field in ("views", "likes", "dislikes", "comments"):
-        value = record.get(field)
-        if field == "views" and not _is_int(value):
-            raise ParseError(f"bad views: {value!r}", field="views")
-        if value is not None and not _is_int(value):
-            raise ParseError(f"bad {field}: {value!r}", field=field)
-        counts[field] = value
-    enabled = record.get("comments_enabled")
-    if not isinstance(enabled, bool):
-        raise ParseError(f"bad comments_enabled: {enabled!r}", field="comments_enabled")
-    category = record.get("category", "")
-    if not isinstance(category, str):
-        raise ParseError(f"bad category: {category!r}", field="category")
-    return normalize_snapshot(
-        VideoStatsSnapshot(
-            video_id=video_id,
-            fetched_at=parse_rfc3339(raw_time),
-            views=counts["views"],
-            likes=counts["likes"],
-            dislikes=counts["dislikes"],
-            comments=counts["comments"],
-            comments_enabled=enabled,
-            category=category,
-        )
+    return _snapshot(
+        record.get("video_id"),
+        parse_rfc3339(record.get("fetched_at")),
+        record,
+        record.get("comments_enabled"),
+        record.get("category", ""),
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def store_snapshots(store: SnapshotStore, snapshots: Sequence[VideoStatsSnapshot]) -> int:
+def store_snapshots(path: Path, snapshots: Sequence[VideoStatsSnapshot]) -> int:
     """Append one record per snapshot; returns the number written.
 
     Appending never rewrites existing lines; deduplication happens on read.
@@ -507,17 +480,17 @@ def store_snapshots(store: SnapshotStore, snapshots: Sequence[VideoStatsSnapshot
     if not snapshots:
         return 0
     try:
-        store.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(store.path, "a", encoding="utf-8") as f:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "a", encoding="utf-8") as f:
             for snap in snapshots:
                 f.write(json.dumps(snapshot_to_record(snap), ensure_ascii=False) + "\n")
     except OSError as exc:
-        raise StorageError(f"cannot write {store.path}: {exc}") from exc
+        raise StorageError(f"cannot write {path}: {exc}") from exc
     return len(snapshots)
 
 
 def load_snapshots(
-    store: SnapshotStore,
+    path: Path,
     where: Callable[[VideoStatsSnapshot], bool] | None = None,
     lenient: bool = False,
 ) -> StudySample:
@@ -528,10 +501,10 @@ def load_snapshots(
     skipped lines lands in the selection note.
     """
     try:
-        with open(store.path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f:
             lines = f.readlines()
     except OSError as exc:
-        raise StorageError(f"cannot read {store.path}: {exc}") from exc
+        raise StorageError(f"cannot read {path}: {exc}") from exc
 
     snapshots: list[VideoStatsSnapshot] = []
     skipped = 0
@@ -543,15 +516,15 @@ def load_snapshots(
             snapshot = snapshot_from_record(record)
         except (ValueError, ParseError) as exc:
             if not lenient:
-                raise StorageError(f"{store.path.name} line {lineno}: {exc}") from exc
-            logger.warning("%s line %d skipped: %s", store.path.name, lineno, exc)
+                raise StorageError(f"{path.name} line {lineno}: {exc}") from exc
+            logger.warning("%s line %d skipped: %s", path.name, lineno, exc)
             skipped += 1
             continue
         if where is None or where(snapshot):
             snapshots.append(snapshot)
 
     unique = dedup_latest(snapshots)
-    note = f"loaded {len(snapshots)} records from {store.path.name}, {len(unique)} unique ids"
+    note = f"loaded {len(snapshots)} records from {path.name}, {len(unique)} unique ids"
     if skipped:
         note += f", {skipped} malformed line(s) skipped"
     return StudySample(snapshots=tuple(unique), selection_note=note)

@@ -88,18 +88,19 @@ def compute_disp(likes: int | None, dislikes: int | None) -> Fraction | None:
 def normalize_snapshot(snapshot: VideoStatsSnapshot) -> VideoStatsSnapshot:
     """Drop a comment count that contradicts a disabled comment section.
 
-    The live API occasionally reports a positive comment count for a video
-    with commenting turned off; the count is untrustworthy, so it is
-    normalized to absent (with a warning).
+    The live API occasionally reports a comment count for a video with
+    commenting turned off; the count is untrustworthy, so it is normalized
+    to absent (with a warning unless it is zero).
     """
-    if not snapshot.comments_enabled and snapshot.comments:
+    if snapshot.comments_enabled or snapshot.comments is None:
+        return snapshot
+    if snapshot.comments:
         logger.warning(
             "video %s: comment count %d with commenting disabled; dropping count",
             snapshot.video_id,
             snapshot.comments,
         )
-        return replace(snapshot, comments=None)
-    return snapshot
+    return replace(snapshot, comments=None)
 
 
 def compute_metrics(snapshot: VideoStatsSnapshot) -> EngagementMetrics:

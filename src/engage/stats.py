@@ -150,12 +150,6 @@ class StudySample:
             dupes = sorted({v for v, c in Counter(ids).items() if c > 1})
             raise ValueError(f"duplicate video ids in sample: {dupes[:5]}")
 
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def __iter__(self):
-        return iter(self.snapshots)
-
 
 def _defined(values: Iterable[OptionalNumber]) -> list[float]:
     return [float(v) for v in values if v is not None]

@@ -129,6 +129,23 @@ def test_analyze_missing_store_exit4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_oversized_count_exit4(tmp_path, capsys):
+    # enough videos for the summaries to square the oversized views
+    records = [
+        {"video_id": f"vid0000000{i}", "fetched_at": "2013-12-10T09:00:00Z",
+         "views": 1000 + 7 * i * i, "likes": 10 + i, "dislikes": 1 + i % 2,
+         "comments": 3 + i * i, "comments_enabled": True, "category": "News"}
+        for i in range(5)
+    ]
+    records[0]["views"] = 10**200
+    store = tmp_path / "huge.jsonl"
+    store.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["analyze", "--store", str(store), "--out", str(tmp_path / "b.json")]) == 4
+    err = capsys.readouterr().err
+    assert "line 1" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_bad_bins_exit2(pipeline, tmp_path, capsys):
     bins = tmp_path / "bins.json"
     bins.write_text("{\"cpki\": {\"edges\": [5]}}", encoding="utf-8")

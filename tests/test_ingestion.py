@@ -11,7 +11,6 @@ from engage.ingestion import (
     LiveTransport,
     ParseError,
     QuotaExceededError,
-    SnapshotStore,
     StorageError,
     StudySample,
     TransportError,
@@ -116,6 +115,36 @@ def test_parse_video_item_negative_count_passes_with_warning(caplog):
         s = parse_video_item(bad, T1)
     assert s.likes == -4
     assert any("negative" in rec.message for rec in caplog.records)
+
+
+def test_parse_video_item_count_bound():
+    edge = item("vid00000001")
+    edge["statistics"]["viewCount"] = "18446744073709551615"
+    assert parse_video_item(edge, T1).views == 2**64 - 1
+    for raw in ("18446744073709551616", "-18446744073709551616", float("inf")):
+        over = item("vid00000001")
+        over["statistics"]["viewCount"] = raw
+        with pytest.raises(ParseError) as exc:
+            parse_video_item(over, T1)
+        assert exc.value.field == "views"
+
+
+def test_parse_video_item_null_count_is_hidden():
+    hidden = item("vid00000001")
+    hidden["statistics"]["likeCount"] = None
+    assert parse_video_item(hidden, T1).likes is None
+    no_views = item("vid00000001")
+    no_views["statistics"]["viewCount"] = None
+    with pytest.raises(ParseError) as exc:
+        parse_video_item(no_views, T1)
+    assert exc.value.field == "views"
+
+
+def test_page_with_non_string_timestamp_is_parse_error(tmp_path):
+    write_page(tmp_path, "sweep1_page1", [item("a000000000a")], recorded_at=12)
+    with pytest.raises(ParseError) as exc:
+        fetch_sweep(FetchConfig(fixture_dir=tmp_path), sweep=1)
+    assert exc.value.field == "fetched_at"
 
 
 def test_fixture_transport_pages(tmp_path):
@@ -227,7 +256,7 @@ def test_select_study_sample_rejects_bad_n():
 
 
 def test_store_round_trip_preserves_fields(tmp_path):
-    store = SnapshotStore(tmp_path / "snaps.jsonl")
+    store = tmp_path / "snaps.jsonl"
     original = snap("vid00000001", views=123, likes=None, dislikes=7,
                     comments=None, comments_enabled=False, category="Comedy")
     assert store_snapshots(store, [original]) == 1
@@ -266,11 +295,42 @@ def test_record_validation_errors():
         snapshot_from_record("not a dict")
 
 
+def test_record_count_bound():
+    edge = snapshot_to_record(snap("vid00000001", views=2**64 - 1, likes=-(2**64 - 1)))
+    restored = snapshot_from_record(edge)
+    assert (restored.views, restored.likes) == (2**64 - 1, -(2**64 - 1))
+    for field in ("views", "likes", "dislikes", "comments"):
+        for bad in (2**64, -(2**64), 10**200):
+            record = snapshot_to_record(snap("vid00000001"))
+            record[field] = bad
+            with pytest.raises(ParseError) as exc:
+                snapshot_from_record(record)
+            assert exc.value.field == field
+
+
+def test_record_negative_count_loads_with_warning(caplog):
+    record = snapshot_to_record(snap("vid00000001"))
+    record["likes"] = -4
+    with caplog.at_level("WARNING"):
+        restored = snapshot_from_record(record)
+    assert restored.likes == -4
+    assert any("negative" in rec.message for rec in caplog.records)
+
+
+def test_record_zero_comments_with_commenting_disabled_loads_as_null(caplog):
+    record = snapshot_to_record(snap("vid00000001", comments=0, comments_enabled=False))
+    assert record["comments"] == 0
+    with caplog.at_level("WARNING"):
+        restored = snapshot_from_record(record)
+    assert restored.comments is None
+    assert not caplog.records
+
+
 def test_store_appends_and_dedups_on_read(tmp_path):
-    store = SnapshotStore(tmp_path / "snaps.jsonl")
+    store = tmp_path / "snaps.jsonl"
     store_snapshots(store, [snap("a", views=1, fetched_at=T1)])
     store_snapshots(store, [snap("a", views=2, fetched_at=T2), snap("b", views=3)])
-    assert len(store.path.read_text().splitlines()) == 3
+    assert len(store.read_text().splitlines()) == 3
     loaded = load_snapshots(store)
     assert len(loaded.snapshots) == 2
     assert loaded.snapshots[0].views == 2
@@ -278,9 +338,9 @@ def test_store_appends_and_dedups_on_read(tmp_path):
 
 
 def test_load_strict_names_the_bad_line(tmp_path):
-    store = SnapshotStore(tmp_path / "snaps.jsonl")
+    store = tmp_path / "snaps.jsonl"
     store_snapshots(store, [snap("a")])
-    with open(store.path, "a", encoding="utf-8") as f:
+    with open(store, "a", encoding="utf-8") as f:
         f.write("{broken\n")
     with pytest.raises(StorageError) as exc:
         load_snapshots(store)
@@ -288,9 +348,9 @@ def test_load_strict_names_the_bad_line(tmp_path):
 
 
 def test_load_lenient_skips_and_counts(tmp_path, caplog):
-    store = SnapshotStore(tmp_path / "snaps.jsonl")
+    store = tmp_path / "snaps.jsonl"
     store_snapshots(store, [snap("a")])
-    with open(store.path, "a", encoding="utf-8") as f:
+    with open(store, "a", encoding="utf-8") as f:
         f.write("{broken\n")
     store_snapshots(store, [snap("b")])
     with caplog.at_level("WARNING"):
@@ -300,7 +360,7 @@ def test_load_lenient_skips_and_counts(tmp_path, caplog):
 
 
 def test_load_with_filter(tmp_path):
-    store = SnapshotStore(tmp_path / "snaps.jsonl")
+    store = tmp_path / "snaps.jsonl"
     store_snapshots(store, [snap("a", fetched_at=T1), snap("b", fetched_at=T2)])
     loaded = load_snapshots(store, where=lambda s: s.fetched_at >= T2)
     assert [s.video_id for s in loaded.snapshots] == ["b"]
@@ -308,7 +368,7 @@ def test_load_with_filter(tmp_path):
 
 def test_load_missing_store_is_storage_error(tmp_path):
     with pytest.raises(StorageError):
-        load_snapshots(SnapshotStore(tmp_path / "absent.jsonl"))
+        load_snapshots(tmp_path / "absent.jsonl")
 
 
 class FakeResponse:
