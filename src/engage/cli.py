@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .ingestion import (
     API_KEY_ENV,
+    PAGE_SIZE,
     ConfigError,
     EmptySampleError,
     FetchConfig,
@@ -74,8 +75,10 @@ def _write_text(path: Path, text: str) -> None:
         raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_config_file(path: str | None, command: str) -> dict:
-    """Per-command section of the optional JSON config file; flags win."""
+def _load_config_file(args: argparse.Namespace, command: str) -> dict:
+    """Per-command section of the optional JSON config file; flags win, and
+    each key must name one of the command's flags."""
+    path = args.config
     if not path:
         return {}
     try:
@@ -88,6 +91,11 @@ def _load_config_file(path: str | None, command: str) -> dict:
     section = data.get(command, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {command!r} must be an object")
+    flags = set(vars(args)) - {"command", "config", "func"}  # not settings
+    unknown = sorted(set(section) - flags)
+    if unknown:
+        raise ConfigError(f"config section {command!r} has unknown key(s) {unknown};"
+                          f" expected some of {sorted(flags)}")
     return section
 
 
@@ -129,7 +137,7 @@ def _read_id_list(path: Path) -> list[str]:
 # --- subcommands -------------------------------------------------------------
 
 def run_fetch(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config, "fetch")
+    cfg = _load_config_file(args, "fetch")
     offline = args.offline
     if offline is None and args.region is None:
         offline = cfg.get("offline")
@@ -158,7 +166,7 @@ def run_fetch(args: argparse.Namespace) -> int:
         )
         video_ids = _read_id_list(ids_path)
         collected = fetch_by_ids(config, video_ids)
-        pages = -(-len(video_ids) // config.page_size)  # one request per id batch
+        pages = -(-len(video_ids) // PAGE_SIZE)  # one request per id batch
     else:
         collected, pages = collect_sweeps(config, occasions)
 
@@ -175,7 +183,7 @@ def _require(value, command: str, flag: str) -> str:
     return value
 
 
-def _analyze(store: Path, n: int, out: Path, bins: dict | None = None):
+def _analyze(store: Path, n: int, out: Path):
     """Load, select the top n, build the report and write it as bundle JSON."""
     candidates = load_snapshots(store)
     sample = select_study_sample(candidates, n=n)
@@ -183,26 +191,18 @@ def _analyze(store: Path, n: int, out: Path, bins: dict | None = None):
         raise EmptySampleError(
             f"no comment-enabled videos among {len(candidates.snapshots)} in {store}"
         )
-    bundle = build_report(sample, bins=bins)
+    bundle = build_report(sample)
     _write_text(out, render(bundle, "json"))
     return candidates, sample, bundle
 
 
 def run_analyze(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config, "analyze")
+    cfg = _load_config_file(args, "analyze")
     store_path = Path(_require(_resolve(args, cfg, "store"), "analyze", "--store"))
     n = _as_int(_resolve(args, cfg, "n", 100), "n")
     out = Path(_resolve(args, cfg, "out", "bundle.json"))
-    bins_path = _resolve(args, cfg, "bins")
 
-    bins = None
-    if bins_path:
-        try:
-            bins = load_binspec_file(Path(bins_path))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad bins file {bins_path}: {exc}") from exc
-
-    _, sample, bundle = _analyze(store_path, n, out, bins)
+    _, sample, bundle = _analyze(store_path, n, out)
     for note in bundle.provenance["coverage_notes"]:
         print(f"warning: {note}", file=sys.stderr)
     print(f"analyzed {len(sample.snapshots)} videos ({sample.selection_note})")
@@ -260,7 +260,7 @@ def _write_report_files(bundle, out_dir: Path, formats: Sequence[str]) -> list[P
 
 
 def run_report(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config, "report")
+    cfg = _load_config_file(args, "report")
     bundle_path = Path(_require(_resolve(args, cfg, "bundle"), "report", "--bundle"))
     formats = _parse_formats(_resolve(args, cfg, "format", "md,csv,json"))
     out_dir = Path(_resolve(args, cfg, "out", "report"))
@@ -427,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sample size (default 100)")
     analyze.add_argument("--out", metavar="FILE",
                          help="bundle output path (default bundle.json)")
-    analyze.add_argument("--bins", metavar="FILE",
-                         help="JSON per-metric bin overrides")
     analyze.set_defaults(func=run_analyze)
 
     report = sub.add_parser(
@@ -451,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=run_report)
 
     replicate = sub.add_parser(
-        "replicate", parents=[common],
+        "replicate",
         help="run the bundled offline pipeline and verify its structural claims",
         description=(
             "Run fetch (offline fixtures), analyze and report end to end,"

@@ -32,6 +32,9 @@ logger = logging.getLogger(__name__)
 
 API_URL = "https://www.googleapis.com/youtube/v3/videos"
 API_KEY_ENV = "ENGAGE_API_KEY"
+PAGE_SIZE = 50  # items per request, the API's maximum
+MAX_PAGES = 10  # pages followed per sweep
+REQUEST_INTERVAL_MS = 200  # live delay between requests
 
 # Compact display labels for the platform's numeric category ids.
 CATEGORY_LABELS = {
@@ -95,18 +98,9 @@ class FetchConfig:
 
     api_key: str = ""
     region_code: str = "US"
-    page_size: int = 50
-    max_pages: int = 10
-    request_interval_ms: int = 200
     fixture_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.page_size <= 50:
-            raise ConfigError(f"page_size must be in [1, 50], got {self.page_size}")
-        if self.max_pages < 1:
-            raise ConfigError(f"max_pages must be >= 1, got {self.max_pages}")
-        if self.request_interval_ms < 0:
-            raise ConfigError("request_interval_ms must be >= 0")
         if len(self.region_code) != 2 or not self.region_code.isalpha():
             raise ConfigError(f"region_code must be 2 letters, got {self.region_code!r}")
 
@@ -147,15 +141,13 @@ class LiveTransport:
     def __init__(
         self,
         api_key: str,
-        request_interval_ms: int = 200,
-        base_url: str = API_URL,
+        request_interval_ms: int = REQUEST_INTERVAL_MS,
         session: requests.Session | None = None,
     ):
         if not api_key:
             raise ConfigError(f"live fetching needs an API key in ${API_KEY_ENV}")
         self._api_key = api_key
         self._interval = request_interval_ms / 1000.0
-        self._base_url = base_url
         self._session = session or requests.Session()
         self._last_request = 0.0
 
@@ -169,7 +161,7 @@ class LiveTransport:
         self._throttle()
         try:
             resp = self._session.get(
-                self._base_url, params={**params, "key": self._api_key}, timeout=30
+                API_URL, params={**params, "key": self._api_key}, timeout=30
             )
         except requests.RequestException as exc:
             raise TransportError(f"request failed: {exc}") from exc
@@ -227,7 +219,7 @@ def default_transport(config: FetchConfig, sweep: int = 1) -> Transport:
     """Fixture transport when a fixture directory is configured, else live."""
     if config.fixture_dir is not None:
         return FixtureTransport(config.fixture_dir, sweep=sweep)
-    return LiveTransport(config.api_key, request_interval_ms=config.request_interval_ms)
+    return LiveTransport(config.api_key)
 
 
 # The snapshot's four count fields, each with its name in the API statistics.
@@ -282,6 +274,8 @@ def _snapshot(video_id, fetched_at, counts, comments_enabled, category) -> Video
 
 def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
     """One API item to a snapshot; raises ParseError naming the bad field."""
+    if not isinstance(item, dict):
+        raise ParseError("item is not a JSON object")
     stats = item.get("statistics")
     if not isinstance(stats, dict):
         stats = {}
@@ -319,7 +313,7 @@ def fetch_trending_page(
 ) -> tuple[list[VideoStatsSnapshot], str | None]:
     """Fetch and parse one page of the trending chart.
 
-    Returns up to ``page_size`` snapshots and the token for the next page
+    Returns up to ``PAGE_SIZE`` snapshots and the token for the next page
     (``None`` on the last one). Snapshots are stamped with the recorded
     fetch time if the page carries one, else with the current UTC time.
     """
@@ -328,7 +322,7 @@ def fetch_trending_page(
     params = {
         "chart": "mostPopular",
         "part": "snippet,statistics",
-        "maxResults": str(config.page_size),
+        "maxResults": str(PAGE_SIZE),
         "regionCode": config.region_code,
     }
     if page_token:
@@ -341,7 +335,7 @@ def fetch_sweep(
     transport: Transport | None = None,
     sweep: int = 1,
 ) -> list[VideoStatsSnapshot]:
-    """One full pass over the chart: follow page tokens up to max_pages."""
+    """One full pass over the chart: follow page tokens up to MAX_PAGES."""
     if transport is None:
         transport = default_transport(config, sweep=sweep)
     return collect_sweeps(config, 1, lambda _: transport)[0]
@@ -363,7 +357,7 @@ def collect_sweeps(
     for sweep in range(1, occasions + 1):
         transport = transport_factory(sweep)
         token: str | None = None
-        for _ in range(config.max_pages):
+        for _ in range(MAX_PAGES):
             page, token = fetch_trending_page(config, page_token=token, transport=transport)
             snapshots.extend(page)
             pages += 1
@@ -425,8 +419,8 @@ def fetch_by_ids(
     if transport is None:
         transport = default_transport(config)
     snapshots: list[VideoStatsSnapshot] = []
-    for start in range(0, len(video_ids), config.page_size):
-        batch = video_ids[start : start + config.page_size]
+    for start in range(0, len(video_ids), PAGE_SIZE):
+        batch = video_ids[start : start + PAGE_SIZE]
         params = {"part": "snippet,statistics", "id": ",".join(batch)}
         page, _ = _parse_page(transport.get_page(params))
         snapshots.extend(page)
@@ -489,39 +483,32 @@ def store_snapshots(path: Path, snapshots: Sequence[VideoStatsSnapshot]) -> int:
     return len(snapshots)
 
 
-def load_snapshots(
-    path: Path,
-    where: Callable[[VideoStatsSnapshot], bool] | None = None,
-    lenient: bool = False,
-) -> StudySample:
+def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
     """Read the store back into a deduplicated sample.
 
-    A malformed line aborts with an error naming the line number; in
-    lenient mode it is skipped with a warning instead, and the count of
-    skipped lines lands in the selection note.
+    A malformed line (not UTF-8, not JSON, or not a valid record) aborts
+    with an error naming the line number; in lenient mode it is skipped
+    with a warning instead, and the count of skipped lines lands in the
+    selection note.
     """
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, "rb") as f:
             lines = f.readlines()
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
 
     snapshots: list[VideoStatsSnapshot] = []
     skipped = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(lines, start=1):
         try:
-            record = json.loads(line)
-            snapshot = snapshot_from_record(record)
+            line = raw.decode("utf-8")
+            if line.strip():
+                snapshots.append(snapshot_from_record(json.loads(line)))
         except (ValueError, ParseError) as exc:
             if not lenient:
                 raise StorageError(f"{path.name} line {lineno}: {exc}") from exc
             logger.warning("%s line %d skipped: %s", path.name, lineno, exc)
             skipped += 1
-            continue
-        if where is None or where(snapshot):
-            snapshots.append(snapshot)
 
     unique = dedup_latest(snapshots)
     note = f"loaded {len(snapshots)} records from {path.name}, {len(unique)} unique ids"

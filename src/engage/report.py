@@ -80,16 +80,15 @@ class ReportBundle:
     rates: dict[str, list[float | None]]
 
 
-def build_report(sample: StudySample, bins: Mapping[str, BinSpec] | None = None) -> ReportBundle:
-    """Compute per-video rates and every table of the report.
+def build_report(sample: StudySample) -> ReportBundle:
+    """Compute per-video rates and every table of the report, binned with
+    ``DEFAULT_BINS`` (``rebin_bundle`` applies other bins).
 
-    ``bins`` overrides the default bin layout per rate name. Statistics
-    that cannot be computed (too little data, constant or absent columns)
-    become per-table annotations rather than failures.
+    Statistics that cannot be computed (too little data, constant or
+    absent columns) become per-table annotations rather than failures.
     """
     if not sample.snapshots:
         raise ValueError("cannot build a report from an empty sample")
-    metric_bins = {**DEFAULT_BINS, **(bins or {})}
 
     columns = _metric_columns(sample)
     upper = quartile_filter(sample, key=lambda s: s.views, keep=TOP_THREE_QUARTILES)
@@ -100,14 +99,9 @@ def build_report(sample: StudySample, bins: Mapping[str, BinSpec] | None = None)
         "Comments": summarize(columns["Comments"]),
         "Votes": summarize(columns["Votes (sum)"]),
     }
-    summary_metrics = {
-        name: summarize(columns[name], bins=metric_bins[name]) for name in METRIC_NAMES
-    }
+    summary_metrics = {name: summarize(columns[name]) for name in METRIC_NAMES}
     corr_full = correlation_matrix({name: columns[name] for name in CORR_NAMES})
     corr_upper = correlation_matrix({name: upper_columns[name] for name in CORR_NAMES})
-    histograms = {
-        name: histogram(columns[name], metric_bins[name]) for name in METRIC_NAMES
-    }
 
     times = sorted(s.fetched_at for s in sample.snapshots)
     provenance = {
@@ -119,16 +113,17 @@ def build_report(sample: StudySample, bins: Mapping[str, BinSpec] | None = None)
         "coverage_notes": _coverage_notes(sample, columns),
         "annotations": _annotations(summary_metrics, corr_full, corr_upper),
     }
-    return ReportBundle(
+    bundle = ReportBundle(
         provenance=provenance,
         summary_basic=summary_basic,
         summary_metrics=summary_metrics,
         corr_full=corr_full,
         corr_upper_quartiles=corr_upper,
-        histograms=histograms,
+        histograms={},
         categories=category_counts(sample),
         rates={name: list(columns[name]) for name in METRIC_NAMES},
     )
+    return rebin_bundle(bundle, DEFAULT_BINS)
 
 
 def load_binspec_file(path) -> dict[str, BinSpec]:
@@ -159,8 +154,9 @@ def load_binspec_file(path) -> dict[str, BinSpec]:
 
 
 def rebin_bundle(bundle: ReportBundle, bins: Mapping[str, BinSpec]) -> ReportBundle:
-    """New bundle with histograms and bin modes recomputed from the stored
-    per-video rates; metrics not named in ``bins`` are left untouched."""
+    """New bundle with histograms and bin modes computed from the stored
+    per-video rates (the only place rates are binned); metrics not named in
+    ``bins`` are left untouched."""
     histograms = dict(bundle.histograms)
     summaries = dict(bundle.summary_metrics)
     for name, spec in bins.items():

@@ -155,12 +155,11 @@ def _defined(values: Iterable[OptionalNumber]) -> list[float]:
     return [float(v) for v in values if v is not None]
 
 
-def summarize(values: Iterable[OptionalNumber], bins: BinSpec | None = None) -> SampleSummary:
+def summarize(values: Iterable[OptionalNumber]) -> SampleSummary:
     """Descriptive statistics over the defined entries of ``values``.
 
-    Mean, sample standard deviation, min, max, G1 skewness, G2 excess
-    kurtosis and (given ``bins``) the label of the most populated bin;
-    ties go to the lowest bin.
+    Mean, sample standard deviation, min, max, G1 skewness and G2 excess
+    kurtosis; ``bin_mode`` is left for the report's binning to fill in.
     """
     xs = _defined(values)
     n = len(xs)
@@ -186,8 +185,7 @@ def summarize(values: Iterable[OptionalNumber], bins: BinSpec | None = None) -> 
                 )
 
     return SampleSummary(
-        n=n, mean=mean, std_dev=std_dev, min=lo, max=hi, skewness=skew, kurtosis=kurt,
-        bin_mode=histogram(xs, bins).mode if bins is not None else None,
+        n=n, mean=mean, std_dev=std_dev, min=lo, max=hi, skewness=skew, kurtosis=kurt
     )
 
 

@@ -100,6 +100,18 @@ def test_fetch_missing_fixture_dir(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fetch_non_object_item_exit3(tmp_path, capsys):
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    page = {"items": [1], "recordedAt": "2013-12-10T09:00:00Z"}
+    (fixture / "sweep1_page1.json").write_text(json.dumps(page), encoding="utf-8")
+    argv = ["fetch", "--offline", str(fixture), "--store", str(tmp_path / "s.jsonl")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "not a JSON object" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_writes_bundle(pipeline):
     data = json.loads(pipeline["bundle"].read_text(encoding="utf-8"))
     assert data["format"] == "engage-bundle/1"
@@ -146,12 +158,13 @@ def test_analyze_oversized_count_exit4(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_analyze_bad_bins_exit2(pipeline, tmp_path, capsys):
-    bins = tmp_path / "bins.json"
-    bins.write_text("{\"cpki\": {\"edges\": [5]}}", encoding="utf-8")
-    argv = ["analyze", "--store", str(pipeline["store"]), "--bins", str(bins)]
-    assert main(argv) == 2
-    assert "bad bins file" in capsys.readouterr().err
+def test_analyze_non_utf8_store_exit4(tmp_path, capsys):
+    store = tmp_path / "bad.jsonl"
+    store.write_bytes(b"\xff\xfe{}\n")
+    assert main(["analyze", "--store", str(store), "--out", str(tmp_path / "b.json")]) == 4
+    err = capsys.readouterr().err
+    assert "line 1" in err
+    assert "Traceback" not in err
 
 
 def test_report_writes_all_formats(pipeline, tmp_path):
@@ -206,6 +219,15 @@ def test_report_rebins_before_rendering(pipeline, tmp_path):
     assert all(row[0] != "everything" for row in saved["histograms"]["CpkI"]["rows"])
 
 
+def test_report_bad_bins_exit2(pipeline, tmp_path, capsys):
+    bins = tmp_path / "bins.json"
+    bins.write_text("{\"cpki\": {\"edges\": [5]}}", encoding="utf-8")
+    argv = ["report", "--bundle", str(pipeline["bundle"]), "--bins", str(bins),
+            "--out", str(tmp_path / "rep")]
+    assert main(argv) == 2
+    assert "bad bins file" in capsys.readouterr().err
+
+
 def test_report_is_deterministic(pipeline, tmp_path):
     outs = []
     for name in ("one", "two"):
@@ -245,6 +267,26 @@ def test_config_file_malformed_exit2(tmp_path, capsys):
     config.write_text("[1, 2]", encoding="utf-8")
     assert main(["analyze", "--config", str(config), "--store", "s"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["nn", "bins"])
+def test_config_key_naming_no_flag_exit2(pipeline, tmp_path, capsys, key):
+    # "bins" was an analyze key; bins now apply at report time only
+    config = tmp_path / "engage.json"
+    config.write_text(json.dumps({
+        "analyze": {"store": str(pipeline["store"]), key: 5,
+                    "out": str(tmp_path / "b.json")},
+    }), encoding="utf-8")
+    assert main(["analyze", "--config", str(config)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
+
+
+def test_replicate_takes_no_config(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["replicate", "--config", "x.json", "--out", str(tmp_path / "art")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_replicate_detects_category_drift(tmp_path, capsys):

@@ -3,6 +3,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from engage import ingestion
 from engage.ingestion import (
     ConfigError,
     EmptySampleError,
@@ -108,6 +109,11 @@ def test_parse_video_item_errors():
     assert exc.value.field == "views"
 
 
+def test_parse_video_item_rejects_non_object():
+    with pytest.raises(ParseError, match="item is not a JSON object"):
+        parse_video_item(1, T1)
+
+
 def test_parse_video_item_negative_count_passes_with_warning(caplog):
     bad = item("vid00000001")
     bad["statistics"]["likeCount"] = "-4"
@@ -174,11 +180,12 @@ def test_fetch_sweep_follows_tokens(tmp_path):
     assert [s.video_id for s in snaps] == ["a000000000a", "b000000000b"]
 
 
-def test_fetch_sweep_respects_max_pages(tmp_path):
-    # page 1 points to page 2, but max_pages=1 stops the walk first
+def test_fetch_sweep_respects_max_pages(tmp_path, monkeypatch):
+    # page 1 points to page 2, but MAX_PAGES=1 stops the walk first
+    monkeypatch.setattr(ingestion, "MAX_PAGES", 1)
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
-    config = FetchConfig(fixture_dir=tmp_path, max_pages=1)
+    config = FetchConfig(fixture_dir=tmp_path)
     snaps = fetch_sweep(config, sweep=1)
     assert len(snaps) == 1
 
@@ -359,11 +366,27 @@ def test_load_lenient_skips_and_counts(tmp_path, caplog):
     assert "1 malformed line(s) skipped" in loaded.selection_note
 
 
-def test_load_with_filter(tmp_path):
+def _store_with_non_utf8_line(tmp_path):
+    # CRLF line ends and a blank line 2: the bad line is still line 3
+    good = [json.dumps(snapshot_to_record(snap(v))).encode() + b"\r\n" for v in "ab"]
     store = tmp_path / "snaps.jsonl"
-    store_snapshots(store, [snap("a", fetched_at=T1), snap("b", fetched_at=T2)])
-    loaded = load_snapshots(store, where=lambda s: s.fetched_at >= T2)
-    assert [s.video_id for s in loaded.snapshots] == ["b"]
+    store.write_bytes(good[0] + b"\r\n" + b"\xff\xfe{}\r\n" + good[1])
+    return store
+
+
+def test_load_strict_names_a_non_utf8_line(tmp_path):
+    with pytest.raises(StorageError) as exc:
+        load_snapshots(_store_with_non_utf8_line(tmp_path))
+    assert "line 3" in str(exc.value)
+    assert "utf-8" in str(exc.value)
+
+
+def test_load_lenient_skips_a_non_utf8_line(tmp_path, caplog):
+    with caplog.at_level("WARNING"):
+        loaded = load_snapshots(_store_with_non_utf8_line(tmp_path), lenient=True)
+    assert [s.video_id for s in loaded.snapshots] == ["a", "b"]
+    assert "1 malformed line(s) skipped" in loaded.selection_note
+    assert any("line 3" in rec.message for rec in caplog.records)
 
 
 def test_load_missing_store_is_storage_error(tmp_path):
@@ -431,7 +454,7 @@ def test_live_transport_bad_body():
         transport.get_page({})
 
 
-def test_fetch_by_ids_batches():
+def test_fetch_by_ids_batches(monkeypatch):
     class RecordingTransport:
         def __init__(self):
             self.batches = []
@@ -442,8 +465,9 @@ def test_fetch_by_ids_batches():
             return {"items": [item(v) for v in ids],
                     "recordedAt": "2013-12-10T09:00:00Z"}
 
+    monkeypatch.setattr(ingestion, "PAGE_SIZE", 2)
     transport = RecordingTransport()
-    config = FetchConfig(page_size=2)
+    config = FetchConfig()
     ids = ["a000000000a", "b000000000b", "c000000000c"]
     snaps = fetch_by_ids(config, ids, transport=transport)
     assert [s.video_id for s in snaps] == ids
@@ -451,11 +475,5 @@ def test_fetch_by_ids_batches():
 
 
 def test_fetch_config_validation():
-    with pytest.raises(ConfigError):
-        FetchConfig(page_size=0)
-    with pytest.raises(ConfigError):
-        FetchConfig(page_size=51)
-    with pytest.raises(ConfigError):
-        FetchConfig(max_pages=0)
     with pytest.raises(ConfigError):
         FetchConfig(region_code="USA")

@@ -102,16 +102,13 @@ def test_summarize_skips_absent_values():
 
 def test_bin_mode_prefers_lowest_on_tie():
     bins = BinSpec(edges=(0.0, 1.0, 2.0, 3.0))
-    s = summarize([0.5, 0.6, 1.5, 1.7, 2.5], bins=bins)
-    assert s.bin_mode == "0-1"
-    tied = summarize([0.5, 1.5], bins=bins)
-    assert tied.bin_mode == "0-1"
+    assert histogram([0.5, 0.6, 1.5, 1.7, 2.5], bins).mode == "0-1"
+    assert histogram([0.5, 1.5], bins).mode == "0-1"
 
 
 def test_bin_mode_absent_when_nothing_in_range():
     bins = BinSpec(edges=(0.0, 1.0))
-    s = summarize([5.0, 6.0], bins=bins)
-    assert s.bin_mode is None
+    assert histogram([5.0, 6.0], bins).mode is None
 
 
 def test_binspec_validation_and_index():
