@@ -51,6 +51,8 @@ EXIT_STORAGE = 4
 EXIT_EMPTY = 5
 EXIT_REPLICATION = 6
 
+CONFIG_SECTIONS = ("fetch", "analyze", "report")  # the commands that take --config
+
 DRIFT_NOTICE = (
     "The bundled replication target is structural (sample sizes, table"
     " shapes, value bounds, the category table), not numeric: the per-video"
@@ -88,6 +90,10 @@ def _load_config_file(args: argparse.Namespace, command: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(data) - set(CONFIG_SECTIONS))
+    if unknown:
+        raise ConfigError(f"config file {path} has unknown section(s) {unknown};"
+                          f" expected some of {list(CONFIG_SECTIONS)}")
     section = data.get(command, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {command!r} must be an object")
@@ -144,6 +150,7 @@ def run_fetch(args: argparse.Namespace) -> int:
     region = _resolve(args, cfg, "region", "US")
     store_path = Path(_resolve(args, cfg, "store", "snapshots.jsonl"))
     occasions = _resolve(args, cfg, "occasions")
+    ids = _resolve(args, cfg, "ids")
 
     if offline is not None:
         fixture = Path(offline)
@@ -158,10 +165,10 @@ def run_fetch(args: argparse.Namespace) -> int:
         )
         occasions = _as_int(occasions, "occasions") if occasions is not None else 1
 
-    if args.ids is not None:
+    if ids is not None:
         if offline is not None:
             raise ConfigError("--ids re-queries the live API; drop --offline")
-        ids_path = Path(args.ids) if args.ids else _bundled_path(
+        ids_path = Path(ids) if ids else _bundled_path(
             "fixtures/sampled_video_ids.txt"
         )
         video_ids = _read_id_list(ids_path)

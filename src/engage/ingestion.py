@@ -23,8 +23,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
-import requests
-
 from .metrics import VideoStatsSnapshot, normalize_snapshot
 from .stats import StudySample
 
@@ -135,20 +133,60 @@ class Transport(Protocol):
     def get_page(self, params: dict[str, str]) -> dict: ...
 
 
+class _HttpResponse:
+    """Status code and body of one HTTP exchange."""
+
+    def __init__(self, status_code: int, body: bytes):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        """The body decoded as JSON; raises ValueError when it is not."""
+        return json.loads(self._body)
+
+
+class _UrllibSession:
+    """The one HTTP call LiveTransport needs, on the standard library."""
+
+    def get(self, url: str, params: dict[str, str], timeout: float) -> _HttpResponse:
+        # imported here, not at module level: only a live fetch pays for them
+        import http.client
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
+        request_url = f"{url}?{urllib.parse.urlencode(params)}"
+        try:
+            try:
+                with urllib.request.urlopen(request_url, timeout=timeout) as resp:
+                    return _HttpResponse(resp.status, resp.read())
+            except urllib.error.HTTPError as exc:
+                # an error status is still an answer: its body can name a quota
+                with exc:
+                    return _HttpResponse(exc.code, exc.read())
+        except (OSError, http.client.HTTPException) as exc:
+            # the reason only: the request URL carries the API key
+            raise TransportError(f"request failed: {getattr(exc, 'reason', exc)}") from exc
+
+
 class LiveTransport:
-    """HTTPS transport with a fixed inter-request delay."""
+    """HTTPS transport with a fixed inter-request delay.
+
+    ``session`` is anything with ``get(url, params, timeout)`` returning a
+    response with ``status_code`` and ``json()``; the default uses urllib.
+    """
 
     def __init__(
         self,
         api_key: str,
         request_interval_ms: int = REQUEST_INTERVAL_MS,
-        session: requests.Session | None = None,
+        session: _UrllibSession | None = None,
     ):
         if not api_key:
             raise ConfigError(f"live fetching needs an API key in ${API_KEY_ENV}")
         self._api_key = api_key
         self._interval = request_interval_ms / 1000.0
-        self._session = session or requests.Session()
+        self._session = session or _UrllibSession()
         self._last_request = 0.0
 
     def _throttle(self) -> None:
@@ -159,12 +197,7 @@ class LiveTransport:
 
     def get_page(self, params: dict[str, str]) -> dict:
         self._throttle()
-        try:
-            resp = self._session.get(
-                API_URL, params={**params, "key": self._api_key}, timeout=30
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"request failed: {exc}") from exc
+        resp = self._session.get(API_URL, params={**params, "key": self._api_key}, timeout=30)
         if resp.status_code == 403 and _is_quota_error(resp):
             raise QuotaExceededError("API quota exceeded", status=403)
         if not 200 <= resp.status_code < 300:
@@ -178,12 +211,12 @@ class LiveTransport:
         return payload
 
 
-def _is_quota_error(resp: requests.Response) -> bool:
+def _is_quota_error(resp: _HttpResponse) -> bool:
     try:
-        errors = resp.json().get("error", {}).get("errors", [])
-    except ValueError:
+        errors = resp.json()["error"]["errors"]
+        reasons = {e.get("reason") for e in errors if isinstance(e, dict)}
+    except (ValueError, LookupError, TypeError):
         return False
-    reasons = {e.get("reason") for e in errors if isinstance(e, dict)}
     return bool(reasons & {"quotaExceeded", "dailyLimitExceeded", "rateLimitExceeded"})
 
 

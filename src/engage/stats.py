@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from scipy.special import betainc
-
 from .metrics import VideoStatsSnapshot
 
 Number = int | float | Fraction
@@ -237,9 +235,70 @@ def _undefined(*paired: Sequence[float]) -> str | None:
 def _pearson_p(r: float, n: int) -> float | None:
     if n < 3 or abs(r) == 1.0:
         return None
-    df = n - 2
-    # two-tailed p for t = r*sqrt(df/(1-r^2)); df/(df+t^2) reduces to 1-r^2
-    return float(betainc(df / 2.0, 0.5, 1.0 - r * r))
+    # two-tailed p for t = r*sqrt(df/(1-r^2)) is I_{1-r^2}(df/2, 1/2); both
+    # 1-r^2 and r^2 are passed so neither is formed by a cancelling subtraction
+    return _betainc((n - 2) / 2.0, 0.5, (1.0 - r) * (1.0 + r), r * r)
+
+
+_BETAINC_MAX_TERMS = 200  # b = 1/2 takes at most 60, up to n = 10^9
+# Stirling-series coefficients of lgamma(z) - ((z - 1/2) log z - z + log(2 pi)/2)
+_STIRLING = (1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0, given y = 1 - x.
+
+    The continued fraction A&S 26.5.8, contracted to its even part as in
+    TOMS 708's ``bfrac`` (DiDonato & Morris 1992), evaluated by modified
+    Lentz (Numerical Recipes 6.4). It converges fast below x = (a+1)/(a+b+2);
+    above, the result is 1 - I_y(b, a). log x, log y and lambda = a - (a+b)x
+    all come from the smaller of x and y, so no subtraction from 1 loses digits.
+    """
+    if x == 0.0 or y == 0.0:
+        return 0.0 if x == 0.0 else 1.0
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, y = b, a, y, x
+    if x <= y:
+        log_x, log_y, lam = math.log(x), math.log1p(-x), a - (a + b) * x
+    else:
+        log_x, log_y, lam = math.log1p(-y), math.log(y), (a + b) * y - b
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b))  # x^a y^b / B(a, b)
+    c, c0, c1 = 1.0 + lam, b / a, 1.0 + 1.0 / a
+    fraction = lentz_c = c / c1
+    lentz_d, p, s = 0.0, 1.0, a + 1.0
+    for n in range(1, _BETAINC_MAX_TERMS + 1):
+        t, w, e = n / a, n * (b - n) * x, a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        beta = n + w / s + (1.0 + t) / (c1 + t + t) * (c + n * (1.0 + y))
+        p, s = 1.0 + t, s + 2.0
+        lentz_d = 1.0 / ((beta + alpha * lentz_d) or 1e-300)
+        lentz_c = (beta + alpha / lentz_c) or 1e-300
+        fraction *= lentz_c * lentz_d
+        if abs(lentz_c * lentz_d - 1.0) <= 2.0**-52:
+            break
+    result = front / fraction
+    return 1.0 - result if swap else result
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b). For max(a, b) >= 10, lgamma(big) - lgamma(big + small)
+    is taken in the form of TOMS 708's ``algdiv``: log1p(small/big) plus the
+    difference of two Stirling corrections, with no cancelling lgamma pair."""
+    small, big = sorted((a, b))
+    if big < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    u = (big + small - 0.5) * math.log1p(small / big)
+    v = small * (math.log(big) - 1.0)
+    return math.lgamma(small) + (_stirling(big) - _stirling(big + small)) - u - v
+
+
+def _stirling(z: float) -> float:
+    """lgamma(z) minus its Stirling approximation, for z >= 10."""
+    z2, total = 1.0 / (z * z), 0.0
+    for coef in _STIRLING:
+        total = total * z2 + coef
+    return total / z
 
 
 def correlation_matrix(

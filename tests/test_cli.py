@@ -51,6 +51,15 @@ def test_replicate_runs_as_module(tmp_path):
     assert "replication checks passed" in proc.stdout
 
 
+def test_import_loads_no_dependency():
+    # -S: no site hooks, so only engage.cli's own imports are counted
+    code = ("import sys, engage.cli; print(sorted(set(sys.modules)"
+            " & {'scipy', 'numpy', 'requests', 'urllib.request'}))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_fetch_offline_counts(tmp_path, capsys):
     store = tmp_path / "s.jsonl"
     assert main(["fetch", "--offline", str(BUNDLED_FIXTURES), "--store", str(store)]) == 0
@@ -92,6 +101,19 @@ def test_fetch_ids_conflicts_with_offline(tmp_path, capsys):
             "--store", str(tmp_path / "s.jsonl")]
     assert main(argv) == 2
     assert "--offline" in capsys.readouterr().err
+
+
+def test_fetch_config_ids_conflicts_with_offline(tmp_path, capsys):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("abc\n", encoding="utf-8")
+    config = tmp_path / "engage.json"
+    config.write_text(json.dumps({
+        "fetch": {"offline": str(BUNDLED_FIXTURES), "ids": str(ids)},
+    }), encoding="utf-8")
+    store = tmp_path / "s.jsonl"
+    assert main(["fetch", "--config", str(config), "--store", str(store)]) == 2
+    assert "--ids re-queries the live API; drop --offline" in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_fetch_missing_fixture_dir(tmp_path, capsys):
@@ -267,6 +289,16 @@ def test_config_file_malformed_exit2(tmp_path, capsys):
     config.write_text("[1, 2]", encoding="utf-8")
     assert main(["analyze", "--config", str(config), "--store", "s"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_unknown_section_exit2(pipeline, tmp_path, capsys):
+    config = tmp_path / "engage.json"
+    config.write_text(json.dumps({"analyse": {"nn": 5}}), encoding="utf-8")
+    argv = ["analyze", "--config", str(config), "--store", str(pipeline["store"]),
+            "--out", str(tmp_path / "b.json")]
+    assert main(argv) == 2
+    assert "'analyse'" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 @pytest.mark.parametrize("key", ["nn", "bins"])

@@ -1,8 +1,9 @@
 """Byte-identity gate: `engage replicate` writes exactly the pinned artifacts.
 
 A refactor must leave every artifact byte for byte as it was. The digests
-were taken under Python 3.11.7 and scipy 1.17.1 (the p-values come from
-scipy's `betainc`). A deliberate change of output re-pins them: run
+were taken under Python 3.11.7; they depend on no third-party package, since
+the p-values come from engage's own incomplete beta in `engage.stats`. A
+deliberate change of output re-pins them: run
 `python -m engage.cli replicate --out DIR`, replace the digests below by
 the output of `sha256sum DIR/*`, and name the output change in CHANGES.md.
 """
@@ -12,15 +13,15 @@ import hashlib
 from engage.cli import main
 
 GOLDEN = {
-    "bundle.json": "4cdeb2da3ea2894f7aa0f0a5d570d2f3b3c2e7cd9971b0e6bca66107106314c6",
+    "bundle.json": "91a984b2bac14a2210777923d7b3462dabb74f4e40ddb14bad5e3dbb41affbac",
     "hist_cpki.svg": "b2061a9bfab5c21ccd50d0bed650444531c60d3490ed233f29582a9da18c1b53",
     "hist_cpki.txt": "16d6bea5f36f8bc57186939c58fe8809c51f1cee45e1c3ecfd15e102987c0831",
     "hist_disp.svg": "0c4731d707d38624aadf1b1c1aab6732044bbca5ccdc23da9cd96e22b49343e9",
     "hist_disp.txt": "29dc593bb8feaf45c9b680fee6beceb43950f4e930c07fed2ff3c72355e27cb0",
     "hist_vpki.svg": "25ad0220a15d0a455a2f96db83e9c4ce46d860e1156c041e432a45419120bbaa",
     "hist_vpki.txt": "635c568aab85757c044c1ccbd33fb59be8720695333967570e04fb79b9d83482",
-    "report.csv": "cb3e88863b6c40aef56bd3d159dcbc37b62315b228048b63a1171a958944c813",
-    "report.json": "4cdeb2da3ea2894f7aa0f0a5d570d2f3b3c2e7cd9971b0e6bca66107106314c6",
+    "report.csv": "2d64095fa18cf18373db3b8721142ca5f92cf35dacccc6277122274e061f6a4e",
+    "report.json": "91a984b2bac14a2210777923d7b3462dabb74f4e40ddb14bad5e3dbb41affbac",
     "report.md": "7f222641a2d51b2ddac6dad52376346685874a9b8647696a59e5a74a2c9fabc0",
     "snapshots.jsonl": "49af3049548e0d53f643398af01ee151db76895dc89862b19525c40d722ec7cf",
 }

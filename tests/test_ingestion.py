@@ -1,4 +1,9 @@
+import io
 import json
+import socket
+import urllib.error
+import urllib.parse
+import urllib.request
 from datetime import datetime, timezone
 
 import pytest
@@ -452,6 +457,76 @@ def test_live_transport_bad_body():
     transport = LiveTransport("secret", request_interval_ms=0, session=session)
     with pytest.raises(ParseError):
         transport.get_page({})
+
+
+class FakeHttpResponse(io.BytesIO):
+    status = 200
+
+
+@pytest.fixture
+def urlopen_calls(monkeypatch):
+    """Replace urllib's urlopen: each call records (url, timeout), then
+    raises ``outcome`` if it is an exception or returns it as the body."""
+    calls = []
+
+    def install(outcome):
+        def fake_urlopen(url, timeout=None):
+            calls.append((url, timeout))
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return FakeHttpResponse(outcome)
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        return calls
+
+    return install
+
+
+def http_error(code, body):
+    return urllib.error.HTTPError(
+        ingestion.API_URL, code, "error", {}, io.BytesIO(json.dumps(body).encode())
+    )
+
+
+def test_urllib_session_sends_urlencoded_params(urlopen_calls):
+    calls = urlopen_calls(b'{"items": []}')
+    transport = LiveTransport("secret", request_interval_ms=0)
+    assert transport.get_page({"part": "snippet,statistics", "id": "a b"}) == {"items": []}
+    query = urllib.parse.urlencode({"part": "snippet,statistics", "id": "a b", "key": "secret"})
+    assert calls == [(f"{ingestion.API_URL}?{query}", 30)]
+
+
+@pytest.mark.parametrize("failure", [
+    urllib.error.URLError(ConnectionRefusedError(111, "Connection refused")),
+    socket.timeout("timed out"),
+])
+def test_urllib_session_failure_never_shows_key(urlopen_calls, failure):
+    urlopen_calls(failure)
+    transport = LiveTransport("secret-key-123", request_interval_ms=0)
+    with pytest.raises(TransportError) as exc:
+        transport.get_page({"chart": "mostPopular"})
+    assert "secret-key-123" not in str(exc.value)
+    assert "request failed" in str(exc.value) and exc.value.status is None
+
+
+def test_urllib_session_http_403_quota(urlopen_calls):
+    urlopen_calls(http_error(403, {"error": {"errors": [{"reason": "quotaExceeded"}]}}))
+    with pytest.raises(QuotaExceededError):
+        LiveTransport("secret", request_interval_ms=0).get_page({})
+
+
+@pytest.mark.parametrize("code, body", [(500, {}), (403, ["not", "an", "object"])])
+def test_urllib_session_http_error_status(urlopen_calls, code, body):
+    urlopen_calls(http_error(code, body))
+    with pytest.raises(TransportError) as exc:
+        LiveTransport("secret", request_interval_ms=0).get_page({})
+    assert type(exc.value) is TransportError and exc.value.status == code
+
+
+def test_urllib_session_non_json_body(urlopen_calls):
+    urlopen_calls(b"<html>not json</html>")
+    with pytest.raises(ParseError):
+        LiveTransport("secret", request_interval_ms=0).get_page({})
 
 
 def test_fetch_by_ids_batches(monkeypatch):

@@ -2,11 +2,13 @@ import math
 import random
 from datetime import datetime, timezone
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from engage import stats
 from engage.metrics import VideoStatsSnapshot
 from engage.stats import (
     ALL_QUARTILES,
@@ -165,6 +167,44 @@ def test_pearson_matches_scipy():
         ref_r, ref_p = scipy_stats.pearsonr(xs, ys)
         assert cell.r == pytest.approx(float(ref_r), rel=1e-12, abs=1e-12)
         assert cell.p_value == pytest.approx(float(ref_p), rel=1e-9, abs=1e-12)
+
+
+def _mpmath_pearson_p(r: float, n: int):
+    """Two-tailed p at 40 digits: 0 when below 1e-300, None where mpmath fails."""
+    with mpmath.workdps(40):
+        a, r2 = mpmath.mpf(n - 2) / 2, mpmath.mpf(r) ** 2
+        # I_x(a, 1/2) <= x^a / (a B(a, 1/2) sqrt(1-x)) shows underflow cheaply
+        if (1 - r2) ** a / (a * mpmath.beta(a, 0.5) * mpmath.sqrt(r2)) < 1e-300:
+            return 0
+        try:
+            p = mpmath.betainc(a, 0.5, 0, 1 - r2, regularized=True)
+        except (ValueError, mpmath.libmp.NoConvergence):
+            try:
+                p = 1 - mpmath.betainc(0.5, a, 0, r2, regularized=True)
+            except (ValueError, mpmath.libmp.NoConvergence):
+                return None
+        return p if p >= 1e-300 else 0
+
+
+def test_pearson_p_matches_mpmath():
+    # _pearson_p at exactly these r; the p-values printed in the reports
+    rng = random.Random(41)
+    fixed = [1e-12, 1e-8, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.9999, 0.999999]
+    points = skipped = 0
+    for n in (3, 4, 5, 10, 30, 100, 10**3, 38_000, 10**5, 10**6):
+        df = n - 2
+        # random r through the t statistic, so p spans 1 to ~1e-200 at every n
+        drawn = [t / math.sqrt(df + t * t) for t in (rng.uniform(0, 30) for _ in range(40))]
+        for r in fixed + [rng.choice((-1, 1)) * r for r in drawn]:
+            points += 1
+            got = stats._pearson_p(r, n)
+            want = _mpmath_pearson_p(r, n)
+            if not want:
+                skipped += 1
+                assert want is None or got < 1e-300, (n, r, got)
+                continue
+            assert abs(got - want) <= 1e-12 * want, (n, r, got, float(want))
+    assert skipped < 0.05 * points, (skipped, points)
 
 
 def test_pearson_affine_invariance():
