@@ -106,10 +106,16 @@ def _load_config_file(args: argparse.Namespace, command: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, cfg: dict, key: str, default=None):
+    """The flag's value, else the config file's, else ``default``. A config
+    value stands for the text of its flag, so it must be a string or an integer."""
     value = getattr(args, key, None)
-    if value is None:
-        value = cfg.get(key, default)
-    return value
+    if value is None and key in cfg:
+        value = cfg[key]
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise ConfigError(f"config key {key!r} must be a string or an integer,"
+                              f" got {value!r}")
+        value = str(value)
+    return default if value is None else value
 
 
 def _as_int(value, key: str) -> int:
@@ -144,9 +150,7 @@ def _read_id_list(path: Path) -> list[str]:
 
 def run_fetch(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args, "fetch")
-    offline = args.offline
-    if offline is None and args.region is None:
-        offline = cfg.get("offline")
+    offline = _resolve(args, cfg, "offline") if args.region is None else None
     region = _resolve(args, cfg, "region", "US")
     store_path = Path(_resolve(args, cfg, "store", "snapshots.jsonl"))
     occasions = _resolve(args, cfg, "occasions")

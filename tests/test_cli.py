@@ -314,6 +314,18 @@ def test_config_key_naming_no_flag_exit2(pipeline, tmp_path, capsys, key):
     assert not (tmp_path / "b.json").exists()
 
 
+@pytest.mark.parametrize("command, section", [
+    ("fetch", {"region": 5}),
+    ("analyze", {"store": "s.jsonl", "out": None}),
+    ("report", {"bundle": "b.json", "format": ["md"]}),
+])
+def test_config_value_not_flag_text_exit2(tmp_path, capsys, command, section):
+    config = tmp_path / "engage.json"
+    config.write_text(json.dumps({command: section}), encoding="utf-8")
+    assert main([command, "--config", str(config)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_replicate_takes_no_config(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["replicate", "--config", "x.json", "--out", str(tmp_path / "art")])
