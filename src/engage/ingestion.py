@@ -156,7 +156,7 @@ class _UrllibSession:
         import urllib.request
 
         request_url = f"{url}?{urllib.parse.urlencode(params)}"
-        try:
+        try:  # the outer handler also covers reading an error body
             try:
                 with urllib.request.urlopen(request_url, timeout=timeout) as resp:
                     return _HttpResponse(resp.status, resp.read())

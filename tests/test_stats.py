@@ -187,7 +187,8 @@ def _mpmath_pearson_p(r: float, n: int):
 
 
 def test_pearson_p_matches_mpmath():
-    # _pearson_p at exactly these r; the p-values printed in the reports
+    """The in-repo incomplete beta is within 1e-12 relative of mpmath from
+    n = 3 to 10^6; the cells below 1e-300 (20 of 510) must underflow too."""
     rng = random.Random(41)
     fixed = [1e-12, 1e-8, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.9999, 0.999999]
     points = skipped = 0
