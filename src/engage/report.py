@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 from .ingestion import format_rfc3339
-from .metrics import compute_metrics
 from .stats import (
     BinSpec,
     CorrelationCell,
@@ -25,10 +24,10 @@ from .stats import (
     SampleSummary,
     StudySample,
     TOP_THREE_QUARTILES,
+    _quartile_rows,
     category_counts,
     correlation_matrix,
     histogram,
-    quartile_filter,
     summarize,
 )
 
@@ -91,8 +90,7 @@ def build_report(sample: StudySample) -> ReportBundle:
         raise ValueError("cannot build a report from an empty sample")
 
     columns = _metric_columns(sample)
-    upper = quartile_filter(sample, key=lambda s: s.views, keep=TOP_THREE_QUARTILES)
-    upper_columns = _metric_columns(upper)
+    upper = _quartile_rows(sample.snapshots, key=lambda s: s.views, keep=TOP_THREE_QUARTILES)
 
     summary_basic = {
         "Views": summarize(columns["Views"]),
@@ -101,15 +99,16 @@ def build_report(sample: StudySample) -> ReportBundle:
     }
     summary_metrics = {name: summarize(columns[name]) for name in METRIC_NAMES}
     corr_full = correlation_matrix({name: columns[name] for name in CORR_NAMES})
-    corr_upper = correlation_matrix({name: upper_columns[name] for name in CORR_NAMES})
+    corr_upper = correlation_matrix(
+        {name: list(map(columns[name].__getitem__, upper)) for name in CORR_NAMES}
+    )
 
-    times = sorted(s.fetched_at for s in sample.snapshots)
     provenance = {
         "sample_n": len(sample.snapshots),
         "selection_note": sample.selection_note,
-        "fetched_from": format_rfc3339(times[0]),
-        "fetched_to": format_rfc3339(times[-1]),
-        "upper_quartile_n": len(upper.snapshots),
+        "fetched_from": format_rfc3339(min(s.fetched_at for s in sample.snapshots)),
+        "fetched_to": format_rfc3339(max(s.fetched_at for s in sample.snapshots)),
+        "upper_quartile_n": len(upper),
         "coverage_notes": _coverage_notes(sample, columns),
         "annotations": _annotations(summary_metrics, corr_full, corr_upper),
     }
@@ -169,21 +168,34 @@ def rebin_bundle(bundle: ReportBundle, bins: Mapping[str, BinSpec]) -> ReportBun
 
 
 def _metric_columns(sample: StudySample) -> dict[str, list]:
-    """Aligned per-video series for every summary and correlation column."""
+    """Aligned per-video series for every summary and correlation column.
+
+    The rates follow ``metrics.compute_*`` exactly: CPython's int / int
+    division is correctly rounded, so each rate is the float nearest its
+    exact ``Fraction``, bit for bit, without building the ``Fraction``.
+    """
     snaps = sample.snapshots
-    per_video = [compute_metrics(s) for s in snaps]
+    views = [s.views for s in snaps]
+    likes = [s.likes for s in snaps]
+    dislikes = [s.dislikes for s in snaps]
+    comments = [s.comments if s.comments_enabled else None for s in snaps]
     votes = [
-        s.likes + s.dislikes if s.likes is not None and s.dislikes is not None else None
-        for s in snaps
+        up + down if up is not None and down is not None else None
+        for up, down in zip(likes, dislikes)
     ]
     return {
-        "CpkI": [float(m.cpki) if m.cpki is not None else None for m in per_video],
-        "VpkI": [float(m.vpki) if m.vpki is not None else None for m in per_video],
-        "DisP": [float(m.disp) if m.disp is not None else None for m in per_video],
-        "Views": [s.views for s in snaps],
-        "Votes+": [s.likes for s in snaps],
-        "Votes-": [s.dislikes for s in snaps],
-        "Comments": [s.comments if s.comments_enabled else None for s in snaps],
+        "CpkI": [c * 1000 / v if c is not None and v > 0 else None
+                 for c, v in zip(comments, views)],
+        "VpkI": [t * 1000 / v if t is not None and v > 0 else None
+                 for t, v in zip(votes, views)],
+        # divide by a positive total, as float(Fraction) does, so that 0
+        # dislikes over a negative total give 0.0 and not -0.0
+        "DisP": [(d / t if t > 0 else -d / -t) if t else None
+                 for d, t in zip(dislikes, votes)],
+        "Views": views,
+        "Votes+": likes,
+        "Votes-": dislikes,
+        "Comments": comments,
         "Votes (sum)": votes,
     }
 
@@ -196,7 +208,7 @@ def _coverage_notes(sample: StudySample, columns: dict[str, list]) -> list[str]:
         ("Votes+", "VpkI and DisP are undefined there"),
         ("Comments", "CpkI is undefined there"),
     ):
-        missing = sum(1 for v in columns[name] if v is None)
+        missing = columns[name].count(None)
         if missing:
             label = {"Votes-": "dislike", "Votes+": "like", "Comments": "comment"}[name]
             notes.append(f"{label} counts absent for {missing} of {n} snapshots; {consequence}")

@@ -10,9 +10,12 @@ excess kurtosis (G2), the forms mainstream statistics packages print.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, combinations_with_replacement, compress, repeat
+from operator import is_not, mul, sub, truediv
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .metrics import VideoStatsSnapshot
@@ -169,11 +172,12 @@ def summarize(values: Iterable[OptionalNumber]) -> SampleSummary:
 
     std_dev = skew = kurt = None
     if n >= 2:
-        m2 = math.fsum((x - mean) ** 2 for x in xs)
-        std_dev = math.sqrt(m2 / (n - 1))
+        dx = array("d", map(sub, xs, repeat(mean)))
+        std_dev = math.sqrt(math.fsum(map(pow, dx, repeat(2))) / (n - 1))
         if std_dev > 0:
-            z3 = math.fsum(((x - mean) / std_dev) ** 3 for x in xs)
-            z4 = math.fsum(((x - mean) / std_dev) ** 4 for x in xs)
+            z = array("d", map(truediv, dx, repeat(std_dev)))
+            z3 = math.fsum(map(pow, z, repeat(3)))
+            z4 = math.fsum(map(pow, z, repeat(4)))
             if n >= 3:
                 skew = n / ((n - 1) * (n - 2)) * z3
             if n >= 4:
@@ -201,35 +205,65 @@ def pearson(
     """
     if len(xs) != len(ys):
         raise ValueError(f"series lengths differ: {len(xs)} != {len(ys)}")
-    pairs = [(float(x), float(y)) for x, y in zip(xs, ys) if x is not None and y is not None]
-    n = len(pairs)
-    px = [x for x, _ in pairs]
-    py = [y for _, y in pairs]
-    error = _undefined(px, py)
+    rows = _both(_defined_rows(xs), _defined_rows(ys))
+    return _cell(_deviations(_take(xs, rows)), _deviations(_take(ys, rows)))
+
+
+def _defined_rows(values: Sequence[OptionalNumber]) -> bytes:
+    """Mask of the rows where ``values`` is defined: one byte per row, 1 or 0."""
+    return bytes(map(is_not, values, repeat(None)))
+
+
+def _both(a: bytes, b: bytes) -> bytes:
+    """Mask of the rows defined in both masks."""
+    both = int.from_bytes(a, "little") & int.from_bytes(b, "little")
+    return both.to_bytes(len(a), "little")
+
+
+def _take(values: Sequence[OptionalNumber], rows: bytes) -> list[float]:
+    """The values on the masked rows, as floats."""
+    return list(map(float, compress(values, rows)))
+
+
+_Deviations = tuple[int, "array[float] | None", float, "str | None"]
+
+
+def _deviations(values: list[float]) -> _Deviations:
+    """``(n, dx, ss, error)``: the deviations from the mean and their sum of
+    squares, or why the series has no correlation (``dx`` is then None).
+
+    This is the one degeneracy rule: fewer than 2 values, all values equal
+    (tested exactly, not via a rounded mean), or squared deviations that
+    underflow to a zero sum, as those of distinct subnormal values do.
+    """
+    n = len(values)
+    if n < 2:
+        return n, None, 0.0, "fewer than 2 pairs"
+    if min(values) != max(values):
+        mean = math.fsum(values) / n
+        dx = array("d", map(sub, values, repeat(mean)))
+        # pow, not d * d: the squares must round as they always have here (d * d
+        # differs in the last bit for some d), and an overflowing square must
+        # raise OverflowError, where d * d gives inf and then r = 0
+        ss = math.fsum(map(pow, dx, repeat(2)))
+        if ss:
+            return n, dx, ss, None
+    return n, None, 0.0, "constant series"
+
+
+def _cell(x: _Deviations, y: _Deviations) -> CorrelationCell:
+    """The Pearson cell of two series' deviations over the same rows."""
+    n, dx, ssx, error = x
+    _, dy, ssy, y_error = y
+    error = error or y_error
     if error is not None:
         return CorrelationCell(r=None, p_value=None, n=n, error=error)
-
-    mx = math.fsum(px) / n
-    my = math.fsum(py) / n
-    ssx = math.fsum((x - mx) ** 2 for x in px)
-    ssy = math.fsum((y - my) ** 2 for y in py)
-    if ssx == 0 or ssy == 0:
-        # squared deviations of subnormal values can underflow to 0
-        return CorrelationCell(r=None, p_value=None, n=n, error="constant series")
-    cov = math.fsum((x - mx) * (y - my) for x, y in pairs)
-    r = cov / math.sqrt(ssx * ssy)
+    # ssx * ssy can leave the float range where neither factor does
+    product = ssx * ssy
+    norm = math.sqrt(product) if 0 < product < math.inf else math.sqrt(ssx) * math.sqrt(ssy)
+    r = math.fsum(map(mul, dx, dy)) / norm
     r = max(-1.0, min(1.0, r))
     return CorrelationCell(r=r, p_value=_pearson_p(r, n), n=n)
-
-
-def _undefined(*paired: Sequence[float]) -> str | None:
-    """Why paired series have no correlation: too few pairs, or all paired
-    values of one series equal (tested exactly, not via a rounded mean)."""
-    if len(paired[0]) < 2:
-        return "fewer than 2 pairs"
-    if any(min(series) == max(series) for series in paired):
-        return "constant series"
-    return None
 
 
 def _pearson_p(r: float, n: int) -> float | None:
@@ -307,9 +341,15 @@ def correlation_matrix(
     """Symmetric matrix of pairwise correlations over named columns.
 
     Rows where either member of a pair is absent are deleted pairwise, so
-    each cell carries its own n. Diagonal cells are exactly r = 1 except
-    for degenerate columns (fewer than 2 defined values, or all equal): their
-    diagonal names the condition, and every cell in their row is an error cell.
+    each cell carries its own n; every off-diagonal cell equals ``pearson``
+    of its two columns. A diagonal cell is exactly r = 1 over the column's
+    defined values unless ``pearson``'s degeneracy rule holds there: fewer
+    than 2 values, all values equal, or squared deviations that underflow
+    to a zero sum, as for a column of distinct subnormals. The diagonal then
+    names the condition, and so does every cell in its row, with one
+    exception: an underflow over all of a column's values need not recur on
+    the fewer rows of a pair when the values lie within about 1e-162 of
+    each other.
     """
     names = tuple(columns.keys())
     series = [columns[name] for name in names]
@@ -318,19 +358,25 @@ def correlation_matrix(
         if len(col) != length:
             raise ValueError(f"column {name!r} has length {len(col)}, expected {length}")
 
-    k = len(names)
-    cells: list[list[CorrelationCell | None]] = [[None] * k for _ in range(k)]
-    for i in range(k):
-        xi = series[i]
-        defined = _defined(xi)
-        error = _undefined(defined)
-        cells[i][i] = CorrelationCell(
-            r=None if error else 1.0, p_value=None, n=len(defined), error=error
-        )
-        for j in range(i + 1, k):
-            cell = pearson(xi, series[j])
-            cells[i][j] = cell
-            cells[j][i] = cell
+    # the pairs, diagonal included, grouped by the rows they are defined on,
+    # so that each column's deviations are taken once per row set
+    masks = [_defined_rows(col) for col in series]
+    by_rows: dict[bytes, list[tuple[int, int]]] = {}
+    for i, j in combinations_with_replacement(range(len(names)), 2):
+        rows = masks[i] if i == j else _both(masks[i], masks[j])
+        by_rows.setdefault(rows, []).append((i, j))
+
+    cells: list[list[CorrelationCell | None]] = [[None] * len(names) for _ in names]
+    for rows, pairs in by_rows.items():
+        # only one row set's deviations are held at a time
+        deviations = {i: _deviations(_take(series[i], rows)) for i in set(chain(*pairs))}
+        for i, j in pairs:
+            if i == j:
+                n, _, _, error = deviations[i]
+                cell = CorrelationCell(r=None if error else 1.0, p_value=None, n=n, error=error)
+            else:
+                cell = _cell(deviations[i], deviations[j])
+            cells[i][j] = cells[j][i] = cell
     return CorrelationMatrix(
         names=names, cells=tuple(tuple(row) for row in cells)  # type: ignore[arg-type]
     )
@@ -358,17 +404,25 @@ def quartile_filter(
     if n == 0 or set(keep) == ALL_QUARTILES:
         return sample
 
-    ranked = sorted(sample.snapshots, key=lambda s: (key(s), s.video_id))
-    bounds = [0] + [n * q // 4 for q in (1, 2, 3)] + [n]
-    keep_ids = set()
-    for q in range(1, 5):
-        if q in keep:
-            keep_ids.update(s.video_id for s in ranked[bounds[q - 1]:bounds[q]])
-
-    kept = tuple(s for s in sample.snapshots if s.video_id in keep_ids)
+    snapshots = sample.snapshots
+    kept = tuple(snapshots[i] for i in _quartile_rows(snapshots, key, keep))
     label = f"quartiles {sorted(keep)}"
     note = f"{sample.selection_note}; kept {label} ({len(kept)} of {n})".lstrip("; ")
     return StudySample(snapshots=kept, selection_note=note)
+
+
+def _quartile_rows(
+    snapshots: Sequence[VideoStatsSnapshot],
+    key: Callable[[VideoStatsSnapshot], Number],
+    keep: frozenset[int] | set[int],
+) -> list[int]:
+    """Indices, in sample order, of the snapshots in the ``keep`` quartiles
+    when ranked ascending by ``(key, video_id)``, cut at floor(q*n/4)."""
+    n = len(snapshots)
+    ranks = [(key(s), s.video_id) for s in snapshots]
+    ranked = sorted(range(n), key=ranks.__getitem__)
+    bounds = [0] + [n * q // 4 for q in (1, 2, 3)] + [n]
+    return sorted(i for q in keep for i in ranked[bounds[q - 1]:bounds[q]])
 
 
 def histogram(values: Iterable[OptionalNumber], bins: BinSpec) -> Histogram:

@@ -3,10 +3,14 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from engage.metrics import VideoStatsSnapshot
+from engage.metrics import VideoStatsSnapshot, compute_cpki, compute_disp, compute_vpki
 from engage.report import (
+    CORR_NAMES,
     DEFAULT_BINS,
+    _metric_columns,
     bundle_from_json,
     bundle_to_json,
     build_report,
@@ -18,7 +22,13 @@ from engage.report import (
     render_histogram_plot,
     significance_stars,
 )
-from engage.stats import BinSpec, Histogram, StudySample
+from engage.stats import (
+    BinSpec,
+    Histogram,
+    StudySample,
+    correlation_matrix,
+    quartile_filter,
+)
 
 NOW = datetime(2013, 12, 10, 9, 0, 0, tzinfo=timezone.utc)
 
@@ -97,6 +107,58 @@ def test_all_dislikes_absent_annotates_tables():
     assert "summary_VpkI" in b.provenance["annotations"]
     assert "summary_DisP" in b.provenance["annotations"]
     assert "cells undefined" in b.provenance["annotations"]["corr_full"]
+
+
+COUNT_BOUND = 2**64 - 1
+counts = st.integers(-COUNT_BOUND, COUNT_BOUND)
+small_counts = st.integers(-3, 3)
+optional_counts = st.one_of(st.none(), counts, small_counts)
+videos = st.tuples(
+    st.one_of(counts, small_counts),  # views: zero and negative included
+    optional_counts, optional_counts, optional_counts, st.booleans(),
+)
+
+
+def _bits(rate):
+    return None if rate is None else float(rate).hex()
+
+
+@given(st.lists(videos, min_size=1, max_size=20))
+def test_rate_columns_equal_the_exact_rates_bit_for_bit(rows):
+    snaps = tuple(
+        VideoStatsSnapshot(video_id=f"v{i}", fetched_at=NOW, views=views, likes=likes,
+                           dislikes=dislikes, comments=comments, comments_enabled=enabled)
+        for i, (views, likes, dislikes, comments, enabled) in enumerate(rows)
+    )
+    columns = _metric_columns(StudySample(snapshots=snaps))
+    for i, s in enumerate(snaps):
+        comments = s.comments if s.comments_enabled else None
+        assert _bits(columns["CpkI"][i]) == _bits(compute_cpki(comments, s.views))
+        assert _bits(columns["VpkI"][i]) == _bits(compute_vpki(s.likes, s.dislikes, s.views))
+        assert _bits(columns["DisP"][i]) == _bits(compute_disp(s.likes, s.dislikes))
+
+
+def test_disp_of_zero_dislikes_over_a_negative_total_is_positive_zero():
+    s = snap(1, views=10, likes=-5, dislikes=0)
+    assert _bits(_metric_columns(StudySample(snapshots=(s,)))["DisP"][0]) == (0.0).hex()
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 50), st.integers(0, 50),
+                          st.integers(0, 50)), min_size=1, max_size=40))
+def test_upper_quartile_is_the_quartile_filter(rows):
+    # few distinct view counts, so ties are common and video_id breaks them
+    sample = StudySample(snapshots=tuple(
+        snap(i, views=views, likes=likes, dislikes=dislikes, comments=comments)
+        for i, (views, likes, dislikes, comments) in enumerate(rows)
+    ))
+    n = len(rows)
+    kept = quartile_filter(sample, key=lambda s: s.views)
+    bundle = build_report(sample)
+    assert bundle.provenance["upper_quartile_n"] == n - n // 4 == len(kept.snapshots)
+    columns = _metric_columns(kept)
+    assert bundle.corr_upper_quartiles == correlation_matrix(
+        {name: columns[name] for name in CORR_NAMES}
+    )
 
 
 def test_significance_star_thresholds():

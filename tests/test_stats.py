@@ -290,6 +290,74 @@ def test_any_finite_constant_is_a_constant_series(constant, others):
     assert m.cell("c", "o").error == "constant series"
 
 
+def test_correlation_matrix_subnormal_column_agrees_with_its_row():
+    # distinct subnormals: their squared deviations underflow to a zero sum
+    m = correlation_matrix({"s": [5e-324, 1e-323, 1.5e-323], "x": [1, 2, 3]})
+    assert m.cell("s", "x").error == "constant series"
+    assert m.cell("s", "s").error == "constant series"
+    assert m.cell("s", "s").r is None and m.cell("s", "s").n == 3
+    assert m.cell("x", "x").r == 1.0
+
+
+def test_pearson_overflowing_squares_raise_rather_than_give_a_number():
+    # a squared deviation above the float range must not become inf and r = 0
+    with pytest.raises(OverflowError):
+        pearson([1e200, -1e200, 0], [1, 2, 3])
+    with pytest.raises(OverflowError):
+        correlation_matrix({"big": [1e200, -1e200, 0], "x": [1, 2, 3]})
+
+
+def test_pearson_when_the_product_of_the_sums_of_squares_leaves_the_float_range():
+    # each sum of squares is near 1e200 or 1e-174; their product is not a float
+    assert pearson([1e100, -1e100, 0], [1e100, -1e100, 0]).r == 1.0
+    tiny = pearson([0, 3e-87, 1e-87], [0, 3e-87, 2e-87])
+    assert tiny.r == pytest.approx(pearson([0, 3, 1], [0, 3, 2]).r, rel=1e-12)
+
+
+# magnitudes are 0, subnormal or at least 1e-100, so that an underflow over a
+# column's values recurs over any of its rows (see correlation_matrix)
+cell_values = st.one_of(
+    st.none(),
+    st.integers(-5, 5),
+    st.floats(-1e6, 1e6).filter(lambda x: x == 0 or abs(x) >= 1e-100),
+    st.floats(-2.2e-308, 2.2e-308),
+)
+
+
+@st.composite
+def matrix_columns(draw):
+    length = draw(st.integers(0, 12))
+    columns = {}
+    for k in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            value = draw(cell_values)
+            holes = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+            columns[f"c{k}"] = [None if hole else value for hole in holes]
+        else:
+            columns[f"c{k}"] = draw(
+                st.lists(cell_values, min_size=length, max_size=length)
+            )
+    return columns
+
+
+def _exact(cell):
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in (cell.r, cell.p_value, cell.n, cell.error))
+
+
+@given(columns=matrix_columns())
+def test_correlation_matrix_cells_equal_pearson_exactly(columns):
+    m = correlation_matrix(columns)
+    for i, a in enumerate(m.names):
+        diagonal = m.cells[i][i]
+        for j, b in enumerate(m.names):
+            assert m.cells[i][j] is m.cells[j][i]
+            if i != j:
+                assert _exact(m.cells[i][j]) == _exact(pearson(columns[a], columns[b]))
+                if diagonal.error is not None:
+                    assert m.cells[i][j].error is not None
+
+
 def test_correlation_matrix_rejects_ragged_columns():
     with pytest.raises(ValueError):
         correlation_matrix({"a": [1, 2], "b": [1, 2, 3]})
