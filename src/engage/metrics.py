@@ -7,9 +7,11 @@ Three per-video rates are derived from the public counters:
 * DisP -- dislike proportion: ``dislikes / (likes + dislikes)``, always in [0, 1]
 
 Each rate is undefined (``None``) when its inputs are missing or its
-denominator is zero; that is a data condition, never an exception. Values
-are carried as exact :class:`fractions.Fraction` internally and converted
-to floats only at presentation boundaries.
+denominator is zero; that is a data condition, never an exception. The
+``compute_*`` functions return exact :class:`fractions.Fraction` values. The
+report derives its float rate columns by int true division, which CPython
+rounds correctly, so each float is bit-identical to ``float`` of the exact
+``compute_*`` result.
 """
 
 from __future__ import annotations

@@ -242,9 +242,9 @@ def _deviations(values: list[float]) -> _Deviations:
     if min(values) != max(values):
         mean = math.fsum(values) / n
         dx = array("d", map(sub, values, repeat(mean)))
-        # pow, not d * d: the squares must round as they always have here (d * d
-        # differs in the last bit for some d), and an overflowing square must
-        # raise OverflowError, where d * d gives inf and then r = 0
+        # pow, not d * d: d * d rounds some squares differently, which can move
+        # r in its last bit, and gives inf where pow raises OverflowError (r
+        # would then come out as 0)
         ss = math.fsum(map(pow, dx, repeat(2)))
         if ss:
             return n, dx, ss, None

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from engage.ingestion import MAX_COUNT
 from engage.metrics import VideoStatsSnapshot, compute_cpki, compute_disp, compute_vpki
 from engage.report import (
     CORR_NAMES,
@@ -109,8 +110,7 @@ def test_all_dislikes_absent_annotates_tables():
     assert "cells undefined" in b.provenance["annotations"]["corr_full"]
 
 
-COUNT_BOUND = 2**64 - 1
-counts = st.integers(-COUNT_BOUND, COUNT_BOUND)
+counts = st.integers(-MAX_COUNT, MAX_COUNT)
 small_counts = st.integers(-3, 3)
 optional_counts = st.one_of(st.none(), counts, small_counts)
 videos = st.tuples(
