@@ -25,10 +25,8 @@ from .ingestion import (
     TransportError,
     dedup_latest,
     fetch_by_ids,
-    fetch_sweep,
     fetch_trending_page,
     load_snapshots,
-    sample_trending,
     select_study_sample,
     store_snapshots,
 )
@@ -106,7 +104,6 @@ __all__ = [
     "correlation_matrix",
     "dedup_latest",
     "fetch_by_ids",
-    "fetch_sweep",
     "fetch_trending_page",
     "histogram",
     "load_snapshots",
@@ -115,7 +112,6 @@ __all__ = [
     "quartile_filter",
     "render",
     "render_histogram_plot",
-    "sample_trending",
     "select_study_sample",
     "store_snapshots",
     "summarize",

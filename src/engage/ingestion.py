@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .metrics import VideoStatsSnapshot, normalize_snapshot
 from .stats import StudySample
@@ -87,7 +87,7 @@ class StorageError(EngageError):
 
 
 class EmptySampleError(EngageError):
-    """No snapshots remained after all sweeps."""
+    """The study sample holds no comment-enabled videos to analyze."""
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,8 @@ def _parse_page(payload: dict) -> tuple[list[VideoStatsSnapshot], str | None]:
 def fetch_trending_page(
     config: FetchConfig,
     page_token: str | None = None,
-    transport: Transport | None = None,
+    *,
+    transport: Transport,
 ) -> tuple[list[VideoStatsSnapshot], str | None]:
     """Fetch and parse one page of the trending chart.
 
@@ -350,8 +351,6 @@ def fetch_trending_page(
     (``None`` on the last one). Snapshots are stamped with the recorded
     fetch time if the page carries one, else with the current UTC time.
     """
-    if transport is None:
-        transport = default_transport(config)
     params = {
         "chart": "mostPopular",
         "part": "snippet,statistics",
@@ -363,32 +362,19 @@ def fetch_trending_page(
     return _parse_page(transport.get_page(params))
 
 
-def fetch_sweep(
-    config: FetchConfig,
-    transport: Transport | None = None,
-    sweep: int = 1,
-) -> list[VideoStatsSnapshot]:
-    """One full pass over the chart: follow page tokens up to MAX_PAGES."""
-    if transport is None:
-        transport = default_transport(config, sweep=sweep)
-    return collect_sweeps(config, 1, lambda _: transport)[0]
+def collect_sweeps(config: FetchConfig, occasions: int) -> tuple[list[VideoStatsSnapshot], int]:
+    """Run ``occasions`` sweeps, sweep k through ``default_transport(config, sweep=k)``;
+    returns every snapshot in fetch order and the number of pages fetched.
 
-
-def collect_sweeps(
-    config: FetchConfig,
-    occasions: int,
-    transport_factory: Callable[[int], Transport] | None = None,
-) -> tuple[list[VideoStatsSnapshot], int]:
-    """Run ``occasions`` sweeps, sweep k through ``transport_factory(k)``;
-    returns every snapshot in fetch order and the number of pages fetched."""
+    A fixture sweep k replays recorded sweep k; a live sweep is a fresh pass
+    over the current chart. Each follows page tokens for at most MAX_PAGES.
+    """
     if occasions < 1:
         raise ConfigError(f"occasions must be >= 1, got {occasions}")
-    if transport_factory is None:
-        transport_factory = lambda sweep: default_transport(config, sweep=sweep)
     snapshots: list[VideoStatsSnapshot] = []
     pages = 0
     for sweep in range(1, occasions + 1):
-        transport = transport_factory(sweep)
+        transport = default_transport(config, sweep=sweep)
         token: str | None = None
         for _ in range(MAX_PAGES):
             page, token = fetch_trending_page(config, page_token=token, transport=transport)
@@ -402,41 +388,13 @@ def collect_sweeps(
 def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnapshot]:
     """One snapshot per video id: latest fetched_at wins, ties go to the
     later-read record. Output keeps first-encounter order of the ids."""
-    order: list[str] = []
     best: dict[str, VideoStatsSnapshot] = {}
     for snap in snapshots:
         current = best.get(snap.video_id)
-        if current is None:
-            order.append(snap.video_id)
+        # replacing a key's value keeps the key's place in the dict
+        if current is None or snap.fetched_at >= current.fetched_at:
             best[snap.video_id] = snap
-        elif snap.fetched_at >= current.fetched_at:
-            best[snap.video_id] = snap
-    return [best[video_id] for video_id in order]
-
-
-def sample_trending(
-    config: FetchConfig,
-    occasions: int = 1,
-    transport_factory: Callable[[int], Transport] | None = None,
-) -> StudySample:
-    """Run fetch sweeps and union them into a deduplicated sample.
-
-    In fixture mode each occasion replays one recorded sweep; in live mode
-    every occasion is a fresh sweep of the current chart (spreading
-    occasions over days is done by re-running the fetch command, with the
-    snapshot store accumulating the union).
-    """
-    collected, _ = collect_sweeps(config, occasions, transport_factory)
-    if not collected:
-        raise EmptySampleError("no snapshots after all sweeps")
-
-    unique = dedup_latest(collected)
-    times = sorted(s.fetched_at for s in unique)
-    note = (
-        f"{occasions} sweep(s), {len(collected)} snapshots, {len(unique)} unique ids, "
-        f"fetched {format_rfc3339(times[0])}..{format_rfc3339(times[-1])}"
-    )
-    return StudySample(snapshots=tuple(unique), selection_note=note)
+    return list(best.values())
 
 
 def fetch_by_ids(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,21 +74,13 @@ class BinSpec:
         )
 
     def bin_index(self, value: float) -> int:
-        """Index of the bin holding ``value``; -1 = underflow, len = overflow."""
-        if value < self.edges[0]:
-            return -1
-        if value > self.edges[-1]:
-            return len(self.edges) - 1
+        """Index of the bin holding ``value``; -1 = underflow, len = overflow.
+
+        NaN compares false to every edge, so it lands in overflow.
+        """
         if value == self.edges[-1]:
             return len(self.edges) - 2
-        lo, hi = 0, len(self.edges) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if value >= self.edges[mid]:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect_right(self.edges, value) - 1
 
 
 def _fmt_edge(x: float) -> str:

@@ -15,7 +15,7 @@ import pytest
 
 import engage
 from engage.cli import main
-from engage.ingestion import FetchConfig, sample_trending, select_study_sample
+from engage.ingestion import FetchConfig, collect_sweeps, dedup_latest, select_study_sample
 from engage.metrics import (
     VideoStatsSnapshot,
     compute_cpki,
@@ -183,7 +183,8 @@ def test_criterion_5_quartile_rule_keeps_75_of_100():
 def test_criterion_6_bundled_category_table():
     with criterion(6, "bundled fixture reproduces the frozen category table summing to 100", 1.0):
         config = FetchConfig(fixture_dir=BUNDLED_FIXTURES)
-        sample = select_study_sample(sample_trending(config, occasions=3), n=100)
+        candidates = StudySample(tuple(dedup_latest(collect_sweeps(config, 3)[0])))
+        sample = select_study_sample(candidates, n=100)
         table = category_counts(sample)
         assert table == [
             ("Entertainment", 24), ("Tech", 15), ("Sports", 11), ("Comedy", 9),

@@ -7,11 +7,12 @@ import urllib.request
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from engage import ingestion
 from engage.ingestion import (
     ConfigError,
-    EmptySampleError,
     FetchConfig,
     FixtureTransport,
     LiveTransport,
@@ -20,15 +21,14 @@ from engage.ingestion import (
     StorageError,
     StudySample,
     TransportError,
+    collect_sweeps,
     dedup_latest,
     fetch_by_ids,
-    fetch_sweep,
     fetch_trending_page,
     format_rfc3339,
     load_snapshots,
     parse_rfc3339,
     parse_video_item,
-    sample_trending,
     select_study_sample,
     snapshot_from_record,
     snapshot_to_record,
@@ -154,7 +154,7 @@ def test_parse_video_item_null_count_is_hidden():
 def test_page_with_non_string_timestamp_is_parse_error(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], recorded_at=12)
     with pytest.raises(ParseError) as exc:
-        fetch_sweep(FetchConfig(fixture_dir=tmp_path), sweep=1)
+        collect_sweeps(FetchConfig(fixture_dir=tmp_path), 1)
     assert exc.value.field == "fetched_at"
 
 
@@ -177,21 +177,21 @@ def test_fixture_transport_missing_page(tmp_path):
         FixtureTransport(tmp_path).get_page({})
 
 
-def test_fetch_sweep_follows_tokens(tmp_path):
+def test_collect_sweeps_follows_tokens(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
     config = FetchConfig(fixture_dir=tmp_path)
-    snaps = fetch_sweep(config, sweep=1)
+    snaps, _ = collect_sweeps(config, 1)
     assert [s.video_id for s in snaps] == ["a000000000a", "b000000000b"]
 
 
-def test_fetch_sweep_respects_max_pages(tmp_path, monkeypatch):
+def test_collect_sweeps_respects_max_pages(tmp_path, monkeypatch):
     # page 1 points to page 2, but MAX_PAGES=1 stops the walk first
     monkeypatch.setattr(ingestion, "MAX_PAGES", 1)
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
     config = FetchConfig(fixture_dir=tmp_path)
-    snaps = fetch_sweep(config, sweep=1)
+    snaps, _ = collect_sweeps(config, 1)
     assert len(snaps) == 1
 
 
@@ -199,7 +199,7 @@ def test_fixture_pages_keep_recorded_timestamps(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")],
                recorded_at="2013-12-13T09:00:00Z")
     config = FetchConfig(fixture_dir=tmp_path)
-    snaps = fetch_sweep(config, sweep=1)
+    snaps, _ = collect_sweeps(config, 1)
     assert snaps[0].fetched_at == T2
 
 
@@ -217,22 +217,37 @@ def test_dedup_equal_timestamps_keeps_later_read():
     assert unique[0].views == 2
 
 
-def test_sample_trending_unions_sweeps(tmp_path):
+def _dedup_reference(snaps):
+    """dedup_latest's contract without a dict: each id once, at its first
+    position, holding its latest snapshot, the later-read one on a tie."""
+    out = []
+    for i, first in enumerate(snaps):
+        if all(s.video_id != first.video_id for s in snaps[:i]):
+            same = [s for s in snaps if s.video_id == first.video_id]
+            latest = max(s.fetched_at for s in same)
+            out.append([s for s in same if s.fetched_at == latest][-1])
+    return out
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from([T1, T2])), max_size=12))
+def test_dedup_latest_equals_reference_and_is_idempotent(drawn):
+    # views = read position, so every snapshot is distinguishable
+    snaps = [snap(vid, views=i, fetched_at=t) for i, (vid, t) in enumerate(drawn)]
+    unique = dedup_latest(snaps)
+    assert unique == _dedup_reference(snaps)
+    assert len({s.video_id for s in unique}) == len(unique)
+    assert dedup_latest(unique) == unique
+
+
+def test_collect_sweeps_union_dedups_in_first_seen_order(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a"), item("b000000000b")])
     write_page(tmp_path, "sweep2_page1", [item("b000000000b"), item("c000000000c")],
                recorded_at="2013-12-13T09:00:00Z")
     config = FetchConfig(fixture_dir=tmp_path)
-    sample = sample_trending(config, occasions=2)
-    assert [s.video_id for s in sample.snapshots] == [
+    unique = dedup_latest(collect_sweeps(config, 2)[0])
+    assert [s.video_id for s in unique] == [
         "a000000000a", "b000000000b", "c000000000c"
     ]
-    assert "2 sweep(s), 4 snapshots, 3 unique ids" in sample.selection_note
-
-
-def test_sample_trending_empty_is_an_error(tmp_path):
-    write_page(tmp_path, "sweep1_page1", [])
-    with pytest.raises(EmptySampleError):
-        sample_trending(FetchConfig(fixture_dir=tmp_path))
 
 
 def test_select_study_sample_top_by_views():

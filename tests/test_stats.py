@@ -128,6 +128,7 @@ def test_binspec_validation_and_index():
     # the top edge belongs to the last bin, everything beyond overflows
     assert bins.bin_index(2.0) == 1
     assert bins.bin_index(2.0001) == 2
+    assert bins.bin_index(math.nan) == 2  # NaN is in no bin
 
 
 def test_histogram_conserves_counts():
@@ -277,6 +278,33 @@ def test_correlation_matrix_constant_row_has_no_numeric_cell():
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 moderate = st.floats(min_value=-1e6, max_value=1e6)
+
+
+def _linear_bin(edges, value):
+    """Reference bin index: scan the bins in order, the last one closed."""
+    if value < edges[0]:
+        return -1
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        if lo <= value < hi or (value == hi and i == len(edges) - 2):
+            return i
+    return len(edges) - 1
+
+
+@given(
+    edges=st.lists(finite, min_size=2, max_size=8, unique=True).map(sorted),
+    drawn=st.lists(finite, max_size=30),
+)
+def test_histogram_equals_a_linear_scan(edges, drawn):
+    values = drawn + [-math.inf, math.inf, None]
+    for edge in edges:
+        values += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    counts = [0] * (len(edges) + 1)  # underflow, bins..., overflow
+    for v in values:
+        if v is not None:
+            counts[_linear_bin(edges, v) + 1] += 1
+    hist = histogram(values, BinSpec(edges=tuple(edges)))
+    assert [c for _, c in hist.rows] == counts[1:-1]
+    assert (hist.underflow, hist.overflow) == (counts[0], counts[-1])
 
 
 @given(constant=finite, others=st.lists(moderate, min_size=2, max_size=30))
