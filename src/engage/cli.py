@@ -15,7 +15,7 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ingestion import (
     API_KEY_ENV,
@@ -27,13 +27,13 @@ from .ingestion import (
     StorageError,
     TransportError,
     collect_sweeps,
-    dedup_latest,
+    default_transport,
     fetch_by_ids,
     load_snapshots,
     select_study_sample,
     store_snapshots,
 )
-from .metrics import compute_metrics
+from .metrics import VideoStatsSnapshot, compute_metrics
 from .report import (
     RENDER_FORMATS,
     bundle_from_json,
@@ -146,6 +146,25 @@ def _read_id_list(path: Path) -> list[str]:
     return ids
 
 
+def _store_pages(store: Path, pages: Iterable[list[VideoStatsSnapshot]]) -> tuple[int, int, int]:
+    """Append each page to the store as it arrives; returns the numbers of
+    pages, snapshots and unique ids. A failed fetch keeps the pages already
+    stored, and its error says how many there are."""
+    n_pages = n_snapshots = 0
+    ids: set[str] = set()
+    try:
+        for page in pages:
+            store_snapshots(store, page)
+            n_pages += 1
+            n_snapshots += len(page)
+            ids.update(s.video_id for s in page)
+    except (TransportError, ParseError) as exc:
+        # the same type, so the exit code stays the same
+        raise type(exc)(f"{exc} ({n_snapshots} snapshots from {n_pages} pages"
+                        f" were stored in {store})") from exc
+    return n_pages, n_snapshots, len(ids)
+
+
 # --- subcommands -------------------------------------------------------------
 
 def run_fetch(args: argparse.Namespace) -> int:
@@ -176,14 +195,14 @@ def run_fetch(args: argparse.Namespace) -> int:
             "fixtures/sampled_video_ids.txt"
         )
         video_ids = _read_id_list(ids_path)
-        collected = fetch_by_ids(config, video_ids)
-        pages = -(-len(video_ids) // PAGE_SIZE)  # one request per id batch
+        transport = default_transport(config)  # one transport keeps the request pacing
+        pages = (fetch_by_ids(config, video_ids[i:i + PAGE_SIZE], transport)
+                 for i in range(0, len(video_ids), PAGE_SIZE))  # one page per id batch
     else:
-        collected, pages = collect_sweeps(config, occasions)
+        pages = collect_sweeps(config, occasions)
 
-    unique = dedup_latest(collected)
-    store_snapshots(store_path, collected)
-    print(f"fetched {pages} pages, {len(collected)} snapshots, {len(unique)} unique ids")
+    n_pages, n_snapshots, n_unique = _store_pages(store_path, pages)
+    print(f"fetched {n_pages} pages, {n_snapshots} snapshots, {n_unique} unique ids")
     print(f"store: {store_path}")
     return EXIT_OK
 
@@ -316,9 +335,8 @@ def run_replicate(args: argparse.Namespace) -> int:
 
     config = FetchConfig(fixture_dir=fixture)
     occasions = _detect_sweeps(fixture)
-    collected, pages = collect_sweeps(config, occasions)
-    store_snapshots(store, collected)
-    print(f"fetched {pages} pages, {len(collected)} snapshots ({occasions} sweeps)")
+    n_pages, n_snapshots, _ = _store_pages(store, collect_sweeps(config, occasions))
+    print(f"fetched {n_pages} pages, {n_snapshots} snapshots ({occasions} sweeps)")
 
     candidates, sample, bundle = _analyze(store, expected_n, out_dir / "bundle.json")
     _write_report_files(bundle, out_dir, RENDER_FORMATS)

@@ -15,13 +15,15 @@ runs hermetically offline.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .metrics import VideoStatsSnapshot, normalize_snapshot
 from .stats import StudySample
@@ -103,6 +105,10 @@ class FetchConfig:
             raise ConfigError(f"region_code must be 2 letters, got {self.region_code!r}")
 
 
+# Every record of a page shares one timestamp, so both conversions are memoized.
+# Equal datetimes denote the same instant (naive ones are taken as UTC, and a
+# naive datetime never equals an aware one), so they format alike.
+@lru_cache(maxsize=1024)
 def format_rfc3339(dt: datetime) -> str:
     """UTC, second precision, trailing Z."""
     if dt.tzinfo is None:
@@ -112,8 +118,14 @@ def format_rfc3339(dt: datetime) -> str:
 
 
 def parse_rfc3339(text: str) -> datetime:
+    # checked before the cache, which would raise TypeError on an unhashable value
     if not isinstance(text, str):
         raise ParseError(f"bad timestamp {text!r}", field="fetched_at")
+    return _parse_utc(text)
+
+
+@lru_cache(maxsize=1024)
+def _parse_utc(text: str) -> datetime:
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as exc:
@@ -362,27 +374,24 @@ def fetch_trending_page(
     return _parse_page(transport.get_page(params))
 
 
-def collect_sweeps(config: FetchConfig, occasions: int) -> tuple[list[VideoStatsSnapshot], int]:
+def collect_sweeps(config: FetchConfig, occasions: int) -> Iterator[list[VideoStatsSnapshot]]:
     """Run ``occasions`` sweeps, sweep k through ``default_transport(config, sweep=k)``;
-    returns every snapshot in fetch order and the number of pages fetched.
+    yields each page's snapshots as the page arrives, in fetch order.
 
     A fixture sweep k replays recorded sweep k; a live sweep is a fresh pass
     over the current chart. Each follows page tokens for at most MAX_PAGES.
+    Nothing is fetched, and no error raised, until the first page is asked for.
     """
     if occasions < 1:
         raise ConfigError(f"occasions must be >= 1, got {occasions}")
-    snapshots: list[VideoStatsSnapshot] = []
-    pages = 0
     for sweep in range(1, occasions + 1):
         transport = default_transport(config, sweep=sweep)
         token: str | None = None
         for _ in range(MAX_PAGES):
             page, token = fetch_trending_page(config, page_token=token, transport=transport)
-            snapshots.extend(page)
-            pages += 1
+            yield page
             if token is None:
                 break
-    return snapshots, pages
 
 
 def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnapshot]:
@@ -428,8 +437,8 @@ def select_study_sample(candidates: StudySample, n: int) -> StudySample:
     if n < 1:
         raise ConfigError(f"sample size must be >= 1, got {n}")
     eligible = [s for s in candidates.snapshots if s.comments_enabled]
-    eligible.sort(key=lambda s: (-s.views, s.video_id))
-    chosen = tuple(eligible[:n])
+    # equal to sorted(...)[:n], without sorting the whole eligible set
+    chosen = tuple(heapq.nsmallest(n, eligible, key=lambda s: (-s.views, s.video_id)))
 
     note = (
         f"{candidates.selection_note}; top {len(chosen)} of {len(eligible)} "
@@ -461,48 +470,65 @@ def store_snapshots(path: Path, snapshots: Sequence[VideoStatsSnapshot]) -> int:
     """Append one record per snapshot; returns the number written.
 
     Appending never rewrites existing lines; deduplication happens on read.
+    Each line is ``json.dumps(record, ensure_ascii=False)``, through one encoder.
     """
     if not snapshots:
         return 0
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "a", encoding="utf-8") as f:
-            for snap in snapshots:
-                f.write(json.dumps(snapshot_to_record(snap), ensure_ascii=False) + "\n")
+            f.writelines(encode(snapshot_to_record(snap)) + "\n" for snap in snapshots)
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
     return len(snapshots)
 
 
 def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
-    """Read the store back into a deduplicated sample.
+    """Read the store back into a deduplicated sample, one line at a time.
 
-    A malformed line (not UTF-8, not JSON, or not a valid record) aborts
-    with an error naming the line number; in lenient mode it is skipped
-    with a warning instead, and the count of skipped lines lands in the
-    selection note.
+    Only the latest snapshot of each id is held, so memory grows with the
+    unique ids, not with the records. A malformed line (not UTF-8, not JSON,
+    or not a valid record) aborts with an error naming the line number; in
+    lenient mode it is skipped with a warning instead, and the count of
+    skipped lines lands in the selection note. A malformed final line with
+    no line end is the torn tail of an interrupted append: either mode skips
+    it with a warning and names it in the note.
     """
+    records = skipped = 0
+    torn = False
+
+    def snapshots(lines: Iterable[bytes]) -> Iterator[VideoStatsSnapshot]:
+        nonlocal records, skipped, torn
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                snap = snapshot_from_record(json.loads(line))
+            except (ValueError, ParseError) as exc:
+                if not raw.endswith(b"\n"):  # only the final line can lack one
+                    logger.warning("%s line %d: torn final line skipped: %s",
+                                   path.name, lineno, exc)
+                    torn = True
+                    continue
+                if not lenient:
+                    raise StorageError(f"{path.name} line {lineno}: {exc}") from exc
+                logger.warning("%s line %d skipped: %s", path.name, lineno, exc)
+                skipped += 1
+                continue
+            records += 1
+            yield snap
+
     try:
         with open(path, "rb") as f:
-            lines = f.readlines()
+            unique = dedup_latest(snapshots(f))
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
 
-    snapshots: list[VideoStatsSnapshot] = []
-    skipped = 0
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("utf-8")
-            if line.strip():
-                snapshots.append(snapshot_from_record(json.loads(line)))
-        except (ValueError, ParseError) as exc:
-            if not lenient:
-                raise StorageError(f"{path.name} line {lineno}: {exc}") from exc
-            logger.warning("%s line %d skipped: %s", path.name, lineno, exc)
-            skipped += 1
-
-    unique = dedup_latest(snapshots)
-    note = f"loaded {len(snapshots)} records from {path.name}, {len(unique)} unique ids"
+    note = f"loaded {records} records from {path.name}, {len(unique)} unique ids"
     if skipped:
         note += f", {skipped} malformed line(s) skipped"
+    if torn:
+        note += ", 1 torn final line skipped"
     return StudySample(snapshots=tuple(unique), selection_note=note)

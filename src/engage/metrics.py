@@ -4,7 +4,8 @@ Three per-video rates are derived from the public counters:
 
 * CpkI -- comments per thousand impressions: ``comments * 1000 / views``
 * VpkI -- votes per thousand impressions: ``(likes + dislikes) * 1000 / views``
-* DisP -- dislike proportion: ``dislikes / (likes + dislikes)``, always in [0, 1]
+* DisP -- dislike proportion: ``dislikes / (likes + dislikes)``, in [0, 1] for
+  non-negative counts
 
 Each rate is undefined (``None``) when its inputs are missing or its
 denominator is zero; that is a data condition, never an exception. The

@@ -183,7 +183,8 @@ def test_criterion_5_quartile_rule_keeps_75_of_100():
 def test_criterion_6_bundled_category_table():
     with criterion(6, "bundled fixture reproduces the frozen category table summing to 100", 1.0):
         config = FetchConfig(fixture_dir=BUNDLED_FIXTURES)
-        candidates = StudySample(tuple(dedup_latest(collect_sweeps(config, 3)[0])))
+        pages = collect_sweeps(config, 3)
+        candidates = StudySample(tuple(dedup_latest(s for page in pages for s in page)))
         sample = select_study_sample(candidates, n=100)
         table = category_counts(sample)
         assert table == [

@@ -134,6 +134,25 @@ def test_fetch_non_object_item_exit3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_failed_fetch_keeps_the_pages_already_stored(tmp_path, capsys):
+    sweep1 = tmp_path / "sweep1.jsonl"
+    argv = ["fetch", "--offline", str(BUNDLED_FIXTURES), "--occasions", "1", "--store"]
+    assert main([*argv, str(sweep1)]) == 0
+    fixture = tmp_path / "fixture"
+    shutil.copytree(BUNDLED_FIXTURES, fixture)
+    (fixture / "sweep2_page1.json").unlink()
+    capsys.readouterr()
+
+    store = tmp_path / "s.jsonl"
+    argv = ["fetch", "--offline", str(fixture), "--occasions", "2", "--store", str(store)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert store.read_bytes() == sweep1.read_bytes()
+    assert f"60 snapshots from 2 pages were stored in {store}" in err
+    assert "sweep2_page1.json" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_analyze_writes_bundle(pipeline):
     data = json.loads(pipeline["bundle"].read_text(encoding="utf-8"))
     assert data["format"] == "engage-bundle/1"

@@ -1,10 +1,12 @@
 import io
 import json
 import socket
+import tempfile
 import urllib.error
 import urllib.parse
 import urllib.request
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -71,6 +73,11 @@ def write_page(directory, name, items, next_token=None, recorded_at="2013-12-10T
     (directory / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
 
 
+def swept(config, occasions):
+    """Every snapshot of ``collect_sweeps``, its pages flattened in fetch order."""
+    return [s for page in collect_sweeps(config, occasions) for s in page]
+
+
 def test_rfc3339_round_trip():
     assert format_rfc3339(T1) == "2013-12-10T09:00:00Z"
     assert parse_rfc3339("2013-12-10T09:00:00Z") == T1
@@ -79,6 +86,23 @@ def test_rfc3339_round_trip():
     assert parse_rfc3339("2013-12-10T09:00:00") == T1
     with pytest.raises(ParseError):
         parse_rfc3339("not a time")
+
+
+@pytest.mark.parametrize("value", [None, 12, ["2013-12-10T09:00:00Z"], {"t": 1}])
+def test_parse_rfc3339_non_string_is_parse_error(value):
+    # an unhashable value must not reach the memo, which would raise TypeError
+    with pytest.raises(ParseError) as exc:
+        parse_rfc3339(value)
+    assert exc.value.field == "fetched_at"
+
+
+def test_rfc3339_memo_keeps_equal_instants_apart_from_naive():
+    naive = datetime(2013, 12, 10, 9, 0, 0)
+    plus_one = timezone(timedelta(hours=1))
+    assert format_rfc3339(naive) == "2013-12-10T09:00:00Z"
+    assert format_rfc3339(T1.astimezone(plus_one)) == "2013-12-10T09:00:00Z"
+    assert format_rfc3339(naive.replace(tzinfo=plus_one)) == "2013-12-10T08:00:00Z"
+    assert parse_rfc3339("2013-12-10T09:00:00Z") is parse_rfc3339("2013-12-10T09:00:00Z")
 
 
 def test_parse_video_item_full():
@@ -154,7 +178,7 @@ def test_parse_video_item_null_count_is_hidden():
 def test_page_with_non_string_timestamp_is_parse_error(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], recorded_at=12)
     with pytest.raises(ParseError) as exc:
-        collect_sweeps(FetchConfig(fixture_dir=tmp_path), 1)
+        list(collect_sweeps(FetchConfig(fixture_dir=tmp_path), 1))
     assert exc.value.field == "fetched_at"
 
 
@@ -181,7 +205,7 @@ def test_collect_sweeps_follows_tokens(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
     config = FetchConfig(fixture_dir=tmp_path)
-    snaps, _ = collect_sweeps(config, 1)
+    snaps = swept(config, 1)
     assert [s.video_id for s in snaps] == ["a000000000a", "b000000000b"]
 
 
@@ -191,7 +215,7 @@ def test_collect_sweeps_respects_max_pages(tmp_path, monkeypatch):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
     config = FetchConfig(fixture_dir=tmp_path)
-    snaps, _ = collect_sweeps(config, 1)
+    snaps = swept(config, 1)
     assert len(snaps) == 1
 
 
@@ -199,7 +223,7 @@ def test_fixture_pages_keep_recorded_timestamps(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")],
                recorded_at="2013-12-13T09:00:00Z")
     config = FetchConfig(fixture_dir=tmp_path)
-    snaps, _ = collect_sweeps(config, 1)
+    snaps = swept(config, 1)
     assert snaps[0].fetched_at == T2
 
 
@@ -244,7 +268,7 @@ def test_collect_sweeps_union_dedups_in_first_seen_order(tmp_path):
     write_page(tmp_path, "sweep2_page1", [item("b000000000b"), item("c000000000c")],
                recorded_at="2013-12-13T09:00:00Z")
     config = FetchConfig(fixture_dir=tmp_path)
-    unique = dedup_latest(collect_sweeps(config, 2)[0])
+    unique = dedup_latest(swept(config, 2))
     assert [s.video_id for s in unique] == [
         "a000000000a", "b000000000b", "c000000000c"
     ]
@@ -268,6 +292,17 @@ def test_select_study_sample_tie_goes_to_lower_id():
     assert chosen.snapshots[0].video_id == "aa"
 
 
+@given(st.lists(st.tuples(st.sampled_from("abcdefghij"), st.integers(0, 3), st.booleans()),
+                max_size=10, unique_by=lambda t: t[0]), st.integers(1, 12))
+def test_select_study_sample_equals_full_sort(drawn, n):
+    # few view values force ties, which the video id must break
+    snaps = tuple(snap(vid, views=views, comments_enabled=enabled)
+                  for vid, views, enabled in drawn)
+    chosen = select_study_sample(StudySample(snapshots=snaps), n=n).snapshots
+    eligible = [s for s in snaps if s.comments_enabled]
+    assert chosen == tuple(sorted(eligible, key=lambda s: (-s.views, s.video_id))[:n])
+
+
 def test_select_study_sample_shortfall_noted(caplog):
     candidates = StudySample(snapshots=(snap("a", views=1), snap("b", views=2)))
     with caplog.at_level("WARNING"):
@@ -289,6 +324,16 @@ def test_store_round_trip_preserves_fields(tmp_path):
     assert store_snapshots(store, [original]) == 1
     loaded = load_snapshots(store)
     assert loaded.snapshots == (original,)
+
+
+def test_store_line_is_json_dumps_of_the_record(tmp_path):
+    store = tmp_path / "snaps.jsonl"
+    snaps = [snap("a", category="Música ✓ 音楽"), snap("b", likes=None, comments=None,
+                                                      comments_enabled=False)]
+    store_snapshots(store, snaps)
+    expected = "".join(json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
+                       for s in snaps)
+    assert store.read_bytes() == expected.encode("utf-8")
 
 
 def test_store_record_field_set_is_exact():
@@ -407,6 +452,53 @@ def test_load_lenient_skips_a_non_utf8_line(tmp_path, caplog):
     assert [s.video_id for s in loaded.snapshots] == ["a", "b"]
     assert "1 malformed line(s) skipped" in loaded.selection_note
     assert any("line 3" in rec.message for rec in caplog.records)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "é"]), st.sampled_from([T1, T2]),
+                          st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "\n", " \r\n"])),
+                max_size=10),
+       st.booleans())
+def test_load_equals_dedup_of_every_non_blank_line(drawn, unterminated):
+    # views = write position, so every record is distinguishable
+    text = "".join(json.dumps(snapshot_to_record(snap(vid, views=i, fetched_at=t)),
+                              ensure_ascii=False) + end + blank
+                   for i, (vid, t, end, blank) in enumerate(drawn))
+    if unterminated:
+        text = text.rstrip("\r\n")  # a valid final record without its line end
+    lines = [line for line in text.split("\n") if line.strip()]
+    expected = dedup_latest(snapshot_from_record(json.loads(line)) for line in lines)
+    with tempfile.TemporaryDirectory() as directory:
+        store = Path(directory) / "snaps.jsonl"
+        store.write_bytes(text.encode("utf-8"))
+        loaded = load_snapshots(store)
+    assert loaded.snapshots == tuple(expected)
+    assert loaded.selection_note == (
+        f"loaded {len(lines)} records from snaps.jsonl, {len(expected)} unique ids")
+
+
+def test_load_skips_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
+    earlier = [snap("a", views=1), snap("b", views=2)]
+    last = snap("c", views=3, category="Música ✓ 音楽")  # multi-byte UTF-8
+    full = "".join(json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
+                   for s in [*earlier, last]).encode("utf-8")
+    start = full.rindex(b"\n", 0, -1) + 1
+    assert any(byte >= 0x80 for byte in full[start:])
+    store = tmp_path / "snaps.jsonl"
+    for cut in range(start, len(full)):
+        store.write_bytes(full[:cut])
+        with caplog.at_level("WARNING"):
+            loaded = load_snapshots(store)
+        if cut == len(full) - 1:  # a whole record without its line end is kept
+            assert loaded.snapshots == (*earlier, last)
+        else:
+            assert loaded.snapshots == tuple(earlier)
+        torn = start < cut < len(full) - 1
+        assert loaded.selection_note.endswith(", 1 torn final line skipped") == torn
+        assert any("torn final line" in rec.message for rec in caplog.records) == torn
+        caplog.clear()
+    store.write_bytes(full[:-5])
+    assert load_snapshots(store, lenient=True).selection_note == (
+        "loaded 2 records from snaps.jsonl, 2 unique ids, 1 torn final line skipped")
 
 
 def test_load_missing_store_is_storage_error(tmp_path):
