@@ -96,7 +96,7 @@ def test_parse_rfc3339_non_string_is_parse_error(value):
     assert exc.value.field == "fetched_at"
 
 
-def test_rfc3339_memo_keeps_equal_instants_apart_from_naive():
+def test_rfc3339_memo_formats_each_instant_in_utc():
     naive = datetime(2013, 12, 10, 9, 0, 0)
     plus_one = timezone(timedelta(hours=1))
     assert format_rfc3339(naive) == "2013-12-10T09:00:00Z"
