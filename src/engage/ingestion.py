@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -267,54 +268,71 @@ def default_transport(config: FetchConfig, sweep: int = 1) -> Transport:
     return LiveTransport(config.api_key)
 
 
-# The snapshot's four count fields, each with its name in the API statistics.
-API_COUNT_NAMES = {
-    "views": "viewCount",
-    "likes": "likeCount",
-    "dislikes": "dislikeCount",
-    "comments": "commentCount",
-}
 # Largest count magnitude accepted from the API or a store, as for an unsigned
 # 64-bit counter: a larger one is corrupt and overflows the report's floats.
 MAX_COUNT = 2**64 - 1
 
 
-def _snapshot(video_id, fetched_at, counts, comments_enabled, category) -> VideoStatsSnapshot:
+def _check_text(value, field: str) -> None:
+    """The rare text field: not a str, an empty video id, or not ASCII."""
+    if not isinstance(value, str) or (not value and field == "video_id"):
+        raise ParseError(f"bad {field}: {value!r}", field=field)
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which no store line can hold
+        raise ParseError(f"bad {field}: {value!r} is not valid UTF-8", field=field) from None
+
+
+def _check_count(video_id: str, field: str, value) -> None:
+    """The rare count: hidden (None), not a 64-bit count, or negative."""
+    if value is None and field != "views":
+        return
+    if type(value) is not int or abs(value) > MAX_COUNT:
+        raise ParseError(f"video {video_id}: {field} is not a 64-bit count: {value!r}", field=field)
+    if value < 0:
+        # kept as-is: the analysis-side range checks are the guard for bad feeds
+        logger.warning("video %s: negative %s count %d", video_id, field, value)
+
+
+def _snapshot(
+    video_id, fetched_at, views, likes, dislikes, comments, comments_enabled, category
+) -> VideoStatsSnapshot:
     """The one definition of a valid snapshot, for API items and store records.
 
-    ``counts`` maps field names to counts; an absent or null count is a
-    hidden counter, except ``views``, which is required. Raises ParseError
-    naming the first bad field.
+    A null count is a hidden counter, except ``views``, which is required.
+    Raises ParseError naming the first bad field.
     """
-    if not isinstance(video_id, str) or not video_id:
-        raise ParseError(f"bad video_id: {video_id!r}", field="video_id")
-    for field in API_COUNT_NAMES:
-        value = counts.get(field)
-        if value is None and field != "views":
-            continue
-        if type(value) is not int or abs(value) > MAX_COUNT:
-            raise ParseError(
-                f"video {video_id}: {field} is not a 64-bit count: {value!r}", field=field
-            )
-        if value < 0:
-            # kept as-is: the analysis-side range checks are the guard for bad feeds
-            logger.warning("video %s: negative %s count %d", video_id, field, value)
+    if not (type(video_id) is str and video_id and video_id.isascii()):
+        _check_text(video_id, "video_id")
+    # one test for the common value; anything else takes the slow branch
+    if not (type(views) is int and 0 <= views <= MAX_COUNT):
+        _check_count(video_id, "views", views)
+    if not (type(likes) is int and 0 <= likes <= MAX_COUNT):
+        _check_count(video_id, "likes", likes)
+    if not (type(dislikes) is int and 0 <= dislikes <= MAX_COUNT):
+        _check_count(video_id, "dislikes", dislikes)
+    if not (type(comments) is int and 0 <= comments <= MAX_COUNT):
+        _check_count(video_id, "comments", comments)
     if not isinstance(comments_enabled, bool):
         raise ParseError(f"bad comments_enabled: {comments_enabled!r}", field="comments_enabled")
-    if not isinstance(category, str):
-        raise ParseError(f"bad category: {category!r}", field="category")
-    return normalize_snapshot(
-        VideoStatsSnapshot(
-            video_id=video_id,
-            fetched_at=fetched_at,
-            views=counts.get("views"),
-            likes=counts.get("likes"),
-            dislikes=counts.get("dislikes"),
-            comments=counts.get("comments"),
-            comments_enabled=comments_enabled,
-            category=category,
-        )
+    if not (type(category) is str and category.isascii()):
+        _check_text(category, "category")
+    snapshot = VideoStatsSnapshot(
+        video_id, fetched_at, views, likes, dislikes, comments, comments_enabled, category
     )
+    if comments is not None and not comments_enabled:
+        return normalize_snapshot(snapshot)
+    return snapshot
+
+
+def _api_count(value):
+    """An API count string as an int; a value int() refuses is left for _snapshot to reject."""
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        return value
 
 
 def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
@@ -324,18 +342,22 @@ def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
     stats = item.get("statistics")
     if not isinstance(stats, dict):
         stats = {}
-    counts = {}
-    for field, name in API_COUNT_NAMES.items():
-        if name in stats:
-            try:
-                counts[field] = int(stats[name])
-            except (TypeError, ValueError, OverflowError):
-                counts[field] = stats[name]  # left for _snapshot to reject
-    snippet = item.get("snippet") or {}
+    snippet = item.get("snippet")
     category_id = str(snippet.get("categoryId", "")) if isinstance(snippet, dict) else ""
-    category = CATEGORY_LABELS.get(category_id, f"Category {category_id}" if category_id else "")
-    # the API omits the comment count when commenting is disabled
-    return _snapshot(item.get("id"), fetched_at, counts, "comments" in counts, category)
+    category = CATEGORY_LABELS.get(category_id)
+    if category is None:
+        category = f"Category {category_id}" if category_id else ""
+    return _snapshot(
+        item.get("id"),
+        fetched_at,
+        _api_count(stats.get("viewCount")),
+        _api_count(stats.get("likeCount")),
+        _api_count(stats.get("dislikeCount")),
+        _api_count(stats.get("commentCount")),
+        # the API omits the comment count when commenting is disabled
+        "commentCount" in stats,
+        category,
+    )
 
 
 def _parse_page(payload: dict) -> tuple[list[VideoStatsSnapshot], str | None]:
@@ -343,7 +365,7 @@ def _parse_page(payload: dict) -> tuple[list[VideoStatsSnapshot], str | None]:
     if not isinstance(items, list):
         raise ParseError("page has no items list", field="items")
     recorded = payload.get("recordedAt")
-    fetched_at = parse_rfc3339(recorded) if recorded else _utc_now_seconds()
+    fetched_at = _utc_now_seconds() if recorded is None else parse_rfc3339(recorded)
     snapshots = [parse_video_item(item, fetched_at) for item in items]
     next_token = payload.get("nextPageToken")
     if next_token is not None and not isinstance(next_token, str):
@@ -457,12 +479,50 @@ def snapshot_to_record(snapshot: VideoStatsSnapshot) -> dict:
 def snapshot_from_record(record: dict) -> VideoStatsSnapshot:
     if not isinstance(record, dict):
         raise ParseError("record is not a JSON object")
+    get = record.get
     return _snapshot(
-        record.get("video_id"),
-        parse_rfc3339(record.get("fetched_at")),
-        record,
-        record.get("comments_enabled"),
-        record.get("category", ""),
+        get("video_id"),
+        parse_rfc3339(get("fetched_at")),
+        get("views"),
+        get("likes"),
+        get("dislikes"),
+        get("comments"),
+        get("comments_enabled"),
+        get("category", ""),
+    )
+
+
+# The string escaping of json.dumps(..., ensure_ascii=False), and its whole
+# encoder for any value the line template does not write itself.
+_quote = json.encoder.encode_basestring
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_value(value) -> str:
+    """``json.dumps(value, ensure_ascii=False)`` of one record value, None inline."""
+    return "null" if value is None else _encode(value)
+
+
+def _record_line(snap: VideoStatsSnapshot) -> str:
+    """``json.dumps(snapshot_to_record(snap), ensure_ascii=False) + "\\n"``, from one template.
+
+    Exact-type strs, ints and bools are written directly; any other value
+    (a hand-built snapshot's float count, say) goes through the JSON encoder.
+    """
+    video_id, views, likes, dislikes, comments, enabled, category = (
+        snap.video_id, snap.views, snap.likes, snap.dislikes, snap.comments,
+        snap.comments_enabled, snap.category,
+    )
+    return (
+        f'{{"video_id": {_quote(video_id) if type(video_id) is str else _json_value(video_id)}, '
+        f'"fetched_at": {_quote(format_rfc3339(snap.fetched_at))}, '
+        f'"views": {views if type(views) is int else _json_value(views)}, '
+        f'"likes": {likes if type(likes) is int else _json_value(likes)}, '
+        f'"dislikes": {dislikes if type(dislikes) is int else _json_value(dislikes)}, '
+        f'"comments": {comments if type(comments) is int else _json_value(comments)}, '
+        f'"comments_enabled": '
+        f'{"true" if enabled is True else "false" if enabled is False else _json_value(enabled)}, '
+        f'"category": {_quote(category) if type(category) is str else _json_value(category)}}}\n'
     )
 
 
@@ -470,18 +530,65 @@ def store_snapshots(path: Path, snapshots: Sequence[VideoStatsSnapshot]) -> int:
     """Append one record per snapshot; returns the number written.
 
     Appending never rewrites existing lines; deduplication happens on read.
-    Each line is ``json.dumps(record, ensure_ascii=False)``, through one encoder.
+    Each line is ``json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\\n"``.
+    The page is encoded before the file is opened, so a page that cannot be
+    encoded writes nothing. A store whose last line lacks its line end gets
+    one when that line is a valid record; otherwise that torn tail of an
+    interrupted append is cut away, with a warning, before the page goes on.
     """
     if not snapshots:
         return 0
-    encode = json.JSONEncoder(ensure_ascii=False).encode
+    data = "".join(map(_record_line, snapshots)).encode("utf-8")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as f:
-            f.writelines(encode(snapshot_to_record(snap)) + "\n" for snap in snapshots)
+        with open(path, "a+b") as f:
+            _end_last_line(f, path.name)
+            f.write(data)
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
     return len(snapshots)
+
+
+def _end_last_line(f, name: str) -> None:
+    """Make an append-mode store end in a line end before anything is appended."""
+    end = f.seek(0, os.SEEK_END)
+    if not end:
+        return
+    f.seek(end - 1)
+    if f.read(1) == b"\n":
+        return
+    start, tail = end, b""
+    while start and b"\n" not in tail:  # read back to the last line's start
+        step = min(start, 4096)
+        start -= step
+        f.seek(start)
+        tail = f.read(step) + tail
+    cut = tail.rfind(b"\n") + 1
+    start, tail = start + cut, tail[cut:]
+    try:
+        snapshot_from_record(_decode_line(tail.decode("utf-8")))
+    except (ValueError, ParseError) as exc:
+        f.truncate(start)
+        logger.warning("%s: torn final line of %d bytes dropped before appending: %s",
+                       name, len(tail), exc)
+    else:
+        f.write(b"\n")
+
+
+_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads itself runs
+_LINE_ENDS = ("", "\n", "\r\n")
+
+
+def _decode_line(line: str):
+    """``json.loads(line)``, in one scanner call when the line is one JSON value and
+    a line end; any other line goes to ``json.loads`` for its value or its error."""
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end < 0 or line[end:] not in _LINE_ENDS:
+        return json.loads(line)
+    return value
 
 
 def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
@@ -505,7 +612,7 @@ def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                snap = snapshot_from_record(json.loads(line))
+                snap = snapshot_from_record(_decode_line(line))
             except (ValueError, ParseError) as exc:
                 if not raw.endswith(b"\n"):  # only the final line can lack one
                     logger.warning("%s line %d: torn final line skipped: %s",

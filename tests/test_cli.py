@@ -134,6 +134,20 @@ def test_fetch_non_object_item_exit3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_fetch_lone_surrogate_id_exit3(tmp_path, capsys):
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    item = {"id": "\ud800abc", "statistics": {"viewCount": "10"}}
+    page = {"items": [item], "recordedAt": "2013-12-10T09:00:00Z"}
+    (fixture / "sweep1_page1.json").write_text(json.dumps(page), encoding="utf-8")
+    store = tmp_path / "s.jsonl"
+    assert main(["fetch", "--offline", str(fixture), "--store", str(store)]) == 3
+    err = capsys.readouterr().err
+    assert "video_id" in err and "not valid UTF-8" in err
+    assert "Traceback" not in err
+    assert not store.exists()
+
+
 def test_failed_fetch_keeps_the_pages_already_stored(tmp_path, capsys):
     sweep1 = tmp_path / "sweep1.jsonl"
     argv = ["fetch", "--offline", str(BUNDLED_FIXTURES), "--occasions", "1", "--store"]
@@ -196,6 +210,18 @@ def test_analyze_oversized_count_exit4(tmp_path, capsys):
     assert main(["analyze", "--store", str(store), "--out", str(tmp_path / "b.json")]) == 4
     err = capsys.readouterr().err
     assert "line 1" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_lone_surrogate_category_exit4(tmp_path, capsys):
+    record = {"video_id": "vid00000001", "fetched_at": "2013-12-10T09:00:00Z",
+              "views": 1000, "likes": 10, "dislikes": 1, "comments": 3,
+              "comments_enabled": True, "category": "\ud800"}
+    store = tmp_path / "surrogate.jsonl"
+    store.write_text(json.dumps(record) + "\n", encoding="ascii")  # json.dumps escapes it as \ud800
+    assert main(["analyze", "--store", str(store), "--out", str(tmp_path / "b.json")]) == 4
+    err = capsys.readouterr().err
+    assert "line 1" in err and "category" in err
     assert "Traceback" not in err
 
 

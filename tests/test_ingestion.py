@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import socket
 import tempfile
 import urllib.error
@@ -17,6 +18,7 @@ from engage.ingestion import (
     ConfigError,
     FetchConfig,
     FixtureTransport,
+    MAX_COUNT,
     LiveTransport,
     ParseError,
     QuotaExceededError,
@@ -182,6 +184,24 @@ def test_page_with_non_string_timestamp_is_parse_error(tmp_path):
     assert exc.value.field == "fetched_at"
 
 
+@pytest.mark.parametrize("recorded_at", [0, False, "", [], {}])
+def test_page_with_falsy_timestamp_is_parse_error(tmp_path, recorded_at):
+    # only an absent or null recordedAt means "stamp with the current time"
+    payload = {"items": [item("a000000000a")], "recordedAt": recorded_at}
+    (tmp_path / "sweep1_page1.json").write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        list(collect_sweeps(FetchConfig(fixture_dir=tmp_path), 1))
+    assert exc.value.field == "fetched_at"
+
+
+def test_page_with_null_timestamp_is_stamped_now(tmp_path):
+    payload = {"items": [item("a000000000a")], "recordedAt": None}
+    (tmp_path / "sweep1_page1.json").write_text(json.dumps(payload), encoding="utf-8")
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    [snapshot] = swept(FetchConfig(fixture_dir=tmp_path), 1)
+    assert before <= snapshot.fetched_at <= datetime.now(timezone.utc)
+
+
 def test_fixture_transport_pages(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
@@ -334,6 +354,119 @@ def test_store_line_is_json_dumps_of_the_record(tmp_path):
     expected = "".join(json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
                        for s in snaps)
     assert store.read_bytes() == expected.encode("utf-8")
+
+
+# Values a hand-built snapshot may hold where the parser would only put an int or a str.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-MAX_COUNT, MAX_COUNT),
+    st.sampled_from([-MAX_COUNT, MAX_COUNT, 0, 1, -1, 2**64, 0.0, -0.0, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(),
+)
+# non-ASCII, control characters, quotes, backslashes and lone surrogates
+TEXT = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\u2028é音\ud800 '))
+
+
+@given(
+    video_id=st.one_of(TEXT, JSON_SCALARS),
+    fetched_at=st.datetimes(
+        timezones=st.sampled_from([timezone.utc, timezone(-timedelta(hours=5))])
+    ),
+    counts=st.lists(JSON_SCALARS, min_size=4, max_size=4),
+    enabled=st.one_of(st.booleans(), JSON_SCALARS),
+    category=st.one_of(TEXT, JSON_SCALARS),
+)
+def test_store_line_template_equals_json_dumps(video_id, fetched_at, counts, enabled, category):
+    s = VideoStatsSnapshot(video_id, fetched_at, *counts, enabled, category)
+    expected = json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
+    assert ingestion._record_line(s) == expected
+
+
+def test_store_page_that_cannot_be_encoded_writes_nothing(tmp_path):
+    store = tmp_path / "snaps.jsonl"
+    store_snapshots(store, [snap("a")])
+    before = store.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        store_snapshots(store, [snap("b"), snap("c", category="\ud800")])
+    assert store.read_bytes() == before
+
+
+def _loads_outcome(decode, line):
+    """The value decode(line) returns, or the type and text of its error."""
+    try:
+        return "value", repr(decode(line))  # repr: nan and -0.0 compare exactly
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+RECORD_LINE = json.dumps(snapshot_to_record(snap("vid00000001")), ensure_ascii=False)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner,
+                                                                            max_size=3),
+    max_leaves=8,
+)
+
+
+LINE_PREFIXES = ["", "\ufeff", " ", "\t", "\n"]
+LINE_SUFFIXES = ["", "\n", "\r\n", "\r", " ", "\t", "\x0b", " \n", "\t\r\n", "\x0b\n",
+                 "x", "}\n", "{}\n", "\n\n"]
+
+
+@given(st.one_of(st.just(RECORD_LINE), JSON_VALUES.map(json.dumps), st.text(max_size=20)))
+def test_line_decoder_equals_json_loads(body):
+    for line in [prefix + body + suffix for prefix in LINE_PREFIXES for suffix in LINE_SUFFIXES]:
+        assert _loads_outcome(ingestion._decode_line, line) == _loads_outcome(json.loads, line)
+
+
+class _Messages(logging.Handler):
+    """The messages logged while attached; caplog cannot be reset between examples."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _old_count_check(record):
+    """The per-count validation before the one-test fast path, as a reference."""
+    for field in ("views", "likes", "dislikes", "comments"):
+        value = record.get(field)
+        if value is None and field != "views":
+            continue
+        if type(value) is not int or abs(value) > MAX_COUNT:
+            return ("error", field,
+                    f"video {record['video_id']}: {field} is not a 64-bit count: {value!r}")
+    return ("ok", [f for f in ("views", "likes", "dislikes", "comments")
+                   if type(record.get(f)) is int and record[f] < 0])
+
+
+NEAR_BOUNDS = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, MAX_COUNT, MAX_COUNT + 1, -MAX_COUNT,
+                     -MAX_COUNT - 1, 2**63, -(2**63), 10**200, 0.0, 1.5, "7"]),
+    st.integers(MAX_COUNT - 2, MAX_COUNT + 2), st.integers(-MAX_COUNT - 2, -MAX_COUNT + 2),
+)
+
+
+@given(st.lists(NEAR_BOUNDS, min_size=4, max_size=4))
+def test_count_check_accepts_rejects_and_warns_as_before(counts):
+    record = snapshot_to_record(snap("vid00000001"))
+    record.update(zip(("views", "likes", "dislikes", "comments"), counts))
+    expected = _old_count_check(record)
+    warnings = _Messages()
+    logger = logging.getLogger("engage.ingestion")
+    logger.addHandler(warnings)
+    try:
+        restored = snapshot_from_record(record)
+    except ParseError as exc:
+        assert expected == ("error", exc.field, str(exc))
+        return
+    finally:
+        logger.removeHandler(warnings)
+    assert expected[0] == "ok"
+    assert warnings.messages == [
+        f"video vid00000001: negative {field} count {record[field]}" for field in expected[1]]
+    assert (restored.views, restored.likes, restored.dislikes, restored.comments) == tuple(counts)
 
 
 def test_store_record_field_set_is_exact():
@@ -499,6 +632,26 @@ def test_load_skips_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
     store.write_bytes(full[:-5])
     assert load_snapshots(store, lenient=True).selection_note == (
         "loaded 2 records from snaps.jsonl, 2 unique ids, 1 torn final line skipped")
+
+
+def test_append_repairs_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
+    earlier = [snap("a", views=1), snap("b", views=2)]
+    last = snap("c", views=3, category="Música ✓ 音楽")  # multi-byte UTF-8
+    page = [snap("d", views=4), snap("a", views=5, fetched_at=T2)]
+    full = "".join(ingestion._record_line(s) for s in [*earlier, last]).encode("utf-8")
+    start = full.rindex(b"\n", 0, -1) + 1
+    store = tmp_path / "snaps.jsonl"
+    for cut in range(start, len(full) + 1):
+        store.write_bytes(full[:cut])
+        with caplog.at_level("WARNING"):
+            store_snapshots(store, page)
+        loaded = load_snapshots(store)  # strict: every line is a whole record
+        kept = [last] if cut >= len(full) - 1 else []
+        assert loaded.snapshots == (page[1], earlier[1], *kept, page[0])
+        dropped = start < cut < len(full) - 1
+        warned = f"snaps.jsonl: torn final line of {cut - start} bytes dropped before appending: "
+        assert [r.message.startswith(warned) for r in caplog.records] == ([True] if dropped else [])
+        caplog.clear()
 
 
 def test_load_missing_store_is_storage_error(tmp_path):
