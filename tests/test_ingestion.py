@@ -18,8 +18,8 @@ from engage.ingestion import (
     ConfigError,
     FetchConfig,
     FixtureTransport,
-    MAX_COUNT,
     LiveTransport,
+    MAX_COUNT,
     ParseError,
     QuotaExceededError,
     StorageError,
@@ -400,12 +400,10 @@ def _loads_outcome(decode, line):
 
 RECORD_LINE = json.dumps(snapshot_to_record(snap("vid00000001")), ensure_ascii=False)
 JSON_VALUES = st.recursive(
-    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner,
-                                                                            max_size=3),
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=8,
 )
-
-
 LINE_PREFIXES = ["", "\ufeff", " ", "\t", "\n"]
 LINE_SUFFIXES = ["", "\n", "\r\n", "\r", " ", "\t", "\x0b", " \n", "\t\r\n", "\x0b\n",
                  "x", "}\n", "{}\n", "\n\n"]
