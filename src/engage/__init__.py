@@ -49,26 +49,23 @@ from .report import (
     render_histogram_plot,
 )
 from .stats import (
-    ALL_QUARTILES,
     BinSpec,
     CorrelationCell,
     CorrelationMatrix,
     Histogram,
     SampleSummary,
     StudySample,
-    TOP_THREE_QUARTILES,
     category_counts,
     correlation_matrix,
     histogram,
     pearson,
-    quartile_filter,
     summarize,
+    upper_quartile_rows,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_QUARTILES",
     "API_KEY_ENV",
     "BinSpec",
     "CATEGORY_LABELS",
@@ -89,7 +86,6 @@ __all__ = [
     "SampleSummary",
     "StorageError",
     "StudySample",
-    "TOP_THREE_QUARTILES",
     "Transport",
     "TransportError",
     "VideoStatsSnapshot",
@@ -109,11 +105,11 @@ __all__ = [
     "load_snapshots",
     "normalize_snapshot",
     "pearson",
-    "quartile_filter",
     "render",
     "render_histogram_plot",
     "select_study_sample",
     "store_snapshots",
     "summarize",
+    "upper_quartile_rows",
     "__version__",
 ]

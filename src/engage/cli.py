@@ -9,7 +9,6 @@ error, never a stack trace.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -19,7 +18,6 @@ from typing import Iterable, Sequence
 
 from .ingestion import (
     API_KEY_ENV,
-    PAGE_SIZE,
     ConfigError,
     EmptySampleError,
     FetchConfig,
@@ -30,6 +28,7 @@ from .ingestion import (
     default_transport,
     fetch_by_ids,
     load_snapshots,
+    read_json_object,
     select_study_sample,
     store_snapshots,
 )
@@ -83,13 +82,7 @@ def _load_config_file(args: argparse.Namespace, command: str) -> dict:
     path = args.config
     if not path:
         return {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+    data = read_json_object(path, ConfigError, "config file")
     unknown = sorted(set(data) - set(CONFIG_SECTIONS))
     if unknown:
         raise ConfigError(f"config file {path} has unknown section(s) {unknown};"
@@ -194,10 +187,7 @@ def run_fetch(args: argparse.Namespace) -> int:
         ids_path = Path(ids) if ids else _bundled_path(
             "fixtures/sampled_video_ids.txt"
         )
-        video_ids = _read_id_list(ids_path)
-        transport = default_transport(config)  # one transport keeps the request pacing
-        pages = (fetch_by_ids(config, video_ids[i:i + PAGE_SIZE], transport)
-                 for i in range(0, len(video_ids), PAGE_SIZE))  # one page per id batch
+        pages = fetch_by_ids(_read_id_list(ids_path), transport=default_transport(config))
     else:
         pages = collect_sweeps(config, occasions)
 
@@ -258,13 +248,7 @@ def _parse_formats(raw: str) -> list[str]:
 
 
 def _load_bundle(path: Path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise StorageError(f"cannot read bundle {path}: {exc}") from exc
-    except ValueError as exc:
-        raise StorageError(f"bundle {path} is not valid JSON: {exc}") from exc
+    data = read_json_object(path, StorageError, "bundle")
     try:
         return bundle_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -301,7 +285,7 @@ def run_report(args: argparse.Namespace) -> int:
         try:
             bins = load_binspec_file(Path(bins_path))
             bundle = rebin_bundle(bundle, bins)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad bins file {bins_path}: {exc}") from exc
 
     written = _write_report_files(bundle, out_dir, formats)
@@ -316,13 +300,13 @@ def run_replicate(args: argparse.Namespace) -> int:
     if not fixture.is_dir():
         raise ConfigError(f"replication fixture directory not found: {fixture}")
     expected_path = fixture / "expected.json"
+    expected = read_json_object(expected_path, ConfigError, "replication manifest")
     try:
-        expected = json.loads(expected_path.read_text(encoding="utf-8"))
         expected_unique = int(expected["unique_ids"])
         expected_n = int(expected["sample_n"])
         expected_upper = int(expected["upper_quartile_n"])
         expected_categories = [[str(c), int(k)] for c, k in expected["categories"]]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, OverflowError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad replication manifest {expected_path}: {exc}") from exc
 
     out_dir = Path(args.out) if args.out else Path("replication")

@@ -129,15 +129,35 @@ def parse_rfc3339(text: str) -> datetime:
 def _parse_utc(text: str) -> datetime:
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        # a time at the edge of the range can leave it once its offset is applied
+        return dt.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"bad timestamp {text!r}: {exc}", field="fetched_at") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
 
 
 def _utc_now_seconds() -> datetime:
     return datetime.now(timezone.utc).replace(microsecond=0)
+
+
+def read_json_object(path: Path | str, error: type[Exception], label: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``.
+
+    A file that cannot be read, is not JSON (nesting too deep to decode
+    included) or holds some other value raises ``error``, with a one-line
+    message that names the file as ``label`` and its path.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except OSError as exc:
+        raise error(f"cannot read {label} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{label} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{label} {path} is not a JSON object")
+    return data
 
 
 class Transport(Protocol):
@@ -217,7 +237,7 @@ class LiveTransport:
             raise TransportError(f"HTTP {resp.status_code} from API", status=resp.status_code)
         try:
             payload = resp.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"response body is not JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ParseError("response body is not a JSON object")
@@ -228,7 +248,7 @@ def _is_quota_error(resp: _HttpResponse) -> bool:
     try:
         errors = resp.json()["error"]["errors"]
         reasons = {e.get("reason") for e in errors if isinstance(e, dict)}
-    except (ValueError, LookupError, TypeError):
+    except (ValueError, RecursionError, LookupError, TypeError):
         return False
     return bool(reasons & {"quotaExceeded", "dailyLimitExceeded", "rateLimitExceeded"})
 
@@ -251,14 +271,7 @@ class FixtureTransport:
         path = self._directory / f"{token}.json"
         if not path.is_file():
             raise TransportError(f"fixture page not found: {path}")
-        try:
-            with open(path, encoding="utf-8") as f:
-                payload = json.load(f)
-        except (OSError, ValueError) as exc:
-            raise ParseError(f"bad fixture page {path.name}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ParseError(f"fixture page {path.name} is not a JSON object")
-        return payload
+        return read_json_object(path, ParseError, "fixture page")
 
 
 def default_transport(config: FetchConfig, sweep: int = 1) -> Transport:
@@ -429,24 +442,18 @@ def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnap
 
 
 def fetch_by_ids(
-    config: FetchConfig,
-    video_ids: Sequence[str],
-    transport: Transport | None = None,
-) -> list[VideoStatsSnapshot]:
-    """Fetch current statistics for explicit video ids, in batches.
+    video_ids: Sequence[str], *, transport: Transport
+) -> Iterator[list[VideoStatsSnapshot]]:
+    """Fetch current statistics for explicit video ids; yields one page's
+    snapshots per batch of at most ``PAGE_SIZE`` ids, as the page arrives.
 
     Statistics drift over time, so re-querying a historical id list yields
     present-day counters, not the ones originally studied.
     """
-    if transport is None:
-        transport = default_transport(config)
-    snapshots: list[VideoStatsSnapshot] = []
     for start in range(0, len(video_ids), PAGE_SIZE):
         batch = video_ids[start : start + PAGE_SIZE]
         params = {"part": "snippet,statistics", "id": ",".join(batch)}
-        page, _ = _parse_page(transport.get_page(params))
-        snapshots.extend(page)
-    return snapshots
+        yield _parse_page(transport.get_page(params))[0]
 
 
 def select_study_sample(candidates: StudySample, n: int) -> StudySample:
@@ -567,7 +574,7 @@ def _end_last_line(f, name: str) -> None:
     start, tail = start + cut, tail[cut:]
     try:
         snapshot_from_record(_decode_line(tail.decode("utf-8")))
-    except (ValueError, ParseError) as exc:
+    except (ValueError, RecursionError, ParseError) as exc:
         f.truncate(start)
         logger.warning("%s: torn final line of %d bytes dropped before appending: %s",
                        name, len(tail), exc)
@@ -613,7 +620,7 @@ def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
                 if not line.strip():
                     continue
                 snap = snapshot_from_record(_decode_line(line))
-            except (ValueError, ParseError) as exc:
+            except (ValueError, RecursionError, ParseError) as exc:
                 if not raw.endswith(b"\n"):  # only the final line can lack one
                     logger.warning("%s line %d: torn final line skipped: %s",
                                    path.name, lineno, exc)

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
-from .ingestion import format_rfc3339
+from .ingestion import format_rfc3339, read_json_object
 from .stats import (
     BinSpec,
     CorrelationCell,
@@ -23,12 +23,11 @@ from .stats import (
     Histogram,
     SampleSummary,
     StudySample,
-    TOP_THREE_QUARTILES,
-    _quartile_rows,
     category_counts,
     correlation_matrix,
     histogram,
     summarize,
+    upper_quartile_rows,
 )
 
 BUNDLE_FORMAT = "engage-bundle/1"
@@ -90,7 +89,7 @@ def build_report(sample: StudySample) -> ReportBundle:
         raise ValueError("cannot build a report from an empty sample")
 
     columns = _metric_columns(sample)
-    upper = _quartile_rows(sample.snapshots, key=lambda s: s.views, keep=TOP_THREE_QUARTILES)
+    upper = upper_quartile_rows(sample.snapshots)
 
     summary_basic = {
         "Views": summarize(columns["Views"]),
@@ -132,21 +131,24 @@ def load_binspec_file(path) -> dict[str, BinSpec]:
     optional; keys match metric names case-insensitively. Raises
     ValueError on anything malformed.
     """
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    if not isinstance(data, dict):
-        raise ValueError("bins file must be a JSON object keyed by metric name")
+    data = read_json_object(path, ValueError, "bins file")
     by_lower = {name.lower(): name for name in METRIC_NAMES}
     result: dict[str, BinSpec] = {}
     for key, spec in data.items():
         name = by_lower.get(str(key).lower())
         if name is None:
             raise ValueError(f"unknown metric {key!r} in bins file; expected {METRIC_NAMES}")
-        if not isinstance(spec, dict) or "edges" not in spec:
-            raise ValueError(f"bins for {key!r} must be an object with an 'edges' list")
+        if not isinstance(spec, dict) or not isinstance(spec.get("edges"), list) \
+                or not isinstance(spec.get("labels"), (list, type(None))):
+            raise ValueError(f"bins for {key!r} must be an object with an 'edges' list"
+                             " and an optional 'labels' list")
+        try:
+            edges = tuple(map(float, spec["edges"]))
+        except (TypeError, OverflowError) as exc:  # a null or list edge, an int past float range
+            raise ValueError(f"bins for {key!r} has an edge that is not a number: {exc}") from None
         labels = spec.get("labels")
         result[name] = BinSpec(
-            edges=tuple(float(e) for e in spec["edges"]),
+            edges=edges,
             labels=tuple(str(x) for x in labels) if labels is not None else None,
         )
     return result

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, compress, repeat
 from operator import is_not, mul, sub, truediv
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .metrics import VideoStatsSnapshot
 
@@ -58,6 +58,8 @@ class BinSpec:
     def __post_init__(self) -> None:
         if len(self.edges) < 2:
             raise ValueError("BinSpec needs at least 2 edges")
+        if not all(map(math.isfinite, self.edges)):
+            raise ValueError(f"BinSpec edges must be finite, got {self.edges}")
         if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
             raise ValueError("BinSpec edges must be strictly increasing")
         if self.labels is not None and len(self.labels) != len(self.edges) - 1:
@@ -375,47 +377,15 @@ def correlation_matrix(
     )
 
 
-ALL_QUARTILES = frozenset({1, 2, 3, 4})
-TOP_THREE_QUARTILES = frozenset({2, 3, 4})
+def upper_quartile_rows(snapshots: Sequence[VideoStatsSnapshot]) -> list[int]:
+    """Indices, in sample order, of the top three quartiles by views.
 
-
-def quartile_filter(
-    sample: StudySample,
-    key: Callable[[VideoStatsSnapshot], Number],
-    keep: frozenset[int] | set[int] = TOP_THREE_QUARTILES,
-) -> StudySample:
-    """Keep only the members falling in the given rank-based quartiles.
-
-    Members are ranked ascending by ``key`` (ties broken by video_id);
-    rank boundaries sit at floor(q*n/4), so keeping the top three
-    quartiles of an n=100 sample drops the 25 lowest and retains 75.
-    Output preserves the sample's original order.
+    The lowest floor(n/4) snapshots by ``(views, video_id)`` are dropped,
+    so an n=100 sample keeps 75 and ties at the cut go to the higher id.
     """
-    if not keep <= ALL_QUARTILES:
-        raise ValueError(f"quartile set must be within {{1,2,3,4}}, got {sorted(keep)}")
-    n = len(sample.snapshots)
-    if n == 0 or set(keep) == ALL_QUARTILES:
-        return sample
-
-    snapshots = sample.snapshots
-    kept = tuple(snapshots[i] for i in _quartile_rows(snapshots, key, keep))
-    label = f"quartiles {sorted(keep)}"
-    note = f"{sample.selection_note}; kept {label} ({len(kept)} of {n})".lstrip("; ")
-    return StudySample(snapshots=kept, selection_note=note)
-
-
-def _quartile_rows(
-    snapshots: Sequence[VideoStatsSnapshot],
-    key: Callable[[VideoStatsSnapshot], Number],
-    keep: frozenset[int] | set[int],
-) -> list[int]:
-    """Indices, in sample order, of the snapshots in the ``keep`` quartiles
-    when ranked ascending by ``(key, video_id)``, cut at floor(q*n/4)."""
-    n = len(snapshots)
-    ranks = [(key(s), s.video_id) for s in snapshots]
-    ranked = sorted(range(n), key=ranks.__getitem__)
-    bounds = [0] + [n * q // 4 for q in (1, 2, 3)] + [n]
-    return sorted(i for q in keep for i in ranked[bounds[q - 1]:bounds[q]])
+    ranks = [(s.views, s.video_id) for s in snapshots]
+    ranked = sorted(range(len(ranks)), key=ranks.__getitem__)
+    return sorted(ranked[len(ranks) // 4:])
 
 
 def histogram(values: Iterable[OptionalNumber], bins: BinSpec) -> Histogram:

@@ -25,13 +25,12 @@ from engage.metrics import (
 )
 from engage.report import build_report
 from engage.stats import (
-    TOP_THREE_QUARTILES,
     StudySample,
     category_counts,
     correlation_matrix,
     pearson,
-    quartile_filter,
     summarize,
+    upper_quartile_rows,
 )
 
 PKG_ROOT = Path(engage.__file__).parent.parent.parent
@@ -173,11 +172,9 @@ def test_criterion_5_quartile_rule_keeps_75_of_100():
             sample = StudySample(
                 snapshots=tuple(snap(i, views=v) for i, v in enumerate(views))
             )
-            kept = quartile_filter(sample, key=lambda s: s.views)
-            assert len(kept.snapshots) == 75
-            assert kept.snapshots == tuple(
-                s for s in sample.snapshots if s in set(kept.snapshots)
-            )
+            kept = tuple(sample.snapshots[i] for i in upper_quartile_rows(sample.snapshots))
+            assert len(kept) == 75
+            assert kept == tuple(s for s in sample.snapshots if s in set(kept))
 
 
 def test_criterion_6_bundled_category_table():

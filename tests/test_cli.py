@@ -441,6 +441,78 @@ def test_replicate_bad_manifest_exit2(tmp_path, capsys):
     assert "bad replication manifest" in capsys.readouterr().err
 
 
+DEEP = "[" * 100_000  # nested past the JSON decoder's recursion limit
+RECORD = {"video_id": "vid00000001", "fetched_at": "2013-12-10T09:00:00Z",
+          "views": 1000, "likes": 10, "dislikes": 1, "comments": 3,
+          "comments_enabled": True, "category": "News"}
+
+
+def _write(directory: Path, name: str, text: str) -> str:
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _fetch_page(tmp_path, text):
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    _write(fixture, "sweep1_page1.json", text)
+    return ["fetch", "--offline", str(fixture), "--store", str(tmp_path / "s.jsonl")]
+
+
+def _replicate_manifest(tmp_path, text):
+    fixture = tmp_path / "fixture"
+    shutil.copytree(BUNDLED_FIXTURES, fixture)
+    _write(fixture, "expected.json", text)
+    return ["replicate", "--fixture-dir", str(fixture), "--out", str(tmp_path / "art")]
+
+
+def _analyze_store(tmp_path, text):
+    store = _write(tmp_path, "s.jsonl", text)
+    return ["analyze", "--store", store, "--out", str(tmp_path / "b.json")]
+
+
+def _report(tmp_path, bundle, bins=None):
+    argv = ["report", "--bundle", str(bundle), "--out", str(tmp_path / "rep")]
+    return argv + ["--bins", _write(tmp_path, "bins.json", bins)] if bins else argv
+
+
+# (case, exit code, text the error names, argv from a scratch directory and a valid bundle)
+BAD_INPUT_CASES = [
+    ("config-nested", 2, "config file",
+     lambda tmp, _: ["analyze", "--config", _write(tmp, "c.json", DEEP), "--store", "s.jsonl"]),
+    ("fixture-page-nested", 3, "fixture page", lambda tmp, _: _fetch_page(tmp, DEEP)),
+    ("bundle-nested", 4, "is not valid JSON",
+     lambda tmp, _: _report(tmp, _write(tmp, "b.json", DEEP))),
+    ("bins-nested", 2, "bad bins file", lambda tmp, bundle: _report(tmp, bundle, DEEP)),
+    ("manifest-nested", 2, "replication manifest", lambda tmp, _: _replicate_manifest(tmp, DEEP)),
+    ("bundle-not-an-object", 4, "is not a JSON object",
+     lambda tmp, _: _report(tmp, _write(tmp, "b.json", "[1]"))),
+    ("store-line-nested", 4, "line 1", lambda tmp, _: _analyze_store(tmp, DEEP + "\n")),
+    ("store-fetched-at-past-range", 4, "line 1: bad timestamp",
+     lambda tmp, _: _analyze_store(
+         tmp, json.dumps({**RECORD, "fetched_at": "9999-12-31T23:59:59-01:00"}) + "\n")),
+    ("page-recorded-at-past-range", 3, "bad timestamp",
+     lambda tmp, _: _fetch_page(
+         tmp, json.dumps({"items": [], "recordedAt": "0001-01-01T00:00:00+01:00"}))),
+    ("bins-edges-not-a-list", 2, "bad bins file",
+     lambda tmp, bundle: _report(tmp, bundle, '{"cpki": {"edges": 5}}')),
+    ("bins-edge-overflows", 2, "bad bins file",
+     lambda tmp, bundle: _report(tmp, bundle, '{"cpki": {"edges": [0, 1e400]}}')),
+    ("bins-edge-nan", 2, "bad bins file",
+     lambda tmp, bundle: _report(tmp, bundle, '{"cpki": {"edges": [NaN, 1]}}')),
+]
+
+
+@pytest.mark.parametrize("code, named, make_argv", [case[1:] for case in BAD_INPUT_CASES],
+                         ids=[case[0] for case in BAD_INPUT_CASES])
+def test_bad_input_file_exits_with_its_code(pipeline, tmp_path, capsys, code, named, make_argv):
+    assert main(make_argv(tmp_path, pipeline["bundle"])) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
+
+
 def test_help_names_exit_codes_and_drift(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

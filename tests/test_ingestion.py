@@ -33,6 +33,7 @@ from engage.ingestion import (
     load_snapshots,
     parse_rfc3339,
     parse_video_item,
+    read_json_object,
     select_study_sample,
     snapshot_from_record,
     snapshot_to_record,
@@ -42,6 +43,7 @@ from engage.metrics import VideoStatsSnapshot
 
 T1 = datetime(2013, 12, 10, 9, 0, 0, tzinfo=timezone.utc)
 T2 = datetime(2013, 12, 13, 9, 0, 0, tzinfo=timezone.utc)
+DEEP = "[" * 100_000  # nested past the JSON decoder's recursion limit
 
 
 def snap(video_id, views=1000, fetched_at=T1, **kwargs):
@@ -95,6 +97,14 @@ def test_parse_rfc3339_non_string_is_parse_error(value):
     # an unhashable value must not reach the memo, which would raise TypeError
     with pytest.raises(ParseError) as exc:
         parse_rfc3339(value)
+    assert exc.value.field == "fetched_at"
+
+
+@pytest.mark.parametrize("text", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"])
+def test_parse_rfc3339_instant_past_the_range_is_parse_error(text):
+    # valid text whose offset moves the instant outside the datetime range
+    with pytest.raises(ParseError) as exc:
+        parse_rfc3339(text)
     assert exc.value.field == "fetched_at"
 
 
@@ -219,6 +229,22 @@ def test_fixture_transport_pages(tmp_path):
 def test_fixture_transport_missing_page(tmp_path):
     with pytest.raises(TransportError):
         FixtureTransport(tmp_path).get_page({})
+
+
+@pytest.mark.parametrize("data, message", [
+    (DEEP.encode(), "widget {path} is not valid JSON: "),
+    (b"{", "widget {path} is not valid JSON: "),
+    (b"\xff{}", "widget {path} is not valid JSON: "),
+    (b"[1]", "widget {path} is not a JSON object"),
+    (None, "cannot read widget {path}: "),  # no file
+])
+def test_read_json_object_raises_the_callers_error(tmp_path, data, message):
+    path = tmp_path / "in.json"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(ConfigError) as exc:
+        read_json_object(path, ConfigError, "widget")
+    assert str(exc.value).startswith(message.format(path=path))
 
 
 def test_collect_sweeps_follows_tokens(tmp_path):
@@ -652,6 +678,34 @@ def test_append_repairs_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
         caplog.clear()
 
 
+def test_load_treats_a_deeply_nested_line_as_malformed(tmp_path, caplog):
+    store = tmp_path / "snaps.jsonl"
+    store_snapshots(store, [snap("a")])
+    with open(store, "a", encoding="utf-8") as f:
+        f.write(DEEP + "\n")
+    store_snapshots(store, [snap("b")])
+    with pytest.raises(StorageError) as exc:
+        load_snapshots(store)
+    assert "line 2" in str(exc.value)
+    with caplog.at_level("WARNING"):
+        loaded = load_snapshots(store, lenient=True)
+    assert [s.video_id for s in loaded.snapshots] == ["a", "b"]
+    assert "1 malformed line(s) skipped" in loaded.selection_note
+
+
+def test_a_deeply_nested_torn_tail_is_skipped_then_cut(tmp_path, caplog):
+    store = tmp_path / "snaps.jsonl"
+    store_snapshots(store, [snap("a")])
+    with open(store, "a", encoding="utf-8") as f:
+        f.write(DEEP)
+    with caplog.at_level("WARNING"):
+        assert load_snapshots(store).selection_note.endswith(", 1 torn final line skipped")
+        store_snapshots(store, [snap("b")])
+    assert [s.video_id for s in load_snapshots(store).snapshots] == ["a", "b"]
+    assert any(f"torn final line of {len(DEEP)} bytes dropped" in r.message
+               for r in caplog.records)
+
+
 def test_load_missing_store_is_storage_error(tmp_path):
     with pytest.raises(StorageError):
         load_snapshots(tmp_path / "absent.jsonl")
@@ -787,6 +841,20 @@ def test_urllib_session_non_json_body(urlopen_calls):
         LiveTransport("secret", request_interval_ms=0).get_page({})
 
 
+def test_urllib_session_deeply_nested_body(urlopen_calls):
+    urlopen_calls(DEEP.encode())
+    with pytest.raises(ParseError):
+        LiveTransport("secret", request_interval_ms=0).get_page({})
+
+
+def test_urllib_session_http_403_deeply_nested_body_is_no_quota(urlopen_calls):
+    urlopen_calls(urllib.error.HTTPError(ingestion.API_URL, 403, "error", {},
+                                         io.BytesIO(DEEP.encode())))
+    with pytest.raises(TransportError) as exc:
+        LiveTransport("secret", request_interval_ms=0).get_page({})
+    assert type(exc.value) is TransportError and exc.value.status == 403
+
+
 def test_fetch_by_ids_batches(monkeypatch):
     class RecordingTransport:
         def __init__(self):
@@ -800,10 +868,10 @@ def test_fetch_by_ids_batches(monkeypatch):
 
     monkeypatch.setattr(ingestion, "PAGE_SIZE", 2)
     transport = RecordingTransport()
-    config = FetchConfig()
     ids = ["a000000000a", "b000000000b", "c000000000c"]
-    snaps = fetch_by_ids(config, ids, transport=transport)
-    assert [s.video_id for s in snaps] == ids
+    pages = fetch_by_ids(ids, transport=transport)
+    assert transport.batches == []  # nothing is fetched before the first page is asked for
+    assert [s.video_id for page in pages for s in page] == ids
     assert transport.batches == [ids[:2], ids[2:]]
 
 

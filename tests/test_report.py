@@ -28,7 +28,6 @@ from engage.stats import (
     Histogram,
     StudySample,
     correlation_matrix,
-    quartile_filter,
 )
 
 NOW = datetime(2013, 12, 10, 9, 0, 0, tzinfo=timezone.utc)
@@ -152,7 +151,9 @@ def test_upper_quartile_is_the_quartile_filter(rows):
         for i, (views, likes, dislikes, comments) in enumerate(rows)
     ))
     n = len(rows)
-    kept = quartile_filter(sample, key=lambda s: s.views)
+    # the reference cut: the lowest n // 4 by (views, video_id) go, sample order stays
+    cut = set(sorted(sample.snapshots, key=lambda s: (s.views, s.video_id))[n // 4:])
+    kept = StudySample(snapshots=tuple(s for s in sample.snapshots if s in cut))
     bundle = build_report(sample)
     assert bundle.provenance["upper_quartile_n"] == n - n // 4 == len(kept.snapshots)
     columns = _metric_columns(kept)
@@ -288,6 +289,22 @@ def test_load_binspec_file(tmp_path):
     with pytest.raises(ValueError):
         load_binspec_file(path)
     path.write_text(json.dumps([1, 2]))
+    with pytest.raises(ValueError):
+        load_binspec_file(path)
+
+
+@pytest.mark.parametrize("spec", [
+    {"edges": 5},
+    {"edges": "012"},
+    {"edges": [0, None, 2]},
+    {"edges": [0, [1], 2]},
+    {"edges": [0, 10**400]},
+    {"edges": [0, 1], "labels": "a"},
+    {"edges": [0, 1], "labels": 5},
+])
+def test_load_binspec_file_rejects_bad_edges_and_labels(tmp_path, spec):
+    path = tmp_path / "bins.json"
+    path.write_text(json.dumps({"cpki": spec}))
     with pytest.raises(ValueError):
         load_binspec_file(path)
 

@@ -11,16 +11,14 @@ from scipy import stats as scipy_stats
 from engage import stats
 from engage.metrics import VideoStatsSnapshot
 from engage.stats import (
-    ALL_QUARTILES,
     BinSpec,
     StudySample,
-    TOP_THREE_QUARTILES,
     category_counts,
     correlation_matrix,
     histogram,
     pearson,
-    quartile_filter,
     summarize,
+    upper_quartile_rows,
 )
 
 NOW = datetime(2013, 12, 10, 9, 0, 0, tzinfo=timezone.utc)
@@ -129,6 +127,12 @@ def test_binspec_validation_and_index():
     assert bins.bin_index(2.0) == 1
     assert bins.bin_index(2.0001) == 2
     assert bins.bin_index(math.nan) == 2  # NaN is in no bin
+
+
+@pytest.mark.parametrize("edge", [math.inf, -math.inf, math.nan])
+def test_binspec_rejects_non_finite_edges(edge):
+    with pytest.raises(ValueError, match="finite"):
+        BinSpec(edges=(0.0, 1.0, edge) if edge > 0 else (edge, 0.0, 1.0))
 
 
 def test_histogram_conserves_counts():
@@ -391,50 +395,35 @@ def test_correlation_matrix_rejects_ragged_columns():
         correlation_matrix({"a": [1, 2], "b": [1, 2, 3]})
 
 
+def upper_quartile(sample):
+    """The snapshots ``upper_quartile_rows`` keeps, in its order."""
+    return [sample.snapshots[i] for i in upper_quartile_rows(sample.snapshots)]
+
+
 def test_quartile_filter_keeps_exactly_75_of_100():
     rng = random.Random(41)
     views = [rng.randrange(1_000, 10_000_000) for _ in range(100)]
-    sample = sample_of(views)
-    kept = quartile_filter(sample, key=lambda s: s.views)
-    assert len(kept.snapshots) == 75
+    kept = upper_quartile(sample_of(views))
+    assert len(kept) == 75
     cut = sorted(views)[25]
-    assert all(s.views >= cut for s in kept.snapshots)
-
-
-def test_quartile_filter_all_quartiles_is_identity():
-    sample = sample_of([5, 3, 9, 1])
-    assert quartile_filter(sample, key=lambda s: s.views, keep=ALL_QUARTILES) is sample
+    assert all(s.views >= cut for s in kept)
 
 
 def test_quartile_filter_preserves_input_order():
-    sample = sample_of([40, 10, 30, 20])
-    kept = quartile_filter(sample, key=lambda s: s.views, keep=TOP_THREE_QUARTILES)
+    kept = upper_quartile(sample_of([40, 10, 30, 20]))
     # drops the single lowest (views=10), keeps the rest in sample order
-    assert [s.views for s in kept.snapshots] == [40, 30, 20]
+    assert [s.views for s in kept] == [40, 30, 20]
 
 
 def test_quartile_filter_breaks_ties_by_video_id():
     snaps = tuple(snap(vid, 100) for vid in ("d", "c", "b", "a"))
-    sample = StudySample(snapshots=snaps)
-    kept = quartile_filter(sample, key=lambda s: s.views, keep={2, 3, 4})
-    assert sorted(s.video_id for s in kept.snapshots) == ["b", "c", "d"]
-
-
-def test_quartile_filter_bottom_quartile_only():
-    sample = sample_of([1, 2, 3, 4, 5, 6, 7, 8])
-    kept = quartile_filter(sample, key=lambda s: s.views, keep={1})
-    assert sorted(s.views for s in kept.snapshots) == [1, 2]
-
-
-def test_quartile_filter_rejects_bad_quartiles():
-    with pytest.raises(ValueError):
-        quartile_filter(sample_of([1, 2]), key=lambda s: s.views, keep={0, 1})
+    kept = upper_quartile(StudySample(snapshots=snaps))
+    assert sorted(s.video_id for s in kept) == ["b", "c", "d"]
 
 
 def test_quartile_sizes_for_odd_n():
     # floor boundaries: n=10 -> drop floor(10/4)=2
-    kept = quartile_filter(sample_of(list(range(10))), key=lambda s: s.views)
-    assert len(kept.snapshots) == 8
+    assert len(upper_quartile(sample_of(list(range(10))))) == 8
 
 
 def test_study_sample_rejects_duplicate_ids():
