@@ -68,10 +68,14 @@ def _bundled_path(relative: str) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8; text that cannot be encoded writes nothing."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate from a hand-edited bundle
+        raise StorageError(f"cannot write {path}: {exc}") from None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        path.write_bytes(data)
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
 

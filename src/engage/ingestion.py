@@ -539,13 +539,17 @@ def store_snapshots(path: Path, snapshots: Sequence[VideoStatsSnapshot]) -> int:
     Appending never rewrites existing lines; deduplication happens on read.
     Each line is ``json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\\n"``.
     The page is encoded before the file is opened, so a page that cannot be
-    encoded writes nothing. A store whose last line lacks its line end gets
+    encoded (a lone surrogate in its text) raises ParseError and writes
+    nothing. A store whose last line lacks its line end gets
     one when that line is a valid record; otherwise that torn tail of an
     interrupted append is cut away, with a warning, before the page goes on.
     """
     if not snapshots:
         return 0
-    data = "".join(map(_record_line, snapshots)).encode("utf-8")
+    try:
+        data = "".join(map(_record_line, snapshots)).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"snapshot text cannot be stored as UTF-8: {exc}") from None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "a+b") as f:
@@ -564,14 +568,15 @@ def _end_last_line(f, name: str) -> None:
     f.seek(end - 1)
     if f.read(1) == b"\n":
         return
-    start, tail = end, b""
-    while start and b"\n" not in tail:  # read back to the last line's start
+    start, chunks, cut = end, [], 0
+    while start and not cut:  # read back, 4 KiB at a time, to the last line's start
         step = min(start, 4096)
         start -= step
         f.seek(start)
-        tail = f.read(step) + tail
-    cut = tail.rfind(b"\n") + 1
-    start, tail = start + cut, tail[cut:]
+        chunk = f.read(step)
+        cut = chunk.rfind(b"\n") + 1
+        chunks.append(chunk[cut:])
+    start, tail = start + cut, b"".join(reversed(chunks))
     try:
         snapshot_from_record(_decode_line(tail.decode("utf-8")))
     except (ValueError, RecursionError, ParseError) as exc:

@@ -147,10 +147,13 @@ def load_binspec_file(path) -> dict[str, BinSpec]:
         except (TypeError, OverflowError) as exc:  # a null or list edge, an int past float range
             raise ValueError(f"bins for {key!r} has an edge that is not a number: {exc}") from None
         labels = spec.get("labels")
-        result[name] = BinSpec(
-            edges=edges,
-            labels=tuple(str(x) for x in labels) if labels is not None else None,
-        )
+        if labels is not None:
+            labels = tuple(map(str, labels))
+            try:
+                "".join(labels).encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which no report can hold
+                raise ValueError(f"bins for {key!r} has a label that is not valid UTF-8") from None
+        result[name] = BinSpec(edges=edges, labels=labels)
     return result
 
 

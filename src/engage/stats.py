@@ -156,34 +156,31 @@ def summarize(values: Iterable[OptionalNumber]) -> SampleSummary:
 
     Mean, sample standard deviation, min, max, G1 skewness and G2 excess
     kurtosis; ``bin_mode`` is left for the report's binning to fill in.
+    A standard deviation past the float range is ``None``.
     """
     xs = _defined(values)
-    n = len(xs)
-    if n == 0:
+    if not xs:
         return SampleSummary(n=0)
-
-    mean = math.fsum(xs) / n
-    lo, hi = min(xs), max(xs)
+    n, e, mean, dx, ss, _ = _deviations(xs)
 
     std_dev = skew = kurt = None
-    if n >= 2:
-        dx = array("d", map(sub, xs, repeat(mean)))
-        std_dev = math.sqrt(math.fsum(map(pow, dx, repeat(2))) / (n - 1))
-        if std_dev > 0:
-            z = array("d", map(truediv, dx, repeat(std_dev)))
-            z3 = math.fsum(map(pow, z, repeat(3)))
-            z4 = math.fsum(map(pow, z, repeat(4)))
-            if n >= 3:
-                skew = n / ((n - 1) * (n - 2)) * z3
-            if n >= 4:
-                kurt = (
-                    n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4
-                    - 3 * (n - 1) ** 2 / ((n - 2) * (n - 3))
-                )
+    if n >= 2:  # ss is 0 for a constant series
+        sd = math.sqrt(ss / (n - 1))
+        std_dev = math.ldexp(sd, e) if math.frexp(sd)[1] + e <= 1024 else None
+    if dx is not None:
+        z = array("d", map(truediv, dx, repeat(sd)))
+        z3 = math.fsum(map(pow, z, repeat(3)))
+        z4 = math.fsum(map(pow, z, repeat(4)))
+        if n >= 3:
+            skew = n / ((n - 1) * (n - 2)) * z3
+        if n >= 4:
+            kurt = (
+                n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4
+                - 3 * (n - 1) ** 2 / ((n - 2) * (n - 3))
+            )
 
-    return SampleSummary(
-        n=n, mean=mean, std_dev=std_dev, min=lo, max=hi, skewness=skew, kurtosis=kurt
-    )
+    return SampleSummary(n=n, mean=math.ldexp(mean, e), std_dev=std_dev, min=min(xs),
+                         max=max(xs), skewness=skew, kurtosis=kurt)
 
 
 def pearson(
@@ -220,43 +217,47 @@ def _take(values: Sequence[OptionalNumber], rows: bytes) -> list[float]:
     return list(map(float, compress(values, rows)))
 
 
-_Deviations = tuple[int, "array[float] | None", float, "str | None"]
+_Deviations = tuple[int, int, float, "array[float] | None", float, "str | None"]
 
 
 def _deviations(values: list[float]) -> _Deviations:
-    """``(n, dx, ss, error)``: the deviations from the mean and their sum of
-    squares, or why the series has no correlation (``dx`` is then None).
-
-    This is the one degeneracy rule: fewer than 2 values, all values equal
-    (tested exactly, not via a rounded mean), or squared deviations that
-    underflow to a zero sum, as those of distinct subnormal values do.
+    """``(n, e, mean, dx, ss, error)``: the mean of ``values * 2**-e``, the
+    deviations from it and their sum of squares, or why the series has no
+    correlation (``dx`` is then None). This is the one degeneracy rule: fewer
+    than 2 values, or all values equal (tested exactly, not via a rounded mean).
     """
     n = len(values)
+    lo, hi = min(values, default=0.0), max(values, default=0.0)
+    e = math.frexp(max(-lo, hi))[1]  # every |x| < 2**e
+    # Unscaled, |dx| < 2**(e+1), and max |dx| > 2**(e-56): two distinct floats
+    # below 2**e, one of them at least 2**(e-1) in magnitude, differ by at least
+    # 2**(e-54). For -200 < e < 239 and n < 2**34 each sum of squares is then in
+    # (2**-510, 2**512), so ssx * ssy is normal and finite, and the squares
+    # below 2**-1022 move ss by less than an ulp. Elsewhere the values are
+    # scaled by 2**-e, exactly but for parts below 2**(e-1074).
+    if -200 < e < 239:
+        e = 0
+    else:
+        values = [math.ldexp(x, -e) for x in values]
+    mean = math.fsum(values) / n if n else 0.0
     if n < 2:
-        return n, None, 0.0, "fewer than 2 pairs"
-    if min(values) != max(values):
-        mean = math.fsum(values) / n
-        dx = array("d", map(sub, values, repeat(mean)))
-        # pow, not d * d: d * d rounds some squares differently, which can move
-        # r in its last bit, and gives inf where pow raises OverflowError (r
-        # would then come out as 0)
-        ss = math.fsum(map(pow, dx, repeat(2)))
-        if ss:
-            return n, dx, ss, None
-    return n, None, 0.0, "constant series"
+        return n, e, mean, None, 0.0, "fewer than 2 pairs"
+    if lo == hi:
+        return n, e, mean, None, 0.0, "constant series"
+    dx = array("d", map(sub, values, repeat(mean)))
+    # pow, not d * d: d * d rounds some squares differently, which can move
+    # r in its last bit
+    return n, e, mean, dx, math.fsum(map(pow, dx, repeat(2))), None
 
 
 def _cell(x: _Deviations, y: _Deviations) -> CorrelationCell:
     """The Pearson cell of two series' deviations over the same rows."""
-    n, dx, ssx, error = x
-    _, dy, ssy, y_error = y
+    n, _, _, dx, ssx, error = x
+    _, _, _, dy, ssy, y_error = y
     error = error or y_error
     if error is not None:
         return CorrelationCell(r=None, p_value=None, n=n, error=error)
-    # ssx * ssy can leave the float range where neither factor does
-    product = ssx * ssy
-    norm = math.sqrt(product) if 0 < product < math.inf else math.sqrt(ssx) * math.sqrt(ssy)
-    r = math.fsum(map(mul, dx, dy)) / norm
+    r = math.fsum(map(mul, dx, dy)) / math.sqrt(ssx * ssy)
     r = max(-1.0, min(1.0, r))
     return CorrelationCell(r=r, p_value=_pearson_p(r, n), n=n)
 
@@ -339,12 +340,8 @@ def correlation_matrix(
     each cell carries its own n; every off-diagonal cell equals ``pearson``
     of its two columns. A diagonal cell is exactly r = 1 over the column's
     defined values unless ``pearson``'s degeneracy rule holds there: fewer
-    than 2 values, all values equal, or squared deviations that underflow
-    to a zero sum, as for a column of distinct subnormals. The diagonal then
-    names the condition, and so does every cell in its row, with one
-    exception: an underflow over all of a column's values need not recur on
-    the fewer rows of a pair when the values lie within about 1e-162 of
-    each other.
+    than 2 values or all values equal. The diagonal then names the
+    condition, and so does every cell in its row.
     """
     names = tuple(columns.keys())
     series = [columns[name] for name in names]
@@ -367,7 +364,7 @@ def correlation_matrix(
         deviations = {i: _deviations(_take(series[i], rows)) for i in set(chain(*pairs))}
         for i, j in pairs:
             if i == j:
-                n, _, _, error = deviations[i]
+                n, _, _, _, _, error = deviations[i]
                 cell = CorrelationCell(r=None if error else 1.0, p_value=None, n=n, error=error)
             else:
                 cell = _cell(deviations[i], deviations[j])

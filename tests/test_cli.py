@@ -477,6 +477,12 @@ def _report(tmp_path, bundle, bins=None):
     return argv + ["--bins", _write(tmp_path, "bins.json", bins)] if bins else argv
 
 
+def _bundle_with_category(tmp_path, bundle, category):
+    data = json.loads(Path(bundle).read_text(encoding="utf-8"))
+    data["categories"][0][0] = category
+    return _write(tmp_path, "b.json", json.dumps(data))  # ASCII, with JSON escapes
+
+
 # (case, exit code, text the error names, argv from a scratch directory and a valid bundle)
 BAD_INPUT_CASES = [
     ("config-nested", 2, "config file",
@@ -501,6 +507,11 @@ BAD_INPUT_CASES = [
      lambda tmp, bundle: _report(tmp, bundle, '{"cpki": {"edges": [0, 1e400]}}')),
     ("bins-edge-nan", 2, "bad bins file",
      lambda tmp, bundle: _report(tmp, bundle, '{"cpki": {"edges": [NaN, 1]}}')),
+    ("bins-label-surrogate", 2, "bad bins file",
+     lambda tmp, bundle: _report(
+         tmp, bundle, '{"cpki": {"edges": [0, 1000], "labels": ["\\ud800"]}}')),
+    ("bundle-category-surrogate", 4, "cannot write",
+     lambda tmp, bundle: _report(tmp, _bundle_with_category(tmp, bundle, "\ud800"))),
 ]
 
 
@@ -511,6 +522,7 @@ def test_bad_input_file_exits_with_its_code(pipeline, tmp_path, capsys, code, na
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "rep" / "report.md").exists()
 
 
 def test_help_names_exit_codes_and_drift(capsys):

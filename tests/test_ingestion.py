@@ -411,7 +411,7 @@ def test_store_page_that_cannot_be_encoded_writes_nothing(tmp_path):
     store = tmp_path / "snaps.jsonl"
     store_snapshots(store, [snap("a")])
     before = store.read_bytes()
-    with pytest.raises(UnicodeEncodeError):
+    with pytest.raises(ParseError):
         store_snapshots(store, [snap("b"), snap("c", category="\ud800")])
     assert store.read_bytes() == before
 
@@ -675,6 +675,25 @@ def test_append_repairs_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
         dropped = start < cut < len(full) - 1
         warned = f"snaps.jsonl: torn final line of {cut - start} bytes dropped before appending: "
         assert [r.message.startswith(warned) for r in caplog.records] == ([True] if dropped else [])
+        caplog.clear()
+
+
+@pytest.mark.parametrize("tail_length", [4095, 4096, 4097])
+def test_append_finds_a_line_end_on_a_read_back_chunk_boundary(tmp_path, caplog, tail_length):
+    # the tail is read back in 4096-byte chunks; at 4096 the last line end is
+    # the final byte of the second chunk, at 4095 the first byte of the first
+    first = ingestion._record_line(snap("a")).encode("utf-8")
+    padding = "x" * (tail_length + 1 - len(ingestion._record_line(snap("b", category=""))))
+    whole = ingestion._record_line(snap("b", category=padding)).encode("utf-8")[:-1]
+    assert len(whole) == tail_length
+    store = tmp_path / "snaps.jsonl"
+    for tail, kept in ((whole, ["a", "b", "c"]), (b"y" * tail_length, ["a", "c"])):
+        store.write_bytes(first + tail)
+        with caplog.at_level("WARNING"):
+            store_snapshots(store, [snap("c")])
+        assert [s.video_id for s in load_snapshots(store).snapshots] == kept
+        warned = f"torn final line of {tail_length} bytes dropped"
+        assert [warned in r.message for r in caplog.records] == ([] if len(kept) == 3 else [True])
         caplog.clear()
 
 

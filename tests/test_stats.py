@@ -1,6 +1,7 @@
 import math
 import random
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -92,6 +93,9 @@ def test_summarize_small_and_degenerate():
     assert three.skewness is not None and three.kurtosis is None
     flat = summarize([3, 3, 3, 3, 3])
     assert flat.std_dev == 0 and flat.skewness is None and flat.kurtosis is None
+    # the test for equal values is exact, so a rounded mean leaves no deviations
+    inexact = summarize([0.1] * 3)
+    assert inexact.std_dev == 0 and inexact.skewness is None
 
 
 def test_summarize_skips_absent_values():
@@ -323,20 +327,38 @@ def test_any_finite_constant_is_a_constant_series(constant, others):
 
 
 def test_correlation_matrix_subnormal_column_agrees_with_its_row():
-    # distinct subnormals: their squared deviations underflow to a zero sum
+    # distinct subnormals are scaled by a power of two before their moments
     m = correlation_matrix({"s": [5e-324, 1e-323, 1.5e-323], "x": [1, 2, 3]})
-    assert m.cell("s", "x").error == "constant series"
-    assert m.cell("s", "s").error == "constant series"
-    assert m.cell("s", "s").r is None and m.cell("s", "s").n == 3
+    assert m.cell("s", "s").r == 1.0 and m.cell("s", "s").n == 3
+    assert m.cell("s", "x").r == 1.0
     assert m.cell("x", "x").r == 1.0
 
 
-def test_pearson_overflowing_squares_raise_rather_than_give_a_number():
-    # a squared deviation above the float range must not become inf and r = 0
-    with pytest.raises(OverflowError):
-        pearson([1e200, -1e200, 0], [1, 2, 3])
-    with pytest.raises(OverflowError):
-        correlation_matrix({"big": [1e200, -1e200, 0], "x": [1, 2, 3]})
+def test_correlation_matrix_column_within_1e_162_agrees_with_its_row():
+    # the squares of s's deviations underflow to a zero sum unless s is scaled first
+    s = [1.6086415292405457e-162, 2.2162096354476993e-162, 2.0813909966885495e-162,
+         0.0, 2.2162096354476993e-162, 0.0]
+    m = correlation_matrix({"s": s, "x": [None, 1, 2, 3, 4, None]})
+    assert (m.cell("s", "s").r, m.cell("s", "s").error) == (1.0, None)
+    pair = m.cell("s", "x")
+    assert pair.error is None and pair.n == 4
+    # 50-digit mpmath value of r over the four shared rows
+    assert pair.r == pytest.approx(-0.24708779373991731699, rel=1e-14)
+
+
+def test_pearson_and_summarize_on_overflowing_squares():
+    # the squared deviations are past the float range; the scaled ones are not
+    assert pearson([1e200, -1e200, 0], [1, 2, 3]).r == -0.5
+    assert pearson([1e200, -1e200, 0], [1, 1, 1]).error == "constant series"
+    big = correlation_matrix({"big": [1e200, -1e200, 0], "x": [1, 2, 3]})
+    assert big.cell("big", "big").r == 1.0 and big.cell("big", "x").r == -0.5
+    assert summarize([1e200, -1e200, 0.0]).std_dev == 1e200
+    # and squares that would underflow keep their digits
+    assert summarize([1e-170, 2e-170, 4e-170]).std_dev == pytest.approx(
+        math.sqrt(7 / 3) * 1e-170, rel=1e-15)
+    # a standard deviation past the float range is absent, not an error
+    past = summarize([1.7e308, -1.7e308])
+    assert past.std_dev is None and (past.mean, past.min, past.max) == (0.0, -1.7e308, 1.7e308)
 
 
 def test_pearson_when_the_product_of_the_sums_of_squares_leaves_the_float_range():
@@ -346,14 +368,7 @@ def test_pearson_when_the_product_of_the_sums_of_squares_leaves_the_float_range(
     assert tiny.r == pytest.approx(pearson([0, 3, 1], [0, 3, 2]).r, rel=1e-12)
 
 
-# magnitudes are 0, subnormal or at least 1e-100, so that an underflow over a
-# column's values recurs over any of its rows (see correlation_matrix)
-cell_values = st.one_of(
-    st.none(),
-    st.integers(-5, 5),
-    st.floats(-1e6, 1e6).filter(lambda x: x == 0 or abs(x) >= 1e-100),
-    st.floats(-2.2e-308, 2.2e-308),
-)
+cell_values = st.one_of(st.none(), st.integers(-5, 5), finite)
 
 
 @st.composite
@@ -388,6 +403,59 @@ def test_correlation_matrix_cells_equal_pearson_exactly(columns):
                 assert _exact(m.cells[i][j]) == _exact(pearson(columns[a], columns[b]))
                 if diagonal.error is not None:
                     assert m.cells[i][j].error is not None
+
+
+# huge, tiny and subnormal floats, and columns that mix them
+extreme = st.one_of(
+    finite,
+    st.floats(-1e-300, 1e-300),
+    st.floats(1e300, 1.7e308),
+    st.floats(-1.7e308, -1e300),
+    st.integers(-3, 3).map(float),
+)
+
+
+def _exact_moments(values):
+    """Exact mean, deviations and sum of squares, as Fractions."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    dx = [v - mean for v in exact]
+    return mean, dx, sum(d * d for d in dx)
+
+
+@given(pairs=st.lists(st.tuples(extreme, extreme), max_size=10))
+def test_moments_of_any_finite_floats_match_an_exact_oracle(pairs):
+    xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
+    summary = summarize(xs)
+    cell = pearson(xs, ys)
+    assert cell.n == len(pairs)
+    if not pairs:
+        assert summary.n == 0 and cell.error == "fewer than 2 pairs"
+        return
+    mean, dx, ssx = _exact_moments(xs)
+    big_x = max(map(abs, xs))
+    # the mean is rounded twice, and scaling drops parts below 2**-1074 of a
+    # value's scale: within two ulps plus 2**-1072 of the largest magnitude
+    slack = 2 * math.ulp(float(mean)) + math.ldexp(big_x, -1072) + 5e-324
+    assert abs(Fraction(summary.mean) - mean) <= Fraction(slack)
+    assert (summary.min, summary.max) == (min(xs), max(xs))
+    if summary.std_dev is not None:
+        assert math.isfinite(summary.std_dev)
+    if len(pairs) < 2 or min(xs) == max(xs) or min(ys) == max(ys):
+        assert cell.error is not None and cell.r is None
+        return
+    assert cell.error is None and -1.0 <= cell.r <= 1.0
+    _, dy, ssy = _exact_moments(ys)
+    sxy = sum(a * b for a, b in zip(dx, dy))
+    exact_r = math.sqrt(sxy * sxy / (ssx * ssy)) * (1 if sxy >= 0 else -1)
+    # each deviation carries the rounding of the mean, up to 2**-51 of the
+    # largest magnitude; r, the cosine of the angle between the deviation
+    # vectors, moves by at most twice their relative perturbation
+    n = len(pairs)
+    big_y = max(map(abs, ys))
+    spread = math.sqrt(Fraction(big_x) ** 2 / ssx) + math.sqrt(Fraction(big_y) ** 2 / ssy)
+    tilt = math.sqrt(n) * 2.0**-51 * spread
+    assert abs(cell.r - exact_r) <= 2 * tilt + 1e-14
 
 
 def test_correlation_matrix_rejects_ragged_columns():
