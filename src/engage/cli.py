@@ -68,15 +68,13 @@ def _bundled_path(relative: str) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8; text that cannot be encoded writes nothing."""
+    """Write ``text`` as UTF-8; text that cannot be encoded (a lone surrogate
+    from a hand-edited bundle) writes nothing, as it is encoded first."""
     try:
         data = text.encode("utf-8")
-    except UnicodeEncodeError as exc:  # a lone surrogate from a hand-edited bundle
-        raise StorageError(f"cannot write {path}: {exc}") from None
-    try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
