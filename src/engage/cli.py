@@ -9,6 +9,7 @@ error, never a stack trace.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -68,13 +69,20 @@ def _bundled_path(relative: str) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8; text that cannot be encoded (a lone surrogate
-    from a hand-edited bundle) writes nothing, as it is encoded first."""
+    """Write ``text`` as UTF-8 to a temporary file beside ``path``, then move
+    it over ``path`` in one step, so a failed write leaves the old file as it
+    was and no temporary file behind. Text that cannot be encoded (a lone
+    surrogate from a hand-edited bundle) writes nothing, as it is encoded first."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         data = text.encode("utf-8")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        with open(tmp, "xb") as f:  # created with the mode a plain write gives
+            f.write(data)
+        os.replace(tmp, path)
     except (OSError, UnicodeEncodeError) as exc:
+        with contextlib.suppress(OSError):  # nothing to remove when it was never made
+            tmp.unlink()
         raise StorageError(f"cannot write {path}: {exc}") from exc
 
 

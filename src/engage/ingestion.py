@@ -26,7 +26,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .metrics import VideoStatsSnapshot, normalize_snapshot
+from .metrics import VideoStatsSnapshot, _kept_comments
 from .stats import StudySample
 
 logger = logging.getLogger(__name__)
@@ -55,6 +55,7 @@ CATEGORY_LABELS = {
     "28": "Tech",
     "29": "Nonprofit",
 }
+_LABELS = {label: label for label in CATEGORY_LABELS.values()}  # each label's one str object
 
 
 class EngageError(Exception):
@@ -307,13 +308,19 @@ def _check_count(video_id: str, field: str, value) -> None:
         logger.warning("video %s: negative %s count %d", video_id, field, value)
 
 
-def _snapshot(
-    video_id, fetched_at, views, likes, dislikes, comments, comments_enabled, category
-) -> VideoStatsSnapshot:
-    """The one definition of a valid snapshot, for API items and store records.
+# A snapshot's eight fields in VideoStatsSnapshot's order, validated but not built.
+_Values = tuple[str, datetime, int, "int | None", "int | None", "int | None", bool, str]
 
-    A null count is a hidden counter, except ``views``, which is required.
-    Raises ParseError naming the first bad field.
+
+def _snapshot_values(
+    video_id, fetched_at, views, likes, dislikes, comments, comments_enabled, category
+) -> _Values:
+    """The one definition of a valid snapshot, for API items and store records:
+    its fields as ``VideoStatsSnapshot(*values)`` takes them.
+
+    A null count is a hidden counter, except ``views``, which is required. A
+    comment count with commenting disabled is dropped, as ``normalize_snapshot``
+    drops it. Raises ParseError naming the first bad field.
     """
     if not (type(video_id) is str and video_id and video_id.isascii()):
         _check_text(video_id, "video_id")
@@ -330,16 +337,16 @@ def _snapshot(
         raise ParseError(f"bad comments_enabled: {comments_enabled!r}", field="comments_enabled")
     if not (type(category) is str and category.isascii()):
         _check_text(category, "category")
-    snapshot = VideoStatsSnapshot(
-        video_id, fetched_at, views, likes, dislikes, comments, comments_enabled, category
-    )
-    if comments is not None and not comments_enabled:
-        return normalize_snapshot(snapshot)
-    return snapshot
+    if not comments_enabled:
+        comments = _kept_comments(video_id, comments, comments_enabled)
+    # a known label is held once, not once per record
+    category = _LABELS.get(category, category)
+    return video_id, fetched_at, views, likes, dislikes, comments, comments_enabled, category
 
 
 def _api_count(value):
-    """An API count string as an int; a value int() refuses is left for _snapshot to reject."""
+    """An API count string as an int; a value int() refuses is left for
+    _snapshot_values to reject."""
     if value is None:
         return None
     try:
@@ -360,7 +367,7 @@ def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
     category = CATEGORY_LABELS.get(category_id)
     if category is None:
         category = f"Category {category_id}" if category_id else ""
-    return _snapshot(
+    return VideoStatsSnapshot(*_snapshot_values(
         item.get("id"),
         fetched_at,
         _api_count(stats.get("viewCount")),
@@ -370,7 +377,7 @@ def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
         # the API omits the comment count when commenting is disabled
         "commentCount" in stats,
         category,
-    )
+    ))
 
 
 def _parse_page(payload: dict) -> tuple[list[VideoStatsSnapshot], str | None]:
@@ -432,13 +439,21 @@ def collect_sweeps(config: FetchConfig, occasions: int) -> Iterator[list[VideoSt
 def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnapshot]:
     """One snapshot per video id: latest fetched_at wins, ties go to the
     later-read record. Output keeps first-encounter order of the ids."""
-    best: dict[str, VideoStatsSnapshot] = {}
-    for snap in snapshots:
-        current = best.get(snap.video_id)
+    latest = _latest_by_id((s.video_id, s.fetched_at, s) for s in snapshots)
+    return [row[-1] for row in latest.values()]
+
+
+def _latest_by_id(rows: Iterable[tuple]) -> dict[str, tuple]:
+    """The latest of each id's ``(video_id, fetched_at, ...)`` rows, keyed by id:
+    a later fetched_at wins, a tie goes to the later-read row, and the ids keep
+    their first-seen order. The one dedup rule, for ``dedup_latest`` and the load."""
+    best: dict[str, tuple] = {}
+    for row in rows:
+        current = best.get(row[0])
         # replacing a key's value keeps the key's place in the dict
-        if current is None or snap.fetched_at >= current.fetched_at:
-            best[snap.video_id] = snap
-    return list(best.values())
+        if current is None or row[1] >= current[1]:
+            best[row[0]] = row
+    return best
 
 
 def fetch_by_ids(
@@ -484,10 +499,15 @@ def snapshot_to_record(snapshot: VideoStatsSnapshot) -> dict:
 
 
 def snapshot_from_record(record: dict) -> VideoStatsSnapshot:
+    return VideoStatsSnapshot(*_record_values(record))
+
+
+def _record_values(record: dict) -> _Values:
+    """A store record's validated fields; raises ParseError naming the first bad one."""
     if not isinstance(record, dict):
         raise ParseError("record is not a JSON object")
     get = record.get
-    return _snapshot(
+    return _snapshot_values(
         get("video_id"),
         parse_rfc3339(get("fetched_at")),
         get("views"),
@@ -578,7 +598,7 @@ def _end_last_line(f, name: str) -> None:
         chunks.append(chunk[cut:])
     start, tail = start + cut, b"".join(reversed(chunks))
     try:
-        snapshot_from_record(_decode_line(tail.decode("utf-8")))
+        _record_values(_decode_line(tail.decode("utf-8")))
     except (ValueError, RecursionError, ParseError) as exc:
         f.truncate(start)
         logger.warning("%s: torn final line of %d bytes dropped before appending: %s",
@@ -606,25 +626,27 @@ def _decode_line(line: str):
 def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
     """Read the store back into a deduplicated sample, one line at a time.
 
-    Only the latest snapshot of each id is held, so memory grows with the
-    unique ids, not with the records. A malformed line (not UTF-8, not JSON,
-    or not a valid record) aborts with an error naming the line number; in
-    lenient mode it is skipped with a warning instead, and the count of
-    skipped lines lands in the selection note. A malformed final line with
-    no line end is the torn tail of an interrupted append: either mode skips
-    it with a warning and names it in the note.
+    Every line is validated, but only the latest record of each id is held,
+    as a tuple of its fields, so memory grows with the unique ids, not with
+    the records; once the file is read, only those records become snapshots.
+    A malformed line (not UTF-8, not JSON, or not a valid record) aborts
+    with an error naming the line number; in lenient mode it is skipped with
+    a warning instead, and the count of skipped lines lands in the selection
+    note. A malformed final line with no line end is the torn tail of an
+    interrupted append: either mode skips it with a warning and names it in
+    the note.
     """
     records = skipped = 0
     torn = False
 
-    def snapshots(lines: Iterable[bytes]) -> Iterator[VideoStatsSnapshot]:
+    def rows(lines: Iterable[bytes]) -> Iterator[_Values]:
         nonlocal records, skipped, torn
         for lineno, raw in enumerate(lines, start=1):
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                snap = snapshot_from_record(_decode_line(line))
+                values = _record_values(_decode_line(line))
             except (ValueError, RecursionError, ParseError) as exc:
                 if not raw.endswith(b"\n"):  # only the final line can lack one
                     logger.warning("%s line %d: torn final line skipped: %s",
@@ -637,17 +659,23 @@ def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
                 skipped += 1
                 continue
             records += 1
-            yield snap
+            yield values
 
     try:
         with open(path, "rb") as f:
-            unique = dedup_latest(snapshots(f))
+            latest = _latest_by_id(rows(f))
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
+    # each tuple is replaced as its snapshot is built, so the two are never
+    # both held in full
+    for video_id, values in latest.items():
+        latest[video_id] = VideoStatsSnapshot(*values)
+    unique = tuple(latest.values())
+    del latest  # freed before the sample's own id check allocates
 
     note = f"loaded {records} records from {path.name}, {len(unique)} unique ids"
     if skipped:
         note += f", {skipped} malformed line(s) skipped"
     if torn:
         note += ", 1 torn final line skipped"
-    return StudySample(snapshots=tuple(unique), selection_note=note)
+    return StudySample(snapshots=unique, selection_note=note)

@@ -95,15 +95,22 @@ def normalize_snapshot(snapshot: VideoStatsSnapshot) -> VideoStatsSnapshot:
     commenting turned off; the count is untrustworthy, so it is normalized
     to absent (with a warning unless it is zero).
     """
-    if snapshot.comments_enabled or snapshot.comments is None:
-        return snapshot
-    if snapshot.comments:
+    comments = _kept_comments(snapshot.video_id, snapshot.comments, snapshot.comments_enabled)
+    return snapshot if comments is snapshot.comments else replace(snapshot, comments=comments)
+
+
+def _kept_comments(video_id: str, comments: int | None, comments_enabled: bool) -> int | None:
+    """The comment count a snapshot keeps: none when commenting is disabled,
+    with a warning when the dropped count is not zero."""
+    if comments_enabled or comments is None:
+        return comments
+    if comments:
         logger.warning(
             "video %s: comment count %d with commenting disabled; dropping count",
-            snapshot.video_id,
-            snapshot.comments,
+            video_id,
+            comments,
         )
-    return replace(snapshot, comments=None)
+    return None
 
 
 def compute_metrics(snapshot: VideoStatsSnapshot) -> EngagementMetrics:

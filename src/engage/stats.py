@@ -161,7 +161,7 @@ def summarize(values: Iterable[OptionalNumber]) -> SampleSummary:
     xs = _defined(values)
     if not xs:
         return SampleSummary(n=0)
-    n, e, mean, dx, ss, _ = _deviations(xs)
+    n, e, mean, dx, ss, _, lo, hi = _deviations(xs)
 
     std_dev = skew = kurt = None
     if n >= 2:  # ss is 0 for a constant series
@@ -179,8 +179,8 @@ def summarize(values: Iterable[OptionalNumber]) -> SampleSummary:
                 - 3 * (n - 1) ** 2 / ((n - 2) * (n - 3))
             )
 
-    return SampleSummary(n=n, mean=math.ldexp(mean, e), std_dev=std_dev, min=min(xs),
-                         max=max(xs), skewness=skew, kurtosis=kurt)
+    return SampleSummary(n=n, mean=math.ldexp(mean, e), std_dev=std_dev, min=lo, max=hi,
+                         skewness=skew, kurtosis=kurt)
 
 
 def pearson(
@@ -217,14 +217,15 @@ def _take(values: Sequence[OptionalNumber], rows: bytes) -> list[float]:
     return list(map(float, compress(values, rows)))
 
 
-_Deviations = tuple[int, int, float, "array[float] | None", float, "str | None"]
+_Deviations = tuple[int, int, float, "array[float] | None", float, "str | None", float, float]
 
 
 def _deviations(values: list[float]) -> _Deviations:
-    """``(n, e, mean, dx, ss, error)``: the mean of ``values * 2**-e``, the
-    deviations from it and their sum of squares, or why the series has no
-    correlation (``dx`` is then None). This is the one degeneracy rule: fewer
-    than 2 values, or all values equal (tested exactly, not via a rounded mean).
+    """``(n, e, mean, dx, ss, error, lo, hi)``: the mean of ``values * 2**-e``,
+    the deviations from it and their sum of squares, or why the series has no
+    correlation (``dx`` is then None), and the unscaled min and max. This is
+    the one degeneracy rule: fewer than 2 values, or all values equal (tested
+    exactly, not via a rounded mean).
     """
     n = len(values)
     lo, hi = min(values, default=0.0), max(values, default=0.0)
@@ -241,19 +242,19 @@ def _deviations(values: list[float]) -> _Deviations:
         values = [math.ldexp(x, -e) for x in values]
     mean = math.fsum(values) / n if n else 0.0
     if n < 2:
-        return n, e, mean, None, 0.0, "fewer than 2 pairs"
+        return n, e, mean, None, 0.0, "fewer than 2 pairs", lo, hi
     if lo == hi:
-        return n, e, mean, None, 0.0, "constant series"
+        return n, e, mean, None, 0.0, "constant series", lo, hi
     dx = array("d", map(sub, values, repeat(mean)))
     # pow, not d * d: d * d rounds some squares differently, which can move
     # r in its last bit
-    return n, e, mean, dx, math.fsum(map(pow, dx, repeat(2))), None
+    return n, e, mean, dx, math.fsum(map(pow, dx, repeat(2))), None, lo, hi
 
 
 def _cell(x: _Deviations, y: _Deviations) -> CorrelationCell:
     """The Pearson cell of two series' deviations over the same rows."""
-    n, _, _, dx, ssx, error = x
-    _, _, _, dy, ssy, y_error = y
+    n, _, _, dx, ssx, error, _, _ = x
+    _, _, _, dy, ssy, y_error, _, _ = y
     error = error or y_error
     if error is not None:
         return CorrelationCell(r=None, p_value=None, n=n, error=error)
@@ -364,7 +365,7 @@ def correlation_matrix(
         deviations = {i: _deviations(_take(series[i], rows)) for i in set(chain(*pairs))}
         for i, j in pairs:
             if i == j:
-                n, _, _, _, _, error = deviations[i]
+                n, _, _, _, _, error, _, _ = deviations[i]
                 cell = CorrelationCell(r=None if error else 1.0, p_value=None, n=n, error=error)
             else:
                 cell = _cell(deviations[i], deviations[j])

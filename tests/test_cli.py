@@ -174,6 +174,22 @@ def test_analyze_writes_bundle(pipeline):
     assert data["provenance"]["upper_quartile_n"] == 75
 
 
+def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(pipeline, tmp_path,
+                                                                 capsys, monkeypatch):
+    out = tmp_path / "b.json"
+    out.write_text("old bundle", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["analyze", "--store", str(pipeline["store"]), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err and "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "old bundle"
+    assert [path.name for path in tmp_path.iterdir()] == ["b.json"]
+
+
 def test_analyze_shortfall_keeps_going(pipeline, tmp_path, capsys):
     out = tmp_path / "b.json"
     argv = ["analyze", "--store", str(pipeline["store"]), "--n", "150",

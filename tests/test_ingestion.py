@@ -614,8 +614,10 @@ def test_load_lenient_skips_a_non_utf8_line(tmp_path, caplog):
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "é"]), st.sampled_from([T1, T2]),
                           st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "\n", " \r\n"])),
                 max_size=10),
-       st.booleans())
-def test_load_equals_dedup_of_every_non_blank_line(drawn, unterminated):
+       st.integers(0, 9), st.booleans())
+def test_load_equals_dedup_of_every_non_blank_line(drawn, tie, unterminated):
+    if drawn:  # one more record of a drawn id at its drawn time: a tie the later one wins
+        drawn = [*drawn, drawn[tie % len(drawn)]]
     # views = write position, so every record is distinguishable
     text = "".join(json.dumps(snapshot_to_record(snap(vid, views=i, fetched_at=t)),
                               ensure_ascii=False) + end + blank
@@ -623,7 +625,9 @@ def test_load_equals_dedup_of_every_non_blank_line(drawn, unterminated):
     if unterminated:
         text = text.rstrip("\r\n")  # a valid final record without its line end
     lines = [line for line in text.split("\n") if line.strip()]
-    expected = dedup_latest(snapshot_from_record(json.loads(line)) for line in lines)
+    records = [snapshot_from_record(json.loads(line)) for line in lines]
+    expected = _dedup_reference(records)
+    assert dedup_latest(records) == expected
     with tempfile.TemporaryDirectory() as directory:
         store = Path(directory) / "snaps.jsonl"
         store.write_bytes(text.encode("utf-8"))
@@ -631,6 +635,20 @@ def test_load_equals_dedup_of_every_non_blank_line(drawn, unterminated):
     assert loaded.snapshots == tuple(expected)
     assert loaded.selection_note == (
         f"loaded {len(lines)} records from snaps.jsonl, {len(expected)} unique ids")
+
+
+def test_load_warns_once_for_each_record_a_later_one_supersedes(tmp_path, caplog):
+    store = tmp_path / "snaps.jsonl"
+    store_snapshots(store, [snap("a", likes=-4), snap("b", comments=7, comments_enabled=False),
+                            snap("c")])
+    store_snapshots(store, [snap(v, views=2, fetched_at=T2) for v in "abc"])
+    with caplog.at_level("WARNING"):
+        loaded = load_snapshots(store)
+    assert [(s.video_id, s.views) for s in loaded.snapshots] == [("a", 2), ("b", 2), ("c", 2)]
+    assert [(rec.name, rec.getMessage()) for rec in caplog.records] == [
+        ("engage.ingestion", "video a: negative likes count -4"),
+        ("engage.metrics", "video b: comment count 7 with commenting disabled; dropping count"),
+    ]
 
 
 def test_load_skips_a_torn_tail_cut_at_any_byte(tmp_path, caplog):

@@ -3,7 +3,7 @@ import random
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engage.ingestion import MAX_COUNT
@@ -231,6 +231,22 @@ def test_json_round_trip_preserves_everything(bundle):
     assert render(restored, "json") == text
     assert render(restored, "md") == render(bundle, "md")
     assert render(restored, "csv") == render(bundle, "csv")
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.lists(st.tuples(st.one_of(counts, small_counts), optional_counts, optional_counts,
+                          optional_counts, st.booleans(), st.sampled_from(["News", "Música", ""])),
+                min_size=1, max_size=12))
+def test_json_round_trip_of_any_drawn_sample_is_exact(rows):
+    # counts up to 2**64 - 1 in magnitude, hidden counters and disabled comments
+    sample = StudySample(snapshots=tuple(
+        VideoStatsSnapshot(video_id=f"v{i}", fetched_at=NOW, views=views, likes=likes,
+                           dislikes=dislikes, comments=comments, comments_enabled=enabled,
+                           category=category)
+        for i, (views, likes, dislikes, comments, enabled, category) in enumerate(rows)
+    ), selection_note="drawn sample")
+    bundle = build_report(sample)
+    assert bundle_from_json(json.loads(render(bundle, "json"))) == bundle
 
 
 def test_every_markdown_number_is_in_json(bundle):

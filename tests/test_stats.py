@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -392,6 +392,16 @@ def _exact(cell):
                  for v in (cell.r, cell.p_value, cell.n, cell.error))
 
 
+@settings(derandomize=True, max_examples=200)
+@given(columns=matrix_columns())
+def test_correlation_matrix_is_symmetric_with_each_columns_count_on_its_diagonal(columns):
+    m = correlation_matrix(columns)
+    for i, name in enumerate(m.names):
+        assert m.cells[i][i].n == sum(v is not None for v in columns[name])
+        for j in range(len(m.names)):
+            assert m.cells[i][j] == m.cells[j][i]
+
+
 @given(columns=matrix_columns())
 def test_correlation_matrix_cells_equal_pearson_exactly(columns):
     m = correlation_matrix(columns)
@@ -492,6 +502,21 @@ def test_quartile_filter_breaks_ties_by_video_id():
 def test_quartile_sizes_for_odd_n():
     # floor boundaries: n=10 -> drop floor(10/4)=2
     assert len(upper_quartile(sample_of(list(range(10))))) == 8
+
+
+@settings(derandomize=True, max_examples=25)
+@given(st.lists(st.integers(0, 5), min_size=200, max_size=200))
+def test_upper_quartile_keeps_n_minus_a_quarter_in_sample_order_for_every_n(views):
+    # few distinct view counts, so ties at the cut are common; each prefix is one n
+    snaps = sample_of(views).snapshots
+    for n in range(len(snaps) + 1):
+        rows = upper_quartile_rows(snaps[:n])
+        assert len(rows) == n - n // 4
+        assert rows == sorted(set(rows))  # sample order, each index once
+        dropped = sorted(set(range(n)) - set(rows),
+                         key=lambda i: (snaps[i].views, snaps[i].video_id))
+        ranked = sorted(range(n), key=lambda i: (snaps[i].views, snaps[i].video_id))
+        assert dropped == ranked[:n // 4]
 
 
 def test_study_sample_rejects_duplicate_ids():
