@@ -79,6 +79,8 @@ def _write_text(path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "xb") as f:  # created with the mode a plain write gives
             f.write(data)
+        with contextlib.suppress(FileNotFoundError):  # an old file keeps its mode
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         os.replace(tmp, path)
     except (OSError, UnicodeEncodeError) as exc:
         with contextlib.suppress(OSError):  # nothing to remove when it was never made

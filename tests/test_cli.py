@@ -190,6 +190,15 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(pipeline, tmp_p
     assert [path.name for path in tmp_path.iterdir()] == ["b.json"]
 
 
+def test_rewritten_artifact_keeps_the_old_files_mode(pipeline, tmp_path):
+    out = tmp_path / "b.json"
+    out.write_text("old bundle", encoding="utf-8")
+    out.chmod(0o600)
+    assert main(["analyze", "--store", str(pipeline["store"]), "--out", str(out)]) == 0
+    assert out.stat().st_mode & 0o7777 == 0o600
+    assert json.loads(out.read_text(encoding="utf-8"))["format"] == "engage-bundle/1"
+
+
 def test_analyze_shortfall_keeps_going(pipeline, tmp_path, capsys):
     out = tmp_path / "b.json"
     argv = ["analyze", "--store", str(pipeline["store"]), "--n", "150",
