@@ -24,16 +24,16 @@ from .ingestion import (
     FetchConfig,
     ParseError,
     StorageError,
+    StoreAppender,
     TransportError,
+    collect_by_ids,
     collect_sweeps,
     default_transport,
-    fetch_by_ids,
     load_snapshots,
     read_json_object,
     select_study_sample,
-    store_snapshots,
 )
-from .metrics import VideoStatsSnapshot, compute_metrics
+from .metrics import compute_metrics
 from .report import (
     RENDER_FORMATS,
     bundle_from_json,
@@ -151,18 +151,19 @@ def _read_id_list(path: Path) -> list[str]:
     return ids
 
 
-def _store_pages(store: Path, pages: Iterable[list[VideoStatsSnapshot]]) -> tuple[int, int, int]:
-    """Append each page to the store as it arrives; returns the numbers of
-    pages, snapshots and unique ids. A failed fetch keeps the pages already
-    stored, and its error says how many there are."""
+def _store_pages(store: Path, pages: Iterable[Sequence[tuple]]) -> tuple[int, int, int]:
+    """Append each page of validated snapshot fields to the store as it
+    arrives, through one open store; returns the numbers of pages, snapshots
+    and unique ids. A failed fetch keeps the pages already stored, and its
+    error says how many there are."""
     n_pages = n_snapshots = 0
     ids: set[str] = set()
     try:
-        for page in pages:
-            store_snapshots(store, page)
-            n_pages += 1
-            n_snapshots += len(page)
-            ids.update(s.video_id for s in page)
+        with StoreAppender(store) as appender:
+            for page in pages:
+                n_snapshots += appender.append(page)
+                n_pages += 1
+                ids.update([row[0] for row in page])
     except (TransportError, ParseError) as exc:
         # the same type, so the exit code stays the same
         raise type(exc)(f"{exc} ({n_snapshots} snapshots from {n_pages} pages"
@@ -199,7 +200,7 @@ def run_fetch(args: argparse.Namespace) -> int:
         ids_path = Path(ids) if ids else _bundled_path(
             "fixtures/sampled_video_ids.txt"
         )
-        pages = fetch_by_ids(_read_id_list(ids_path), transport=default_transport(config))
+        pages = collect_by_ids(_read_id_list(ids_path), transport=default_transport(config))
     else:
         pages = collect_sweeps(config, occasions)
 

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
@@ -357,6 +358,11 @@ def _api_count(value):
 
 def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
     """One API item to a snapshot; raises ParseError naming the bad field."""
+    return VideoStatsSnapshot(*_item_values(item, fetched_at))
+
+
+def _item_values(item: dict, fetched_at: datetime) -> _Values:
+    """One API item's validated fields; raises ParseError naming the bad field."""
     if not isinstance(item, dict):
         raise ParseError("item is not a JSON object")
     stats = item.get("statistics")
@@ -367,7 +373,7 @@ def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
     category = CATEGORY_LABELS.get(category_id)
     if category is None:
         category = f"Category {category_id}" if category_id else ""
-    return VideoStatsSnapshot(*_snapshot_values(
+    return _snapshot_values(
         item.get("id"),
         fetched_at,
         _api_count(stats.get("viewCount")),
@@ -377,20 +383,24 @@ def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
         # the API omits the comment count when commenting is disabled
         "commentCount" in stats,
         category,
-    ))
+    )
 
 
-def _parse_page(payload: dict) -> tuple[list[VideoStatsSnapshot], str | None]:
+def _parse_page(payload: dict) -> tuple[list[_Values], str | None]:
     items = payload.get("items")
     if not isinstance(items, list):
         raise ParseError("page has no items list", field="items")
     recorded = payload.get("recordedAt")
     fetched_at = _utc_now_seconds() if recorded is None else parse_rfc3339(recorded)
-    snapshots = [parse_video_item(item, fetched_at) for item in items]
+    rows = [_item_values(item, fetched_at) for item in items]
     next_token = payload.get("nextPageToken")
     if next_token is not None and not isinstance(next_token, str):
         raise ParseError(f"bad nextPageToken: {next_token!r}", field="nextPageToken")
-    return snapshots, next_token
+    return rows, next_token
+
+
+def _snapshots(rows: Iterable[_Values]) -> list[VideoStatsSnapshot]:
+    return [VideoStatsSnapshot(*row) for row in rows]
 
 
 def fetch_trending_page(
@@ -405,6 +415,13 @@ def fetch_trending_page(
     (``None`` on the last one). Snapshots are stamped with the recorded
     fetch time if the page carries one, else with the current UTC time.
     """
+    rows, next_token = _trending_page(config, page_token, transport)
+    return _snapshots(rows), next_token
+
+
+def _trending_page(
+    config: FetchConfig, page_token: str | None, transport: Transport
+) -> tuple[list[_Values], str | None]:
     params = {
         "chart": "mostPopular",
         "part": "snippet,statistics",
@@ -416,9 +433,10 @@ def fetch_trending_page(
     return _parse_page(transport.get_page(params))
 
 
-def collect_sweeps(config: FetchConfig, occasions: int) -> Iterator[list[VideoStatsSnapshot]]:
+def collect_sweeps(config: FetchConfig, occasions: int) -> Iterator[list[_Values]]:
     """Run ``occasions`` sweeps, sweep k through ``default_transport(config, sweep=k)``;
-    yields each page's snapshots as the page arrives, in fetch order.
+    yields each page as the page arrives, in fetch order, as the validated
+    fields of its snapshots (``VideoStatsSnapshot(*row)`` builds one).
 
     A fixture sweep k replays recorded sweep k; a live sweep is a fresh pass
     over the current chart. Each follows page tokens for at most MAX_PAGES.
@@ -430,7 +448,7 @@ def collect_sweeps(config: FetchConfig, occasions: int) -> Iterator[list[VideoSt
         transport = default_transport(config, sweep=sweep)
         token: str | None = None
         for _ in range(MAX_PAGES):
-            page, token = fetch_trending_page(config, page_token=token, transport=transport)
+            page, token = _trending_page(config, token, transport)
             yield page
             if token is None:
                 break
@@ -465,6 +483,11 @@ def fetch_by_ids(
     Statistics drift over time, so re-querying a historical id list yields
     present-day counters, not the ones originally studied.
     """
+    return map(_snapshots, collect_by_ids(video_ids, transport=transport))
+
+
+def collect_by_ids(video_ids: Sequence[str], *, transport: Transport) -> Iterator[list[_Values]]:
+    """``fetch_by_ids``'s pages as the validated fields of their snapshots."""
     for start in range(0, len(video_ids), PAGE_SIZE):
         batch = video_ids[start : start + PAGE_SIZE]
         params = {"part": "snippet,statistics", "id": ",".join(batch)}
@@ -530,19 +553,18 @@ def _json_value(value) -> str:
     return "null" if value is None else _encode(value)
 
 
-def _record_line(snap: VideoStatsSnapshot) -> str:
-    """``json.dumps(snapshot_to_record(snap), ensure_ascii=False) + "\\n"``, from one template.
+def _record_line(values: _Values) -> str:
+    """One store line from a snapshot's fields, by one template: for
+    ``s = VideoStatsSnapshot(*values)``, ``json.dumps(snapshot_to_record(s),
+    ensure_ascii=False) + "\\n"``.
 
     Exact-type strs, ints and bools are written directly; any other value
     (a hand-built snapshot's float count, say) goes through the JSON encoder.
     """
-    video_id, views, likes, dislikes, comments, enabled, category = (
-        snap.video_id, snap.views, snap.likes, snap.dislikes, snap.comments,
-        snap.comments_enabled, snap.category,
-    )
+    video_id, fetched_at, views, likes, dislikes, comments, enabled, category = values
     return (
         f'{{"video_id": {_quote(video_id) if type(video_id) is str else _json_value(video_id)}, '
-        f'"fetched_at": {_quote(format_rfc3339(snap.fetched_at))}, '
+        f'"fetched_at": {_quote(format_rfc3339(fetched_at))}, '
         f'"views": {views if type(views) is int else _json_value(views)}, '
         f'"likes": {likes if type(likes) is int else _json_value(likes)}, '
         f'"dislikes": {dislikes if type(dislikes) is int else _json_value(dislikes)}, '
@@ -553,31 +575,74 @@ def _record_line(snap: VideoStatsSnapshot) -> str:
     )
 
 
+# A snapshot's eight fields, in order, as the tuple _record_line takes.
+_fields = attrgetter(
+    "video_id", "fetched_at", "views", "likes", "dislikes", "comments", "comments_enabled",
+    "category",
+)
+
+
 def store_snapshots(path: Path, snapshots: Sequence[VideoStatsSnapshot]) -> int:
     """Append one record per snapshot; returns the number written.
 
     Appending never rewrites existing lines; deduplication happens on read.
     Each line is ``json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\\n"``.
-    The page is encoded before the file is opened, so a page that cannot be
+    The page is encoded before it is written, so a page that cannot be
     encoded (a lone surrogate in its text) raises ParseError and writes
     nothing. A store whose last line lacks its line end gets
     one when that line is a valid record; otherwise that torn tail of an
     interrupted append is cut away, with a warning, before the page goes on.
     """
-    if not snapshots:
-        return 0
-    try:
-        data = "".join(map(_record_line, snapshots)).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ParseError(f"snapshot text cannot be stored as UTF-8: {exc}") from None
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a+b") as f:
-            _end_last_line(f, path.name)
-            f.write(data)
-    except OSError as exc:
-        raise StorageError(f"cannot write {path}: {exc}") from exc
-    return len(snapshots)
+    with StoreAppender(path) as store:
+        return store.append(list(map(_fields, snapshots)))
+
+
+class StoreAppender:
+    """Appends pages of validated snapshot fields to one store, opened once.
+
+    The store is opened on the first non-empty page, so a run that stores
+    nothing creates no file, and its tail is repaired then, as
+    ``store_snapshots`` describes. Each page is encoded whole, written in one
+    call and flushed before ``append`` returns. Use it as a context manager:
+    the file is closed on every path.
+    """
+
+    def __init__(self, path: Path):
+        self._path = path
+        self._file = None
+
+    def __enter__(self) -> StoreAppender:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._file is not None:
+            f, self._file = self._file, None
+            try:
+                f.close()
+            except OSError as exc:
+                raise StorageError(f"cannot write {self._path}: {exc}") from exc
+
+    def append(self, page: Sequence[_Values]) -> int:
+        """Append one record per row of validated fields; returns the number written."""
+        if not page:
+            return 0
+        try:
+            data = "".join(map(_record_line, page)).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"snapshot text cannot be stored as UTF-8: {exc}") from None
+        try:
+            if self._file is None:
+                self._path.parent.mkdir(parents=True, exist_ok=True)
+                self._file = open(self._path, "a+b")
+                _end_last_line(self._file, self._path.name)
+            self._file.write(data)
+            self._file.flush()
+        except OSError as exc:
+            raise StorageError(f"cannot write {self._path}: {exc}") from exc
+        return len(page)
 
 
 def _end_last_line(f, name: str) -> None:

@@ -141,9 +141,10 @@ class StudySample:
     selection_note: str = ""
 
     def __post_init__(self) -> None:
-        ids = [s.video_id for s in self.snapshots]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({v for v, c in Counter(ids).items() if c > 1})
+        # a set of the ids and no list of them, since a store load peaks here
+        if len({s.video_id for s in self.snapshots}) != len(self.snapshots):
+            counts = Counter(s.video_id for s in self.snapshots)
+            dupes = sorted({v for v, c in counts.items() if c > 1})
             raise ValueError(f"duplicate video ids in sample: {dupes[:5]}")
 
 

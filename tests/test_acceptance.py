@@ -181,7 +181,8 @@ def test_criterion_6_bundled_category_table():
     with criterion(6, "bundled fixture reproduces the frozen category table summing to 100", 1.0):
         config = FetchConfig(fixture_dir=BUNDLED_FIXTURES)
         pages = collect_sweeps(config, 3)
-        candidates = StudySample(tuple(dedup_latest(s for page in pages for s in page)))
+        candidates = StudySample(tuple(dedup_latest(VideoStatsSnapshot(*row)
+                                                   for page in pages for row in page)))
         sample = select_study_sample(candidates, n=100)
         table = category_counts(sample)
         assert table == [

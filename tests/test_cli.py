@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import engage
+from engage import ingestion
 from engage.cli import main
+from engage.ingestion import load_snapshots
 
 BUNDLED_FIXTURES = Path(engage.__file__).parent / "fixtures" / "replication"
 
@@ -165,6 +167,73 @@ def test_failed_fetch_keeps_the_pages_already_stored(tmp_path, capsys):
     assert f"60 snapshots from 2 pages were stored in {store}" in err
     assert "sweep2_page1.json" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_fetch_of_only_empty_pages_creates_no_store(tmp_path, capsys):
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    for name, page in (("sweep1_page1", {"items": [], "nextPageToken": "sweep1_page2"}),
+                       ("sweep1_page2", {"items": []})):
+        (fixture / f"{name}.json").write_text(json.dumps(page), encoding="utf-8")
+    store = tmp_path / "new" / "s.jsonl"
+    assert main(["fetch", "--offline", str(fixture), "--store", str(store)]) == 0
+    assert "fetched 2 pages, 0 snapshots, 0 unique ids" in capsys.readouterr().out
+    assert not store.parent.exists()
+
+
+def test_fetch_cuts_a_torn_tail_once(tmp_path, capsys, caplog):
+    fresh = tmp_path / "fresh.jsonl"
+    assert main(["fetch", "--offline", str(BUNDLED_FIXTURES), "--store", str(fresh)]) == 0
+    first_line = fresh.read_bytes().split(b"\n")[0] + b"\n"
+    store = tmp_path / "s.jsonl"
+    store.write_bytes(first_line + b'{"video_id": "torn')
+    with caplog.at_level("WARNING"):
+        assert main(["fetch", "--offline", str(BUNDLED_FIXTURES), "--store", str(store)]) == 0
+    assert "fetched 6 pages, 180 snapshots, 106 unique ids" in capsys.readouterr().out
+    assert store.read_bytes() == first_line + fresh.read_bytes()
+    assert [r.getMessage() for r in caplog.records if "torn" in r.getMessage()] == [
+        "s.jsonl: torn final line of 18 bytes dropped before appending:"
+        " Unterminated string starting at: line 1 column 14 (char 13)"]
+    assert len(load_snapshots(store).snapshots) == 106  # strict: every line is whole
+
+
+def test_fetch_write_error_on_page_two_keeps_page_one_and_closes_the_store(
+        tmp_path, capsys, monkeypatch):
+    opened, writes = [], []
+
+    class FailsOnSecondWrite:
+        def __init__(self, f):
+            self.file = f
+
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+            return self.file.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.file, name)
+
+    def failing_open(file, mode="r", **kwargs):
+        if mode != "a+b":  # a fixture page, read
+            return open(file, mode, **kwargs)
+        opened.append(open(file, mode, **kwargs))
+        return FailsOnSecondWrite(opened[-1])
+
+    one_sweep = ["fetch", "--offline", str(BUNDLED_FIXTURES), "--occasions", "1", "--store"]
+    page1 = tmp_path / "page1.jsonl"
+    monkeypatch.setattr(ingestion, "MAX_PAGES", 1)
+    assert main([*one_sweep, str(page1)]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+
+    store = tmp_path / "s.jsonl"
+    monkeypatch.setattr(ingestion, "open", failing_open, raising=False)
+    assert main([*one_sweep, str(store)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {store}: [Errno 28] No space left on device\n"
+    assert store.read_bytes() == page1.read_bytes()
+    assert len(opened) == 1 and opened[0].closed  # one store, opened once
 
 
 def test_analyze_writes_bundle(pipeline):

@@ -6,14 +6,16 @@ import tempfile
 import urllib.error
 import urllib.parse
 import urllib.request
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engage import ingestion
+from engage.cli import main
 from engage.ingestion import (
     ConfigError,
     FetchConfig,
@@ -79,7 +81,12 @@ def write_page(directory, name, items, next_token=None, recorded_at="2013-12-10T
 
 def swept(config, occasions):
     """Every snapshot of ``collect_sweeps``, its pages flattened in fetch order."""
-    return [s for page in collect_sweeps(config, occasions) for s in page]
+    return [VideoStatsSnapshot(*row) for page in collect_sweeps(config, occasions) for row in page]
+
+
+def record_line(snapshot):
+    """The store line the line template writes for ``snapshot``."""
+    return ingestion._record_line(ingestion._fields(snapshot))
 
 
 def test_rfc3339_round_trip():
@@ -404,7 +411,60 @@ TEXT = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\u2028é音\ud800 '
 def test_store_line_template_equals_json_dumps(video_id, fetched_at, counts, enabled, category):
     s = VideoStatsSnapshot(video_id, fetched_at, *counts, enabled, category)
     expected = json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
-    assert ingestion._record_line(s) == expected
+    assert record_line(s) == expected
+
+
+ABSENT = object()  # a statistics key the item leaves out
+API_COUNTS = st.one_of(st.integers(-MAX_COUNT, MAX_COUNT),
+                       st.sampled_from([0, MAX_COUNT, -MAX_COUNT]))
+# any text a parsed item can hold: everything but lone surrogates
+API_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+@st.composite
+def api_items(draw):
+    """An API item with hidden counters (null or absent), disabled comments
+    (no commentCount), counts up to 2**64 - 1 in magnitude as text or number,
+    and known, unknown or non-ASCII category ids."""
+    stats = {}
+    for key, hidden in (("viewCount", st.nothing()), ("likeCount", st.sampled_from([None, ABSENT])),
+                        ("dislikeCount", st.sampled_from([None, ABSENT])),
+                        ("commentCount", st.sampled_from([None, ABSENT]))):
+        value = draw(st.one_of(hidden, API_COUNTS.map(str), API_COUNTS))
+        if value is not ABSENT:
+            stats[key] = value
+    result = {"id": draw(API_TEXT.filter(bool)), "statistics": stats}
+    category_id = draw(st.one_of(st.sampled_from([ABSENT, "25", "10", 24]), API_TEXT))
+    if category_id is not ABSENT:
+        result["snippet"] = {"categoryId": category_id}
+    return result
+
+
+@settings(derandomize=True, max_examples=60)
+@given(items=st.lists(api_items(), min_size=1, max_size=6), split=st.integers(0, 6),
+       recorded_at=st.sampled_from(["2013-12-10T09:00:00Z", "2013-12-10T10:30:00+01:30",
+                                    "2013-12-10T09:00:00"]))
+def test_fetch_writes_json_dumps_of_each_parsed_item(items, split, recorded_at):
+    # two pages through one open store; each line is the record of parse_video_item's snapshot
+    fetched_at = parse_rfc3339(recorded_at)
+    built = [parse_video_item(i, fetched_at) for i in items]
+    expected = "".join(json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
+                       for s in built).encode("utf-8")
+    with tempfile.TemporaryDirectory() as directory:
+        fixture = Path(directory)
+        write_page(fixture, "sweep1_page1", items[:split], next_token="sweep1_page2",
+                   recorded_at=recorded_at)
+        write_page(fixture, "sweep1_page2", items[split:], recorded_at=recorded_at)
+        store = fixture / "fetched.jsonl"
+        assert main(["fetch", "--offline", directory, "--store", str(store)]) == 0
+        assert store.read_bytes() == expected
+        # a hand-built snapshot keeps a comment count its disabled section contradicts
+        stray = [replace(s, comments=7) for s in built if not s.comments_enabled]
+        direct = fixture / "stored.jsonl"
+        assert store_snapshots(direct, built + stray) == len(built) + len(stray)
+        assert direct.read_bytes() == expected + "".join(
+            json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n" for s in stray
+        ).encode("utf-8")
 
 
 def test_store_page_that_cannot_be_encoded_writes_nothing(tmp_path):
@@ -680,7 +740,7 @@ def test_append_repairs_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
     earlier = [snap("a", views=1), snap("b", views=2)]
     last = snap("c", views=3, category="Música ✓ 音楽")  # multi-byte UTF-8
     page = [snap("d", views=4), snap("a", views=5, fetched_at=T2)]
-    full = "".join(ingestion._record_line(s) for s in [*earlier, last]).encode("utf-8")
+    full = "".join(record_line(s) for s in [*earlier, last]).encode("utf-8")
     start = full.rindex(b"\n", 0, -1) + 1
     store = tmp_path / "snaps.jsonl"
     for cut in range(start, len(full) + 1):
@@ -700,9 +760,9 @@ def test_append_repairs_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
 def test_append_finds_a_line_end_on_a_read_back_chunk_boundary(tmp_path, caplog, tail_length):
     # the tail is read back in 4096-byte chunks; at 4096 the last line end is
     # the final byte of the second chunk, at 4095 the first byte of the first
-    first = ingestion._record_line(snap("a")).encode("utf-8")
-    padding = "x" * (tail_length + 1 - len(ingestion._record_line(snap("b", category=""))))
-    whole = ingestion._record_line(snap("b", category=padding)).encode("utf-8")[:-1]
+    first = record_line(snap("a")).encode("utf-8")
+    padding = "x" * (tail_length + 1 - len(record_line(snap("b", category=""))))
+    whole = record_line(snap("b", category=padding)).encode("utf-8")[:-1]
     assert len(whole) == tail_length
     store = tmp_path / "snaps.jsonl"
     for tail, kept in ((whole, ["a", "b", "c"]), (b"y" * tail_length, ["a", "c"])):

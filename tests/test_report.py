@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from datetime import datetime, timezone
 
@@ -247,6 +248,31 @@ def test_json_round_trip_of_any_drawn_sample_is_exact(rows):
     ), selection_note="drawn sample")
     bundle = build_report(sample)
     assert bundle_from_json(json.loads(render(bundle, "json"))) == bundle
+
+
+non_negative = st.one_of(st.integers(0, MAX_COUNT), st.integers(0, 3),
+                         st.sampled_from([0, MAX_COUNT]))
+optional_non_negative = st.one_of(st.none(), non_negative)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.lists(st.tuples(non_negative, optional_non_negative, optional_non_negative,
+                          optional_non_negative, st.booleans()), min_size=1, max_size=12))
+def test_rates_are_none_or_in_range_for_non_negative_counts(rows):
+    # zero views, zero votes and counts up to 2**64 - 1
+    sample = StudySample(snapshots=tuple(
+        VideoStatsSnapshot(video_id=f"v{i}", fetched_at=NOW, views=views, likes=likes,
+                           dislikes=dislikes, comments=comments, comments_enabled=enabled)
+        for i, (views, likes, dislikes, comments, enabled) in enumerate(rows)
+    ))
+    bundle = build_report(sample)
+    for name, high in (("CpkI", math.inf), ("VpkI", math.inf), ("DisP", 1.0)):
+        rates = bundle.rates[name]
+        assert len(rates) == len(rows)
+        assert all(r is None or 0.0 <= r <= high for r in rates), (name, rates)
+        summary = bundle.summary_metrics[name]
+        if summary.n:
+            assert 0.0 <= summary.min <= summary.max <= high
 
 
 def test_every_markdown_number_is_in_json(bundle):
