@@ -297,9 +297,12 @@ def run_report(args: argparse.Namespace) -> int:
     if bins_path:
         try:
             bins = load_binspec_file(Path(bins_path))
-            bundle = rebin_bundle(bundle, bins)
         except ValueError as exc:
             raise ConfigError(f"bad bins file {bins_path}: {exc}") from exc
+        try:
+            bundle = rebin_bundle(bundle, bins)
+        except ValueError as exc:  # the bins are valid, so the bundle's rates are not
+            raise StorageError(f"bundle {bundle_path} is malformed: {exc}") from exc
 
     written = _write_report_files(bundle, out_dir, formats)
     print(f"wrote {len(written)} files to {out_dir}")

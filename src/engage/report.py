@@ -12,7 +12,9 @@ moderate correlations), CSV (separate r/p/n columns, no markup) and JSON
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring
 from typing import Mapping
 
 from .ingestion import format_rfc3339, read_json_object
@@ -23,10 +25,10 @@ from .stats import (
     Histogram,
     SampleSummary,
     StudySample,
+    _correlations,
     category_counts,
     correlation_matrix,
     histogram,
-    summarize,
     upper_quartile_rows,
 )
 
@@ -36,6 +38,9 @@ MATRIX_KEYS = ("corr_full", "corr_upper_quartiles")
 METRIC_NAMES = ("CpkI", "VpkI", "DisP")
 BASIC_NAMES = ("Views", "Comments", "Votes")
 CORR_NAMES = ("CpkI", "VpkI", "DisP", "Views", "Votes+", "Votes-", "Comments", "Votes (sum)")
+# summary name -> the correlation column it summarizes
+SUMMARIZED_COLUMNS = {"Views": "Views", "Comments": "Comments", "Votes": "Votes (sum)",
+                      **{name: name for name in METRIC_NAMES}}
 
 # Approximate historical bin layouts; exact edges are a display choice and
 # fully configurable per report.
@@ -91,13 +96,13 @@ def build_report(sample: StudySample) -> ReportBundle:
     columns = _metric_columns(sample)
     upper = upper_quartile_rows(sample.snapshots)
 
-    summary_basic = {
-        "Views": summarize(columns["Views"]),
-        "Comments": summarize(columns["Comments"]),
-        "Votes": summarize(columns["Votes (sum)"]),
-    }
-    summary_metrics = {name: summarize(columns[name]) for name in METRIC_NAMES}
-    corr_full = correlation_matrix({name: columns[name] for name in CORR_NAMES})
+    # each summarized column's summary comes from the deviations taken for
+    # its diagonal in the full matrix, over the same rows summarize would use
+    corr_full, summaries = _correlations(
+        {name: columns[name] for name in CORR_NAMES}, SUMMARIZED_COLUMNS.values()
+    )
+    summary_basic = {name: summaries[SUMMARIZED_COLUMNS[name]] for name in BASIC_NAMES}
+    summary_metrics = {name: summaries[name] for name in METRIC_NAMES}
     corr_upper = correlation_matrix(
         {name: list(map(columns[name].__getitem__, upper)) for name in CORR_NAMES}
     )
@@ -160,13 +165,18 @@ def load_binspec_file(path) -> dict[str, BinSpec]:
 def rebin_bundle(bundle: ReportBundle, bins: Mapping[str, BinSpec]) -> ReportBundle:
     """New bundle with histograms and bin modes computed from the stored
     per-video rates (the only place rates are binned); metrics not named in
-    ``bins`` are left untouched."""
+    ``bins`` are left untouched. Raises ValueError, naming the series, when
+    the bundle lacks a rate series or holds a rate that is not a number."""
     histograms = dict(bundle.histograms)
     summaries = dict(bundle.summary_metrics)
     for name, spec in bins.items():
         if name not in bundle.rates:
             raise ValueError(f"bundle has no rate series for {name!r}")
-        histograms[name] = histogram(bundle.rates[name], spec)
+        try:
+            histograms[name] = histogram(bundle.rates[name], spec)
+        except (TypeError, ValueError, OverflowError) as exc:  # a rate that float() rejects
+            raise ValueError(f"rate series {name!r} holds a value that is not a number: {exc}"
+                             ) from None
         if name in summaries:
             summaries[name] = replace(summaries[name], bin_mode=histograms[name].mode)
     return replace(bundle, histograms=histograms, summary_metrics=summaries)
@@ -554,6 +564,86 @@ def bundle_from_json(data: dict) -> ReportBundle:
     )
 
 
+# the element types of a list that the C encoder may write on one line
+_FLAT_TYPES = frozenset((int, float, bool, type(None)))
+_flat_json = json.JSONEncoder(ensure_ascii=False).encode  # "[1, 2.5, null]"
+
+
+def _json_text(obj, end: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + end``,
+    with no copy of the text made to append ``end``.
+
+    ``json.dumps`` writes through its pure-Python encoder whenever ``indent``
+    is set. Here each list of plain numbers, bools and nulls, such as a
+    bundle's rate series, goes through the C encoder in one call, whose
+    ``", "`` separators are then replaced by the indented ones; everything
+    else takes the Python encoder's own recursion, so the text is the same.
+    """
+    chunks: list[str] = []
+    _json_chunks(obj, "\n", chunks.append)
+    chunks.append(end)
+    return "".join(chunks)
+
+
+def _json_chunks(obj, newline: str, out) -> None:
+    """Write ``obj`` to ``out`` as ``json.encoder``'s ``_make_iterencode`` does,
+    at the indent that ``newline`` ends with."""
+    if isinstance(obj, str):
+        out(encode_basestring(obj))
+    elif (text := _json_scalar(obj)) is not None:
+        out(text)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        if _FLAT_TYPES.issuperset(map(type, obj)):  # no string holds a ", "
+            out("[" + inner + _flat_json(obj)[1:-1].replace(", ", "," + inner) + newline + "]")
+            return
+        separator = "[" + inner
+        for value in obj:
+            out(separator)
+            _json_chunks(value, inner, out)
+            separator = "," + inner
+        out(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in sorted(obj.items()):
+            text = key if isinstance(key, str) else _json_scalar(key)
+            if text is None:
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            out(separator + encode_basestring(text) + ": ")
+            _json_chunks(value, inner, out)
+            separator = "," + inner
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _json_scalar(obj) -> str | None:
+    """The JSON text of None, a bool, an int or a float; None for anything else."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    return None
+
+
 RENDER_FORMATS = ("md", "csv", "json")
 
 
@@ -564,8 +654,7 @@ def render(bundle: ReportBundle, format: str = "md") -> str:
     if format == "csv":
         return _csv_report(bundle)
     if format == "json":
-        return json.dumps(bundle_to_json(bundle), sort_keys=True, indent=2,
-                          ensure_ascii=False) + "\n"
+        return _json_text(bundle_to_json(bundle), end="\n")
     raise ValueError(f"unknown format {format!r}; expected one of {RENDER_FORMATS}")
 
 

@@ -15,9 +15,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations_with_replacement, compress, repeat
 from operator import is_not, mul, sub, truediv
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .metrics import VideoStatsSnapshot
 
@@ -159,10 +160,14 @@ def summarize(values: Iterable[OptionalNumber]) -> SampleSummary:
     kurtosis; ``bin_mode`` is left for the report's binning to fill in.
     A standard deviation past the float range is ``None``.
     """
-    xs = _defined(values)
-    if not xs:
+    return _summary(_deviations(_defined(values)))
+
+
+def _summary(deviations: _Deviations) -> SampleSummary:
+    """``summarize`` of the values whose deviations these are."""
+    n, e, mean, dx, ss, _, lo, hi = deviations
+    if not n:
         return SampleSummary(n=0)
-    n, e, mean, dx, ss, _, lo, hi = _deviations(xs)
 
     std_dev = skew = kurt = None
     if n >= 2:  # ss is 0 for a constant series
@@ -218,7 +223,10 @@ def _take(values: Sequence[OptionalNumber], rows: bytes) -> list[float]:
     return list(map(float, compress(values, rows)))
 
 
-_Deviations = tuple[int, int, float, "array[float] | None", float, "str | None", float, float]
+# (n, e, mean, dx, ss, error, lo, hi); dx is an array("d"), or a list of the
+# same floats where one column meets many in a correlation matrix
+_Deviations = tuple[int, int, float, "array[float] | list[float] | None", float, "str | None",
+                    float, float]
 
 
 def _deviations(values: list[float]) -> _Deviations:
@@ -226,7 +234,8 @@ def _deviations(values: list[float]) -> _Deviations:
     the deviations from it and their sum of squares, or why the series has no
     correlation (``dx`` is then None), and the unscaled min and max. This is
     the one degeneracy rule: fewer than 2 values, or all values equal (tested
-    exactly, not via a rounded mean).
+    exactly, not via a rounded mean). One pass gives both a column's summary
+    (``_summary``) and its side of every Pearson cell (``_cell``).
     """
     n = len(values)
     lo, hi = min(values, default=0.0), max(values, default=0.0)
@@ -247,9 +256,8 @@ def _deviations(values: list[float]) -> _Deviations:
     if lo == hi:
         return n, e, mean, None, 0.0, "constant series", lo, hi
     dx = array("d", map(sub, values, repeat(mean)))
-    # pow, not d * d: d * d rounds some squares differently, which can move
-    # r in its last bit
-    return n, e, mean, dx, math.fsum(map(pow, dx, repeat(2))), None, lo, hi
+    # d * d is the correctly rounded square; the window above keeps it finite
+    return n, e, mean, dx, math.fsum(map(mul, dx, dx)), None, lo, hi
 
 
 def _cell(x: _Deviations, y: _Deviations) -> CorrelationCell:
@@ -343,8 +351,17 @@ def correlation_matrix(
     of its two columns. A diagonal cell is exactly r = 1 over the column's
     defined values unless ``pearson``'s degeneracy rule holds there: fewer
     than 2 values or all values equal. The diagonal then names the
-    condition, and so does every cell in its row.
+    condition, and so does every cell in its row. Each column's deviations
+    are taken once per set of rows it is paired on.
     """
+    return _correlations(columns)[0]
+
+
+def _correlations(
+    columns: Mapping[str, Sequence[OptionalNumber]], summarized: Collection[str] = ()
+) -> tuple[CorrelationMatrix, dict[str, SampleSummary]]:
+    """``correlation_matrix`` of ``columns``, plus ``summarize`` of each
+    column named in ``summarized``, taken from its diagonal's deviations."""
     names = tuple(columns.keys())
     series = [columns[name] for name in names]
     length = len(series[0]) if series else 0
@@ -361,19 +378,40 @@ def correlation_matrix(
         by_rows.setdefault(rows, []).append((i, j))
 
     cells: list[list[CorrelationCell | None]] = [[None] * len(names) for _ in names]
+    summaries: dict[str, SampleSummary] = {}
     for rows, pairs in by_rows.items():
-        # only one row set's deviations are held at a time
-        deviations = {i: _deviations(_take(series[i], rows)) for i in set(chain(*pairs))}
-        for i, j in pairs:
-            if i == j:
-                n, _, _, _, _, error, _, _ = deviations[i]
-                cell = CorrelationCell(r=None if error else 1.0, p_value=None, n=n, error=error)
-            else:
-                cell = _cell(deviations[i], deviations[j])
-            cells[i][j] = cells[j][i] = cell
-    return CorrelationMatrix(
+        _fill_row_set(cells, summaries, names, summarized,
+                      {i: _deviations(_take(series[i], rows)) for i in set(chain(*pairs))},
+                      pairs)
+    matrix = CorrelationMatrix(
         names=names, cells=tuple(tuple(row) for row in cells)  # type: ignore[arg-type]
     )
+    return matrix, summaries
+
+
+def _fill_row_set(cells: list[list], summaries: dict[str, SampleSummary],
+                  names: tuple[str, ...], summarized: Collection[str],
+                  deviations: dict[int, _Deviations], pairs: list[tuple[int, int]]) -> None:
+    """The cells of one row set's pairs, and the summaries on its diagonals.
+
+    Only this row set's deviations are held, and only while it is filled.
+    The pairs come sorted by their left column, which is turned into a list
+    once for all its pairs, so each product boxes one operand and not two.
+    """
+    left_i, left = -1, None
+    for i, j in pairs:
+        if i == j:
+            n, _, _, _, _, error, _, _ = deviations[i]
+            cells[i][i] = CorrelationCell(r=None if error else 1.0, p_value=None, n=n,
+                                          error=error)
+            if names[i] in summarized:
+                summaries[names[i]] = _summary(deviations[i])
+            continue
+        if i != left_i:
+            left_i, left = i, deviations[i]
+            if left[3] is not None:
+                left = (*left[:3], left[3].tolist(), *left[4:])
+        cells[i][j] = cells[j][i] = _cell(left, deviations[j])
 
 
 def upper_quartile_rows(snapshots: Sequence[VideoStatsSnapshot]) -> list[int]:
@@ -390,20 +428,16 @@ def upper_quartile_rows(snapshots: Sequence[VideoStatsSnapshot]) -> list[int]:
 def histogram(values: Iterable[OptionalNumber], bins: BinSpec) -> Histogram:
     """Count defined values into the bins, plus under/overflow buckets."""
     labels = bins.bin_labels
-    counts = [0] * len(labels)
-    under = over = 0
-    for v in values:
-        if v is None:
-            continue
-        idx = bins.bin_index(float(v))
-        if idx < 0:
-            under += 1
-        elif idx >= len(counts):
-            over += 1
-        else:
-            counts[idx] += 1
+    # bisect_right as in BinSpec.bin_index: 0 is underflow and len(edges)
+    # overflow, where NaN lands too. With the top edge raised by one ulp, a
+    # value equal to it falls in the last bin, which is closed on both ends.
+    edges = (*bins.edges[:-1], math.nextafter(bins.edges[-1], math.inf))
+    xs = map(float, filter(partial(is_not, None), values))
+    index = Counter(map(bisect_right, repeat(edges), xs))
     return Histogram(
-        rows=tuple(zip(labels, counts)), underflow=under, overflow=over,
+        rows=tuple(zip(labels, map(index.__getitem__, range(1, len(edges))))),
+        underflow=index[0],
+        overflow=index[len(edges)],
     )
 
 

@@ -577,6 +577,12 @@ def _bundle_with_category(tmp_path, bundle, category):
     return _write(tmp_path, "b.json", json.dumps(data))  # ASCII, with JSON escapes
 
 
+def _bundle_with_rate(tmp_path, bundle, rate):
+    data = json.loads(Path(bundle).read_text(encoding="utf-8"))
+    data["rates"]["CpkI"][0] = rate
+    return _write(tmp_path, "b.json", json.dumps(data))
+
+
 # (case, exit code, text the error names, argv from a scratch directory and a valid bundle)
 BAD_INPUT_CASES = [
     ("config-nested", 2, "config file",
@@ -606,6 +612,13 @@ BAD_INPUT_CASES = [
          tmp, bundle, '{"cpki": {"edges": [0, 1000], "labels": ["\\ud800"]}}')),
     ("bundle-category-surrogate", 4, "cannot write",
      lambda tmp, bundle: _report(tmp, _bundle_with_category(tmp, bundle, "\ud800"))),
+    # a valid bins file over a bundle whose rates cannot be binned blames the bundle
+    ("bundle-rate-past-float-range", 4, "rate series 'CpkI'",
+     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, 10**400),
+                                 '{"cpki": {"edges": [0, 1, 2]}}')),
+    ("bundle-rate-not-a-number", 4, "rate series 'CpkI'",
+     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, "x"),
+                                 '{"cpki": {"edges": [0, 1, 2]}}')),
 ]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -12,6 +13,8 @@ from engage.metrics import VideoStatsSnapshot, compute_cpki, compute_disp, compu
 from engage.report import (
     CORR_NAMES,
     DEFAULT_BINS,
+    METRIC_NAMES,
+    _json_text,
     _metric_columns,
     bundle_from_json,
     bundle_to_json,
@@ -29,6 +32,8 @@ from engage.stats import (
     Histogram,
     StudySample,
     correlation_matrix,
+    summarize,
+    upper_quartile_rows,
 )
 
 NOW = datetime(2013, 12, 10, 9, 0, 0, tzinfo=timezone.utc)
@@ -273,6 +278,75 @@ def test_rates_are_none_or_in_range_for_non_negative_counts(rows):
         summary = bundle.summary_metrics[name]
         if summary.n:
             assert 0.0 <= summary.min <= summary.max <= high
+
+
+@st.composite
+def drawn_samples(draw):
+    """Samples of 1 to 60 videos whose counter columns are each drawn whole or constant."""
+    n = draw(st.integers(1, 60))
+
+    def column(values, holes=False):
+        if draw(st.integers(0, 3)) == 0:
+            col = [draw(values)] * n
+        else:
+            col = draw(st.lists(values, min_size=n, max_size=n))
+        if holes and draw(st.booleans()):  # hidden counters
+            hidden = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            col = [None if hide else value for value, hide in zip(col, hidden)]
+        return col
+
+    views = column(st.one_of(st.integers(0, 3), counts))  # zero views included
+    likes, dislikes, comments = (column(st.one_of(small_counts, counts), holes=True)
+                                 for _ in range(3))
+    enabled = column(st.booleans())
+    return StudySample(snapshots=tuple(
+        VideoStatsSnapshot(video_id=f"v{i}", fetched_at=NOW, views=views[i], likes=likes[i],
+                           dislikes=dislikes[i], comments=comments[i],
+                           comments_enabled=enabled[i])
+        for i in range(n)
+    ))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(sample=drawn_samples())
+def test_summaries_and_matrices_equal_the_public_functions(sample):
+    # build_report takes each summary from the full matrix's diagonal
+    bundle = build_report(sample)
+    columns = _metric_columns(sample)
+    summarized = {"Views": "Views", "Comments": "Comments", "Votes": "Votes (sum)",
+                  **{name: name for name in METRIC_NAMES}}
+    summaries = {**bundle.summary_basic, **bundle.summary_metrics}
+    assert summaries.keys() == summarized.keys()
+    for name, column in summarized.items():
+        assert replace(summaries[name], bin_mode=None) == summarize(columns[column]), name
+    assert bundle.corr_full == correlation_matrix({name: columns[name] for name in CORR_NAMES})
+    upper = upper_quartile_rows(sample.snapshots)
+    assert bundle.corr_upper_quartiles == correlation_matrix(
+        {name: [columns[name][i] for i in upper] for name in CORR_NAMES}
+    )
+
+
+json_text = st.one_of(st.sampled_from(["", ", ", "a, b"]), st.text(st.one_of(
+    st.characters(), st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028",
+                                      "\U0001f600", "\ud800", "\udfff", ",", " "]))))
+json_numbers = st.one_of(st.booleans(), st.none(), st.integers(), st.integers(-2**80, 2**80),
+                         st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+json_trees = st.recursive(
+    st.one_of(json_numbers, json_text, st.lists(json_numbers)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(json_text, children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(tree=json_trees)
+def test_json_text_is_json_dumps_with_indent_2(tree):
+    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 def test_every_markdown_number_is_in_json(bundle):

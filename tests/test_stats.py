@@ -315,6 +315,36 @@ def test_histogram_equals_a_linear_scan(edges, drawn):
     assert (hist.underflow, hist.overflow) == (counts[0], counts[-1])
 
 
+@st.composite
+def binned_values(draw):
+    """A BinSpec, default or labelled, and values on, beside and far from its edges."""
+    edges = draw(st.lists(st.one_of(finite, st.integers(-5, 5).map(float)),
+                          min_size=2, max_size=8, unique=True).map(sorted))
+    labels = draw(st.one_of(st.none(), st.just([f"bin {i}" for i in range(len(edges) - 1)])))
+    bins = BinSpec(edges=tuple(edges), labels=None if labels is None else tuple(labels))
+    values = draw(st.lists(st.one_of(st.none(), finite, st.integers(-10, 10),
+                                     st.integers(-2**64, 2**64)), max_size=20))
+    values += [None, math.nan, -math.inf, math.inf, edges[-1], math.nextafter(edges[-1], 0.0)]
+    for edge in edges:
+        values += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        if edge == int(edge):
+            values.append(int(edge))
+    return bins, draw(st.permutations(values))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(binned=binned_values())
+def test_histogram_counts_what_bin_index_gives_each_value(binned):
+    bins, values = binned
+    counts = [0] * (len(bins.edges) + 1)  # underflow, bins..., overflow
+    for v in values:
+        if v is not None:
+            counts[bins.bin_index(float(v)) + 1] += 1
+    hist = histogram(values, bins)
+    assert hist.rows == tuple(zip(bins.bin_labels, counts[1:-1]))
+    assert (hist.underflow, hist.overflow) == (counts[0], counts[-1])
+
+
 @given(constant=finite, others=st.lists(moderate, min_size=2, max_size=30))
 def test_any_finite_constant_is_a_constant_series(constant, others):
     constants = [constant] * len(others)
