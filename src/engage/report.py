@@ -12,7 +12,6 @@ moderate correlations), CSV (separate r/p/n columns, no markup) and JSON
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring
 from typing import Mapping
@@ -566,7 +565,7 @@ def bundle_from_json(data: dict) -> ReportBundle:
 
 # the element types of a list that the C encoder may write on one line
 _FLAT_TYPES = frozenset((int, float, bool, type(None)))
-_flat_json = json.JSONEncoder(ensure_ascii=False).encode  # "[1, 2.5, null]"
+_c_json = json.JSONEncoder(ensure_ascii=False).encode  # one line: "[1, 2.5, null]"
 
 
 def _json_text(obj, end: str = "") -> str:
@@ -590,15 +589,15 @@ def _json_chunks(obj, newline: str, out) -> None:
     at the indent that ``newline`` ends with."""
     if isinstance(obj, str):
         out(encode_basestring(obj))
-    elif (text := _json_scalar(obj)) is not None:
-        out(text)
+    elif obj is None or isinstance(obj, (int, float)):  # a bool is an int
+        out(_c_json(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out("[]")
             return
         inner = newline + "  "
         if _FLAT_TYPES.issuperset(map(type, obj)):  # no string holds a ", "
-            out("[" + inner + _flat_json(obj)[1:-1].replace(", ", "," + inner) + newline + "]")
+            out("[" + inner + _c_json(obj)[1:-1].replace(", ", "," + inner) + newline + "]")
             return
         separator = "[" + inner
         for value in obj:
@@ -613,35 +612,17 @@ def _json_chunks(obj, newline: str, out) -> None:
         inner = newline + "  "
         separator = "{" + inner
         for key, value in sorted(obj.items()):
-            text = key if isinstance(key, str) else _json_scalar(key)
-            if text is None:
+            if key is None or isinstance(key, (int, float)):
+                key = _c_json(key)
+            elif not isinstance(key, str):
                 raise TypeError("keys must be str, int, float, bool or None, "
                                 f"not {key.__class__.__name__}")
-            out(separator + encode_basestring(text) + ": ")
+            out(separator + encode_basestring(key) + ": ")
             _json_chunks(value, inner, out)
             separator = "," + inner
         out(newline + "}")
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _json_scalar(obj) -> str | None:
-    """The JSON text of None, a bool, an int or a float; None for anything else."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj in (math.inf, -math.inf):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
-    return None
 
 
 RENDER_FORMATS = ("md", "csv", "json")

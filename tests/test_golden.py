@@ -3,7 +3,9 @@
 A refactor must leave every artifact byte for byte as it was. The digests
 were taken under Python 3.11.7 and hold under 3.10, 3.11, 3.12 and 3.13
 alike; they depend on no third-party package, since the p-values come from
-engage's own incomplete beta in `engage.stats`. A
+engage's own incomplete beta in `engage.stats`. They do depend on the C
+library's `pow`, `lgamma`, `log`, `log1p` and `exp`, which skewness,
+kurtosis and the p-values use; squares are plain products, not `pow`. A
 deliberate change of output re-pins them: run
 `python -m engage.cli replicate --out DIR`, replace the digests below by
 the output of `sha256sum DIR/*`, and name the output change in CHANGES.md.

@@ -337,7 +337,8 @@ json_trees = st.recursive(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(json_text, children, max_size=5),
-        st.dictionaries(st.integers(), children, max_size=3),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()), children,
+                        max_size=3),
     ),
     max_leaves=20,
 )
