@@ -563,9 +563,9 @@ def bundle_from_json(data: dict) -> ReportBundle:
     )
 
 
-# the element types of a list that the C encoder may write on one line
-_FLAT_TYPES = frozenset((int, float, bool, type(None)))
-_c_json = json.JSONEncoder(ensure_ascii=False).encode  # one line: "[1, 2.5, null]"
+# the element types of a list that the C encoder may write whole
+_FLAT_TYPES = frozenset((str, int, float, bool, type(None)))
+_c_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _json_text(obj, end: str = "") -> str:
@@ -573,10 +573,10 @@ def _json_text(obj, end: str = "") -> str:
     with no copy of the text made to append ``end``.
 
     ``json.dumps`` writes through its pure-Python encoder whenever ``indent``
-    is set. Here each list of plain numbers, bools and nulls, such as a
-    bundle's rate series, goes through the C encoder in one call, whose
-    ``", "`` separators are then replaced by the indented ones; everything
-    else takes the Python encoder's own recursion, so the text is the same.
+    is set. Here each scalar, and each list of plain strings, numbers, bools
+    and nulls, such as a bundle's rate series, goes through the C encoder in
+    one call, with the indented item separator as its own; the containers
+    around them take the Python encoder's recursion, so the text is the same.
     """
     chunks: list[str] = []
     _json_chunks(obj, "\n", chunks.append)
@@ -596,8 +596,11 @@ def _json_chunks(obj, newline: str, out) -> None:
             out("[]")
             return
         inner = newline + "  "
-        if _FLAT_TYPES.issuperset(map(type, obj)):  # no string holds a ", "
-            out("[" + inner + _c_json(obj)[1:-1].replace(", ", "," + inner) + newline + "]")
+        if _FLAT_TYPES.issuperset(map(type, obj)):
+            text = json.JSONEncoder(ensure_ascii=False, separators=("," + inner, ": ")).encode(obj)
+            out("[" + inner)
+            out(text[1:-1])
+            out(newline + "]")
             return
         separator = "[" + inner
         for value in obj:
