@@ -563,7 +563,7 @@ def bundle_from_json(data: dict) -> ReportBundle:
     )
 
 
-# the element types of a list that the C encoder may write whole
+# the value types of a list or dict that the C encoder may write whole
 _FLAT_TYPES = frozenset((str, int, float, bool, type(None)))
 _c_json = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -573,10 +573,11 @@ def _json_text(obj, end: str = "") -> str:
     with no copy of the text made to append ``end``.
 
     ``json.dumps`` writes through its pure-Python encoder whenever ``indent``
-    is set. Here each scalar, and each list of plain strings, numbers, bools
-    and nulls, such as a bundle's rate series, goes through the C encoder in
-    one call, with the indented item separator as its own; the containers
-    around them take the Python encoder's recursion, so the text is the same.
+    is set. Here each list or dict whose values are all plain strings,
+    numbers, bools or nulls (a bundle's rate series, a correlation cell, a
+    summary) goes through the C encoder in one call, with the indented item
+    separator as its own; the containers around them take the Python
+    encoder's recursion, so the text is the same.
     """
     chunks: list[str] = []
     _json_chunks(obj, "\n", chunks.append)
@@ -587,35 +588,28 @@ def _json_text(obj, end: str = "") -> str:
 def _json_chunks(obj, newline: str, out) -> None:
     """Write ``obj`` to ``out`` as ``json.encoder``'s ``_make_iterencode`` does,
     at the indent that ``newline`` ends with."""
-    if isinstance(obj, str):
-        out(encode_basestring(obj))
-    elif obj is None or isinstance(obj, (int, float)):  # a bool is an int
-        out(_c_json(obj))
+    if isinstance(obj, dict):
+        values, opening, closing = obj.values(), "{", "}"
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out("[]")
-            return
-        inner = newline + "  "
-        if _FLAT_TYPES.issuperset(map(type, obj)):
-            text = json.JSONEncoder(ensure_ascii=False, separators=("," + inner, ": ")).encode(obj)
-            out("[" + inner)
-            out(text[1:-1])
-            out(newline + "]")
-            return
-        separator = "[" + inner
-        for value in obj:
-            out(separator)
-            _json_chunks(value, inner, out)
-            separator = "," + inner
-        out(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
+        values, opening, closing = obj, "[", "]"
+    else:  # a string or a scalar; the C encoder rejects any other type as json.dumps does
+        out(_c_json(obj))
+        return
+    if not obj:
+        out(opening + closing)
+        return
+    inner = newline + "  "
+    if _FLAT_TYPES.issuperset(map(type, values)):
+        text = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
+                                separators=("," + inner, ": ")).encode(obj)
+        out(opening + inner)
+        out(text[1:-1])
+        out(newline + closing)
+        return
+    separator = opening + inner
+    if isinstance(obj, dict):
         for key, value in sorted(obj.items()):
-            if key is None or isinstance(key, (int, float)):
+            if key is None or isinstance(key, (int, float)):  # a bool is an int
                 key = _c_json(key)
             elif not isinstance(key, str):
                 raise TypeError("keys must be str, int, float, bool or None, "
@@ -623,9 +617,12 @@ def _json_chunks(obj, newline: str, out) -> None:
             out(separator + encode_basestring(key) + ": ")
             _json_chunks(value, inner, out)
             separator = "," + inner
-        out(newline + "}")
     else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        for value in obj:
+            out(separator)
+            _json_chunks(value, inner, out)
+            separator = "," + inner
+    out(newline + closing)
 
 
 RENDER_FORMATS = ("md", "csv", "json")
