@@ -25,7 +25,6 @@ from .ingestion import (
     TransportError,
     dedup_latest,
     fetch_by_ids,
-    fetch_trending_page,
     load_snapshots,
     select_study_sample,
     store_snapshots,
@@ -37,7 +36,6 @@ from .metrics import (
     compute_disp,
     compute_metrics,
     compute_vpki,
-    normalize_snapshot,
 )
 from .report import (
     DEFAULT_BINS,
@@ -100,10 +98,8 @@ __all__ = [
     "correlation_matrix",
     "dedup_latest",
     "fetch_by_ids",
-    "fetch_trending_page",
     "histogram",
     "load_snapshots",
-    "normalize_snapshot",
     "pearson",
     "render",
     "render_histogram_plot",

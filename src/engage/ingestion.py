@@ -320,8 +320,9 @@ def _snapshot_values(
     its fields as ``VideoStatsSnapshot(*values)`` takes them.
 
     A null count is a hidden counter, except ``views``, which is required. A
-    comment count with commenting disabled is dropped, as ``normalize_snapshot``
-    drops it. Raises ParseError naming the first bad field.
+    comment count with commenting disabled is dropped, with a warning unless it
+    is zero. ``fetched_at`` is passed through unchecked. Raises ParseError
+    naming the first bad field.
     """
     if not (type(video_id) is str and video_id and video_id.isascii()):
         _check_text(video_id, "video_id")
@@ -354,11 +355,6 @@ def _api_count(value):
         return int(value)
     except (TypeError, ValueError, OverflowError):
         return value
-
-
-def parse_video_item(item: dict, fetched_at: datetime) -> VideoStatsSnapshot:
-    """One API item to a snapshot; raises ParseError naming the bad field."""
-    return VideoStatsSnapshot(*_item_values(item, fetched_at))
 
 
 def _item_values(item: dict, fetched_at: datetime) -> _Values:
@@ -399,29 +395,13 @@ def _parse_page(payload: dict) -> tuple[list[_Values], str | None]:
     return rows, next_token
 
 
-def _snapshots(rows: Iterable[_Values]) -> list[VideoStatsSnapshot]:
-    return [VideoStatsSnapshot(*row) for row in rows]
-
-
-def fetch_trending_page(
-    config: FetchConfig,
-    page_token: str | None = None,
-    *,
-    transport: Transport,
-) -> tuple[list[VideoStatsSnapshot], str | None]:
-    """Fetch and parse one page of the trending chart.
-
-    Returns up to ``PAGE_SIZE`` snapshots and the token for the next page
-    (``None`` on the last one). Snapshots are stamped with the recorded
-    fetch time if the page carries one, else with the current UTC time.
-    """
-    rows, next_token = _trending_page(config, page_token, transport)
-    return _snapshots(rows), next_token
-
-
 def _trending_page(
     config: FetchConfig, page_token: str | None, transport: Transport
 ) -> tuple[list[_Values], str | None]:
+    """One page of the trending chart: up to ``PAGE_SIZE`` rows of validated
+    snapshot fields and the token for the next page (``None`` on the last).
+    Rows are stamped with the page's recorded fetch time if it carries one,
+    else with the current UTC time."""
     params = {
         "chart": "mostPopular",
         "part": "snippet,statistics",
@@ -483,7 +463,8 @@ def fetch_by_ids(
     Statistics drift over time, so re-querying a historical id list yields
     present-day counters, not the ones originally studied.
     """
-    return map(_snapshots, collect_by_ids(video_ids, transport=transport))
+    pages = collect_by_ids(video_ids, transport=transport)
+    return ([VideoStatsSnapshot(*row) for row in page] for page in pages)
 
 
 def collect_by_ids(video_ids: Sequence[str], *, transport: Transport) -> Iterator[list[_Values]]:
@@ -542,59 +523,61 @@ def _record_values(record: dict) -> _Values:
     )
 
 
-# The string escaping of json.dumps(..., ensure_ascii=False), and its whole
-# encoder for any value the line template does not write itself.
-_quote = json.encoder.encode_basestring
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def _json_value(value) -> str:
-    """``json.dumps(value, ensure_ascii=False)`` of one record value, None inline."""
-    return "null" if value is None else _encode(value)
+_quote = json.encoder.encode_basestring  # json.dumps's escaping of a str, non-ASCII kept
 
 
 def _record_line(values: _Values) -> str:
-    """One store line from a snapshot's fields, by one template: for
+    """One store line from a snapshot's validated fields, by one template: for
     ``s = VideoStatsSnapshot(*values)``, ``json.dumps(snapshot_to_record(s),
-    ensure_ascii=False) + "\\n"``.
-
-    Exact-type strs, ints and bools are written directly; any other value
-    (a hand-built snapshot's float count, say) goes through the JSON encoder.
-    """
+    ensure_ascii=False) + "\\n"``."""
     video_id, fetched_at, views, likes, dislikes, comments, enabled, category = values
     return (
-        f'{{"video_id": {_quote(video_id) if type(video_id) is str else _json_value(video_id)}, '
-        f'"fetched_at": {_quote(format_rfc3339(fetched_at))}, '
-        f'"views": {views if type(views) is int else _json_value(views)}, '
-        f'"likes": {likes if type(likes) is int else _json_value(likes)}, '
-        f'"dislikes": {dislikes if type(dislikes) is int else _json_value(dislikes)}, '
-        f'"comments": {comments if type(comments) is int else _json_value(comments)}, '
-        f'"comments_enabled": '
-        f'{"true" if enabled is True else "false" if enabled is False else _json_value(enabled)}, '
-        f'"category": {_quote(category) if type(category) is str else _json_value(category)}}}\n'
+        f'{{"video_id": {_quote(video_id)}, "fetched_at": "{format_rfc3339(fetched_at)}", '
+        f'"views": {views}, "likes": {"null" if likes is None else likes}, '
+        f'"dislikes": {"null" if dislikes is None else dislikes}, '
+        f'"comments": {"null" if comments is None else comments}, '
+        f'"comments_enabled": {"true" if enabled else "false"}, '
+        f'"category": {_quote(category)}}}\n'
     )
 
 
-# A snapshot's eight fields, in order, as the tuple _record_line takes.
+# A snapshot's eight fields, in order, as _snapshot_values takes them.
 _fields = attrgetter(
     "video_id", "fetched_at", "views", "likes", "dislikes", "comments", "comments_enabled",
     "category",
 )
 
 
+def _stored_values(snapshot: VideoStatsSnapshot) -> _Values:
+    """A snapshot's fields validated as a store record's are on load, and its
+    ``fetched_at`` a datetime with a UTC text; raises ParseError naming the field."""
+    values = _snapshot_values(*_fields(snapshot))
+    fetched_at = values[1]
+    if isinstance(fetched_at, datetime):
+        try:
+            format_rfc3339(fetched_at)
+            return values
+        except OverflowError:  # the instant leaves the datetime range in UTC
+            pass
+    raise ParseError(f"bad fetched_at: {fetched_at!r}", field="fetched_at")
+
+
 def store_snapshots(path: Path, snapshots: Sequence[VideoStatsSnapshot]) -> int:
     """Append one record per snapshot; returns the number written.
 
     Appending never rewrites existing lines; deduplication happens on read.
-    Each line is ``json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\\n"``.
-    The page is encoded before it is written, so a page that cannot be
-    encoded (a lone surrogate in its text) raises ParseError and writes
-    nothing. A store whose last line lacks its line end gets
+    Each snapshot is validated as a store record is on load, so a strict
+    ``load_snapshots`` reads every line back; a comment count with commenting
+    disabled is dropped, as on load. An invalid snapshot raises ParseError
+    naming its bad field, and nothing of the page is written. Each line is
+    ``json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\\n"`` of the
+    validated snapshot. A store whose last line lacks its line end gets
     one when that line is a valid record; otherwise that torn tail of an
     interrupted append is cut away, with a warning, before the page goes on.
     """
+    rows = list(map(_stored_values, snapshots))
     with StoreAppender(path) as store:
-        return store.append(list(map(_fields, snapshots)))
+        return store.append(rows)
 
 
 class StoreAppender:
@@ -629,10 +612,7 @@ class StoreAppender:
         """Append one record per row of validated fields; returns the number written."""
         if not page:
             return 0
-        try:
-            data = "".join(map(_record_line, page)).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ParseError(f"snapshot text cannot be stored as UTF-8: {exc}") from None
+        data = "".join(map(_record_line, page)).encode("utf-8")
         try:
             if self._file is None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)

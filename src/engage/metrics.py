@@ -18,7 +18,7 @@ rounds correctly, so each float is bit-identical to ``float`` of the exact
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
 
@@ -88,20 +88,11 @@ def compute_disp(likes: int | None, dislikes: int | None) -> Fraction | None:
     return Fraction(dislikes, total)
 
 
-def normalize_snapshot(snapshot: VideoStatsSnapshot) -> VideoStatsSnapshot:
-    """Drop a comment count that contradicts a disabled comment section.
-
-    The live API occasionally reports a comment count for a video with
-    commenting turned off; the count is untrustworthy, so it is normalized
-    to absent (with a warning unless it is zero).
-    """
-    comments = _kept_comments(snapshot.video_id, snapshot.comments, snapshot.comments_enabled)
-    return snapshot if comments is snapshot.comments else replace(snapshot, comments=comments)
-
-
 def _kept_comments(video_id: str, comments: int | None, comments_enabled: bool) -> int | None:
     """The comment count a snapshot keeps: none when commenting is disabled,
-    with a warning when the dropped count is not zero."""
+    with a warning when the dropped count is not zero. The live API
+    occasionally reports a count for a video with commenting turned off, and
+    that count is not to be trusted."""
     if comments_enabled or comments is None:
         return comments
     if comments:

@@ -12,6 +12,8 @@ moderate correlations), CSV (separate r/p/n columns, no markup) and JSON
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring
 from typing import Mapping
@@ -165,17 +167,13 @@ def rebin_bundle(bundle: ReportBundle, bins: Mapping[str, BinSpec]) -> ReportBun
     """New bundle with histograms and bin modes computed from the stored
     per-video rates (the only place rates are binned); metrics not named in
     ``bins`` are left untouched. Raises ValueError, naming the series, when
-    the bundle lacks a rate series or holds a rate that is not a number."""
+    the bundle lacks a rate series."""
     histograms = dict(bundle.histograms)
     summaries = dict(bundle.summary_metrics)
     for name, spec in bins.items():
         if name not in bundle.rates:
             raise ValueError(f"bundle has no rate series for {name!r}")
-        try:
-            histograms[name] = histogram(bundle.rates[name], spec)
-        except (TypeError, ValueError, OverflowError) as exc:  # a rate that float() rejects
-            raise ValueError(f"rate series {name!r} holds a value that is not a number: {exc}"
-                             ) from None
+        histograms[name] = histogram(bundle.rates[name], spec)
         if name in summaries:
             summaries[name] = replace(summaries[name], bin_mode=histograms[name].mode)
     return replace(bundle, histograms=histograms, summary_metrics=summaries)
@@ -530,7 +528,22 @@ def bundle_to_json(bundle: ReportBundle) -> dict:
     return data
 
 
+def _rate_series(name: str, values) -> list:
+    """A bundle's rate series as a list. Raises ValueError naming the series
+    unless each rate is None or exactly an int or a float, finite and within
+    the float range."""
+    rates = list(values)
+    for rate in rates:
+        if not (type(rate) is float and math.isfinite(rate) or rate is None
+                or type(rate) is int and abs(rate) <= sys.float_info.max):
+            raise ValueError(f"rate series {name!r} holds a value that is not a finite "
+                             f"number: {rate!r:.40}")
+    return rates
+
+
 def bundle_from_json(data: dict) -> ReportBundle:
+    """The bundle that ``bundle_to_json`` wrote as ``data``. A rate that is
+    not a finite number raises ValueError naming its series."""
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a report bundle (format={data.get('format')!r})")
     matrices = {
@@ -558,7 +571,7 @@ def bundle_from_json(data: dict) -> ReportBundle:
             for name, h in data["histograms"].items()
         },
         categories=[(cat, count) for cat, count in data["categories"]],
-        rates={name: list(values) for name, values in data["rates"].items()},
+        rates={name: _rate_series(name, values) for name, values in data["rates"].items()},
         **matrices,
     )
 

@@ -76,15 +76,6 @@ class BinSpec:
             f"{_fmt_edge(a)}-{_fmt_edge(b)}" for a, b in zip(self.edges, self.edges[1:])
         )
 
-    def bin_index(self, value: float) -> int:
-        """Index of the bin holding ``value``; -1 = underflow, len = overflow.
-
-        NaN compares false to every edge, so it lands in overflow.
-        """
-        if value == self.edges[-1]:
-            return len(self.edges) - 2
-        return bisect_right(self.edges, value) - 1
-
 
 def _fmt_edge(x: float) -> str:
     if x == int(x):
@@ -428,9 +419,10 @@ def upper_quartile_rows(snapshots: Sequence[VideoStatsSnapshot]) -> list[int]:
 def histogram(values: Iterable[OptionalNumber], bins: BinSpec) -> Histogram:
     """Count defined values into the bins, plus under/overflow buckets."""
     labels = bins.bin_labels
-    # bisect_right as in BinSpec.bin_index: 0 is underflow and len(edges)
-    # overflow, where NaN lands too. With the top edge raised by one ulp, a
-    # value equal to it falls in the last bin, which is closed on both ends.
+    # bisect_right over the edges gives each value's bin plus one: 0 is
+    # underflow and len(edges) overflow, where NaN lands too, as it compares
+    # false to every edge. With the top edge raised by one ulp, a value equal
+    # to it falls in the last bin, which is closed on both ends.
     edges = (*bins.edges[:-1], math.nextafter(bins.edges[-1], math.inf))
     xs = map(float, filter(partial(is_not, None), values))
     index = Counter(map(bisect_right, repeat(edges), xs))

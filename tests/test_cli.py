@@ -619,6 +619,13 @@ BAD_INPUT_CASES = [
     ("bundle-rate-not-a-number", 4, "rate series 'CpkI'",
      lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, "x"),
                                  '{"cpki": {"edges": [0, 1, 2]}}')),
+    # a rate that is not a finite number is refused on load, with or without --bins
+    ("bundle-rate-numeric-string", 4, "rate series 'CpkI'",
+     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, "1.5"))),
+    ("bundle-rate-nan", 4, "rate series 'CpkI'",
+     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, float("nan")))),
+    ("bundle-rate-true", 4, "rate series 'CpkI'",
+     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, True))),
 ]
 
 

@@ -6,7 +6,7 @@ import tempfile
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import replace
+from dataclasses import astuple, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -30,11 +30,9 @@ from engage.ingestion import (
     collect_sweeps,
     dedup_latest,
     fetch_by_ids,
-    fetch_trending_page,
     format_rfc3339,
     load_snapshots,
     parse_rfc3339,
-    parse_video_item,
     read_json_object,
     select_study_sample,
     snapshot_from_record,
@@ -84,6 +82,11 @@ def swept(config, occasions):
     return [VideoStatsSnapshot(*row) for page in collect_sweeps(config, occasions) for row in page]
 
 
+def parsed(item, fetched_at):
+    """The snapshot of one API item, through the fetch path's validated fields."""
+    return VideoStatsSnapshot(*ingestion._item_values(item, fetched_at))
+
+
 def record_line(snapshot):
     """The store line the line template writes for ``snapshot``."""
     return ingestion._record_line(ingestion._fields(snapshot))
@@ -125,7 +128,7 @@ def test_rfc3339_memo_formats_each_instant_in_utc():
 
 
 def test_parse_video_item_full():
-    s = parse_video_item(item("vid00000001", views=5000, comments=7), T1)
+    s = parsed(item("vid00000001", views=5000, comments=7), T1)
     assert s.video_id == "vid00000001"
     assert s.views == 5000
     assert s.comments == 7
@@ -135,38 +138,38 @@ def test_parse_video_item_full():
 
 
 def test_parse_video_item_disabled_comments():
-    s = parse_video_item(item("vid00000001", comments=None), T1)
+    s = parsed(item("vid00000001", comments=None), T1)
     assert s.comments is None
     assert s.comments_enabled is False
 
 
 def test_parse_video_item_unknown_category():
-    s = parse_video_item(item("vid00000001", category_id="77"), T1)
+    s = parsed(item("vid00000001", category_id="77"), T1)
     assert s.category == "Category 77"
 
 
 def test_parse_video_item_errors():
     with pytest.raises(ParseError) as exc:
-        parse_video_item({"statistics": {"viewCount": "1"}}, T1)
+        parsed({"statistics": {"viewCount": "1"}}, T1)
     assert exc.value.field == "video_id"
     with pytest.raises(ParseError) as exc:
-        parse_video_item({"id": "x", "statistics": {}}, T1)
+        parsed({"id": "x", "statistics": {}}, T1)
     assert exc.value.field == "views"
     with pytest.raises(ParseError) as exc:
-        parse_video_item(item("x", views="many"), T1)
+        parsed(item("x", views="many"), T1)
     assert exc.value.field == "views"
 
 
 def test_parse_video_item_rejects_non_object():
     with pytest.raises(ParseError, match="item is not a JSON object"):
-        parse_video_item(1, T1)
+        parsed(1, T1)
 
 
 def test_parse_video_item_negative_count_passes_with_warning(caplog):
     bad = item("vid00000001")
     bad["statistics"]["likeCount"] = "-4"
     with caplog.at_level("WARNING"):
-        s = parse_video_item(bad, T1)
+        s = parsed(bad, T1)
     assert s.likes == -4
     assert any("negative" in rec.message for rec in caplog.records)
 
@@ -174,23 +177,23 @@ def test_parse_video_item_negative_count_passes_with_warning(caplog):
 def test_parse_video_item_count_bound():
     edge = item("vid00000001")
     edge["statistics"]["viewCount"] = "18446744073709551615"
-    assert parse_video_item(edge, T1).views == 2**64 - 1
+    assert parsed(edge, T1).views == 2**64 - 1
     for raw in ("18446744073709551616", "-18446744073709551616", float("inf")):
         over = item("vid00000001")
         over["statistics"]["viewCount"] = raw
         with pytest.raises(ParseError) as exc:
-            parse_video_item(over, T1)
+            parsed(over, T1)
         assert exc.value.field == "views"
 
 
 def test_parse_video_item_null_count_is_hidden():
     hidden = item("vid00000001")
     hidden["statistics"]["likeCount"] = None
-    assert parse_video_item(hidden, T1).likes is None
+    assert parsed(hidden, T1).likes is None
     no_views = item("vid00000001")
     no_views["statistics"]["viewCount"] = None
     with pytest.raises(ParseError) as exc:
-        parse_video_item(no_views, T1)
+        parsed(no_views, T1)
     assert exc.value.field == "views"
 
 
@@ -225,11 +228,11 @@ def test_fixture_transport_pages(tmp_path):
     config = FetchConfig(fixture_dir=tmp_path)
     transport = FixtureTransport(tmp_path, sweep=1)
 
-    page1, token = fetch_trending_page(config, transport=transport)
-    assert [s.video_id for s in page1] == ["a000000000a"]
+    page1, token = ingestion._trending_page(config, None, transport)
+    assert [VideoStatsSnapshot(*row).video_id for row in page1] == ["a000000000a"]
     assert token == "sweep1_page2"
-    page2, token = fetch_trending_page(config, page_token=token, transport=transport)
-    assert [s.video_id for s in page2] == ["b000000000b"]
+    page2, token = ingestion._trending_page(config, token, transport)
+    assert [VideoStatsSnapshot(*row).video_id for row in page2] == ["b000000000b"]
     assert token is None
 
 
@@ -399,19 +402,78 @@ JSON_SCALARS = st.one_of(
 TEXT = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\u2028é音\ud800 '))
 
 
-@given(
-    video_id=st.one_of(TEXT, JSON_SCALARS),
-    fetched_at=st.datetimes(
-        timezones=st.sampled_from([timezone.utc, timezone(-timedelta(hours=5))])
-    ),
-    counts=st.lists(JSON_SCALARS, min_size=4, max_size=4),
-    enabled=st.one_of(st.booleans(), JSON_SCALARS),
-    category=st.one_of(TEXT, JSON_SCALARS),
-)
-def test_store_line_template_equals_json_dumps(video_id, fetched_at, counts, enabled, category):
-    s = VideoStatsSnapshot(video_id, fetched_at, *counts, enabled, category)
-    expected = json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
-    assert record_line(s) == expected
+EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)  # earlier than or equal to any fetched_at
+COUNTS = st.one_of(st.integers(-MAX_COUNT, MAX_COUNT), st.sampled_from([0, MAX_COUNT, -MAX_COUNT]))
+# a hand-built snapshot's field may hold anything; the offsets move the earliest and
+# latest datetimes out of range in UTC
+ANY_VALUE = {
+    "video_id": st.one_of(TEXT, JSON_SCALARS),
+    "fetched_at": st.one_of(
+        st.datetimes(timezones=st.sampled_from(
+            [timezone.utc, timezone(-timedelta(hours=5)), timezone(timedelta(hours=1))])),
+        st.datetimes(), JSON_SCALARS,
+        st.sampled_from([datetime(1, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1))),
+                         datetime.max.replace(tzinfo=timezone(-timedelta(hours=5)))])),
+    **dict.fromkeys(["views", "likes", "dislikes", "comments", "comments_enabled"], JSON_SCALARS),
+    "category": st.one_of(TEXT, JSON_SCALARS),
+}
+
+
+@st.composite
+def hand_built_snapshots(draw):
+    """A snapshot of fields the store accepts, with up to two of them swapped for any
+    value, so that both stored and refused snapshots are common."""
+    text = st.text(st.characters(blacklist_categories=("Cs",)))  # no lone surrogates
+    fields = {
+        "video_id": draw(text.filter(bool)),
+        "fetched_at": draw(st.datetimes(timezones=st.just(timezone.utc))),
+        "views": draw(COUNTS),
+        **{name: draw(st.one_of(st.none(), COUNTS)) for name in ("likes", "dislikes", "comments")},
+        "comments_enabled": draw(st.booleans()),
+        "category": draw(text),
+    }
+    for name in draw(st.lists(st.sampled_from(list(ANY_VALUE)), max_size=2)):
+        fields[name] = draw(ANY_VALUE[name])
+    return VideoStatsSnapshot(**fields)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(hand_built_snapshots())
+def test_store_line_template_equals_json_dumps(s):
+    # a hand-built snapshot is either refused whole or stored as a record a strict load reads
+    with tempfile.TemporaryDirectory() as directory:
+        store = Path(directory) / "snaps.jsonl"
+        store_snapshots(store, [snap("seed", fetched_at=EPOCH)])
+        before = store.read_bytes()
+        try:
+            store_snapshots(store, [s])
+        except ParseError:
+            assert store.read_bytes() == before
+            return
+        stored_at = parse_rfc3339(format_rfc3339(s.fetched_at))
+        expected = VideoStatsSnapshot(
+            *ingestion._snapshot_values(*astuple(replace(s, fetched_at=stored_at))))
+        line = json.dumps(snapshot_to_record(expected), ensure_ascii=False) + "\n"
+        assert store.read_bytes() == before + line.encode("utf-8")
+        # the seed is no later, so the drawn record is kept even when the ids agree
+        assert load_snapshots(store).snapshots[-1] == expected
+
+
+@pytest.mark.parametrize("field, value", [
+    ("video_id", ""), ("video_id", 7), ("views", 1.5), ("views", True), ("views", 2**70),
+    ("likes", "3"), ("comments_enabled", 1), ("category", "\ud800"),
+    # at the parent these raised AttributeError, TypeError and OverflowError
+    ("fetched_at", "2013-12-10T09:00:00Z"), ("fetched_at", [T1]),
+    ("fetched_at", datetime(1, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1)))),
+])
+def test_store_refuses_an_invalid_snapshot_and_writes_none_of_its_page(tmp_path, field, value):
+    store = tmp_path / "snaps.jsonl"
+    store_snapshots(store, [snap("a")])
+    before = store.read_bytes()
+    with pytest.raises(ParseError) as exc:
+        store_snapshots(store, [snap("b"), replace(snap("c"), **{field: value})])
+    assert exc.value.field == field
+    assert store.read_bytes() == before
 
 
 ABSENT = object()  # a statistics key the item leaves out
@@ -445,9 +507,9 @@ def api_items(draw):
        recorded_at=st.sampled_from(["2013-12-10T09:00:00Z", "2013-12-10T10:30:00+01:30",
                                     "2013-12-10T09:00:00"]))
 def test_fetch_writes_json_dumps_of_each_parsed_item(items, split, recorded_at):
-    # two pages through one open store; each line is the record of parse_video_item's snapshot
+    # two pages through one open store; each line is the record of the item's snapshot
     fetched_at = parse_rfc3339(recorded_at)
-    built = [parse_video_item(i, fetched_at) for i in items]
+    built = [parsed(i, fetched_at) for i in items]
     expected = "".join(json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
                        for s in built).encode("utf-8")
     with tempfile.TemporaryDirectory() as directory:
@@ -458,12 +520,13 @@ def test_fetch_writes_json_dumps_of_each_parsed_item(items, split, recorded_at):
         store = fixture / "fetched.jsonl"
         assert main(["fetch", "--offline", directory, "--store", str(store)]) == 0
         assert store.read_bytes() == expected
-        # a hand-built snapshot keeps a comment count its disabled section contradicts
+        # a comment count that a disabled section contradicts is stored as null
         stray = [replace(s, comments=7) for s in built if not s.comments_enabled]
         direct = fixture / "stored.jsonl"
         assert store_snapshots(direct, built + stray) == len(built) + len(stray)
         assert direct.read_bytes() == expected + "".join(
-            json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n" for s in stray
+            json.dumps({**snapshot_to_record(s), "comments": None}, ensure_ascii=False) + "\n"
+            for s in stray
         ).encode("utf-8")
 
 
@@ -699,8 +762,11 @@ def test_load_equals_dedup_of_every_non_blank_line(drawn, tie, unterminated):
 
 def test_load_warns_once_for_each_record_a_later_one_supersedes(tmp_path, caplog):
     store = tmp_path / "snaps.jsonl"
-    store_snapshots(store, [snap("a", likes=-4), snap("b", comments=7, comments_enabled=False),
-                            snap("c")])
+    # written by hand: store_snapshots would drop b's comment count, and warn, before the load
+    store.write_text("".join(
+        json.dumps(snapshot_to_record(s)) + "\n"
+        for s in [snap("a", likes=-4), snap("b", comments=7, comments_enabled=False), snap("c")]
+    ), encoding="utf-8")
     store_snapshots(store, [snap(v, views=2, fetched_at=T2) for v in "abc"])
     with caplog.at_level("WARNING"):
         loaded = load_snapshots(store)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from engage.metrics import (
     compute_disp,
     compute_metrics,
     compute_vpki,
-    normalize_snapshot,
 )
+from engage.ingestion import _snapshot_values
 
 NOW = datetime(2013, 12, 10, 9, 0, 0, tzinfo=timezone.utc)
 
@@ -120,11 +121,16 @@ def test_compute_metrics_disabled_comments_has_no_cpki():
     assert m.vpki is not None
 
 
+def normalized(snapshot):
+    """The snapshot as validation leaves it, through the store's validated fields."""
+    return VideoStatsSnapshot(*_snapshot_values(*astuple(snapshot)))
+
+
 def test_normalize_drops_comment_count_when_disabled():
-    normalized = normalize_snapshot(snap(comments=12, comments_enabled=False))
-    assert normalized.comments is None
-    assert normalized.comments_enabled is False
-    untouched = normalize_snapshot(snap(comments=12))
+    dropped = normalized(snap(comments=12, comments_enabled=False))
+    assert dropped.comments is None
+    assert dropped.comments_enabled is False
+    untouched = normalized(snap(comments=12))
     assert untouched.comments == 12
 
 

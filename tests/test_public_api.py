@@ -22,3 +22,17 @@ def test_readme_public_api_lists_exactly_the_exports_by_module():
         module = importlib.import_module(re.match(r"- `(engage\.\w+)`", bullet).group(1))
         for name in re.findall(NAME, bullet):
             assert getattr(module, name) is getattr(engage, name), (module.__name__, name)
+
+
+def test_readme_library_example_gives_the_values_in_its_comments():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n") + len("```python\n")
+    code = text[start : text.index("```", start)]
+    namespace = {}
+    exec(code, namespace)
+    # each "expression  # value" line of the example, evaluated after the whole block
+    checks = re.findall(r"^(\S[^#\n]*?)\s+#\s*([-+.\deE]+)", code, re.MULTILINE)
+    assert [value for _, value in checks] == [
+        "1.4352627699106075", "10.264611817593813", "0.048261093706626484"]
+    for expression, value in checks:
+        assert eval(expression, namespace) == float(value), expression
