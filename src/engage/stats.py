@@ -13,7 +13,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations_with_replacement, compress, repeat

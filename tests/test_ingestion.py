@@ -403,7 +403,8 @@ TEXT = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\u2028é音\ud800 '
 
 
 EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)  # earlier than or equal to any fetched_at
-COUNTS = st.one_of(st.integers(-MAX_COUNT, MAX_COUNT), st.sampled_from([0, MAX_COUNT, -MAX_COUNT]))
+API_COUNTS = st.one_of(st.integers(-MAX_COUNT, MAX_COUNT),
+                       st.sampled_from([0, MAX_COUNT, -MAX_COUNT]))
 # a hand-built snapshot's field may hold anything; the offsets move the earliest and
 # latest datetimes out of range in UTC
 ANY_VALUE = {
@@ -423,12 +424,13 @@ ANY_VALUE = {
 def hand_built_snapshots(draw):
     """A snapshot of fields the store accepts, with up to two of them swapped for any
     value, so that both stored and refused snapshots are common."""
-    text = st.text(st.characters(blacklist_categories=("Cs",)))  # no lone surrogates
+    text = st.text()  # no lone surrogates
     fields = {
         "video_id": draw(text.filter(bool)),
         "fetched_at": draw(st.datetimes(timezones=st.just(timezone.utc))),
-        "views": draw(COUNTS),
-        **{name: draw(st.one_of(st.none(), COUNTS)) for name in ("likes", "dislikes", "comments")},
+        "views": draw(API_COUNTS),
+        **{name: draw(st.one_of(st.none(), API_COUNTS))
+           for name in ("likes", "dislikes", "comments")},
         "comments_enabled": draw(st.booleans()),
         "category": draw(text),
     }
@@ -461,8 +463,7 @@ def test_store_line_template_equals_json_dumps(s):
 
 @pytest.mark.parametrize("field, value", [
     ("video_id", ""), ("video_id", 7), ("views", 1.5), ("views", True), ("views", 2**70),
-    ("likes", "3"), ("comments_enabled", 1), ("category", "\ud800"),
-    # at the parent these raised AttributeError, TypeError and OverflowError
+    ("likes", "3"), ("comments_enabled", 1), ("category", None),
     ("fetched_at", "2013-12-10T09:00:00Z"), ("fetched_at", [T1]),
     ("fetched_at", datetime(1, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1)))),
 ])
@@ -477,8 +478,6 @@ def test_store_refuses_an_invalid_snapshot_and_writes_none_of_its_page(tmp_path,
 
 
 ABSENT = object()  # a statistics key the item leaves out
-API_COUNTS = st.one_of(st.integers(-MAX_COUNT, MAX_COUNT),
-                       st.sampled_from([0, MAX_COUNT, -MAX_COUNT]))
 # any text a parsed item can hold: everything but lone surrogates
 API_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from engage.ingestion import _snapshot_values
 from engage.metrics import (
     VideoStatsSnapshot,
     compute_cpki,
@@ -12,7 +13,6 @@ from engage.metrics import (
     compute_metrics,
     compute_vpki,
 )
-from engage.ingestion import _snapshot_values
 
 NOW = datetime(2013, 12, 10, 9, 0, 0, tzinfo=timezone.utc)
 
