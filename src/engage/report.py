@@ -28,7 +28,6 @@ from .stats import (
     StudySample,
     _correlations,
     category_counts,
-    correlation_matrix,
     histogram,
     upper_quartile_rows,
 )
@@ -97,16 +96,13 @@ def build_report(sample: StudySample) -> ReportBundle:
     columns = _metric_columns(sample)
     upper = upper_quartile_rows(sample.snapshots)
 
-    # each summarized column's summary comes from the deviations taken for
-    # its diagonal in the full matrix, over the same rows summarize would use
-    corr_full, summaries = _correlations(
-        {name: columns[name] for name in CORR_NAMES}, SUMMARIZED_COLUMNS.values()
+    # one pass of exact sums gives the full matrix and the summaries; the
+    # upper quartiles' sums are the full ones minus the lowest quartile's
+    corr_full, summaries, corr_upper = _correlations(
+        {name: columns[name] for name in CORR_NAMES}, SUMMARIZED_COLUMNS.values(), upper
     )
     summary_basic = {name: summaries[SUMMARIZED_COLUMNS[name]] for name in BASIC_NAMES}
     summary_metrics = {name: summaries[name] for name in METRIC_NAMES}
-    corr_upper = correlation_matrix(
-        {name: list(map(columns[name].__getitem__, upper)) for name in CORR_NAMES}
-    )
 
     provenance = {
         "sample_n": len(sample.snapshots),
@@ -507,9 +503,68 @@ def _to_json(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _from_json(cls, data: dict):
-    """Rebuild a dataclass from its field dict; a missing key raises KeyError."""
-    return cls(**{f.name: data[f.name] for f in fields(cls)})
+def _is_number(value) -> bool:
+    """Whether ``value`` is exactly an int or a float, finite and within the
+    float range."""
+    return (type(value) is float and math.isfinite(value)
+            or type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int
+
+
+def _is_optional_number(value) -> bool:
+    return value is None or _is_number(value)
+
+
+def _is_optional_text(value) -> bool:
+    return value is None or type(value) is str
+
+
+# each field of a summary and of a correlation cell: (test of its value, what it must be)
+_FIELD_RULES = {
+    SampleSummary: {
+        "n": (_is_count, "an int"),
+        **{name: (_is_optional_number, "null or a finite number")
+           for name in ("mean", "std_dev", "min", "max", "skewness", "kurtosis")},
+        "bin_mode": (_is_optional_text, "null or a string"),
+    },
+    CorrelationCell: {
+        "r": (lambda r: r is None or _is_number(r) and -1 <= r <= 1,
+              "null or a number in [-1, 1]"),
+        "p_value": (lambda p: p is None or _is_number(p) and 0 <= p <= 1,
+                    "null or a number in [0, 1]"),
+        "n": (_is_count, "an int"),
+        "error": (_is_optional_text, "null or a string"),
+    },
+}
+
+
+def _from_json(cls, data: dict, where: str):
+    """Rebuild a summary or a cell from its field dict. A missing key raises
+    KeyError; a value that breaks its field's rule raises ValueError naming
+    the field as ``where.field``."""
+    values = {}
+    for name, (valid, rule) in _FIELD_RULES[cls].items():
+        value = values[name] = data[name]
+        if not valid(value):
+            raise ValueError(f"{where}.{name} must be {rule}, not {value!r:.40}")
+    return cls(**values)
+
+
+def _matrix_from_json(key: str, data: dict) -> CorrelationMatrix:
+    """A correlation matrix from its JSON; it must be square over its names."""
+    names, rows = data["names"], data["cells"]
+    if not all(type(name) is str for name in names):
+        raise ValueError(f"{key}.names must be strings")
+    if len(rows) != len(names) or any(len(row) != len(names) for row in rows):
+        raise ValueError(f"{key}.cells must be {len(names)} rows of {len(names)} cells, "
+                         f"one per name")
+    return CorrelationMatrix(names=tuple(names), cells=tuple(
+        tuple(_from_json(CorrelationCell, c, f"{key}.cells[{i}][{j}]") for j, c in enumerate(row))
+        for i, row in enumerate(rows)
+    ))
 
 
 def bundle_to_json(bundle: ReportBundle) -> dict:
@@ -534,8 +589,7 @@ def _rate_series(name: str, values) -> list:
     the float range."""
     rates = list(values)
     for rate in rates:
-        if not (type(rate) is float and math.isfinite(rate) or rate is None
-                or type(rate) is int and abs(rate) <= sys.float_info.max):
+        if not _is_optional_number(rate):
             raise ValueError(f"rate series {name!r} holds a value that is not a finite "
                              f"number: {rate!r:.40}")
     return rates
@@ -543,25 +597,18 @@ def _rate_series(name: str, values) -> list:
 
 def bundle_from_json(data: dict) -> ReportBundle:
     """The bundle that ``bundle_to_json`` wrote as ``data``. A rate that is
-    not a finite number raises ValueError naming its series."""
+    not a finite number raises ValueError naming its series; a summary field,
+    a correlation cell field or a matrix shape that breaks its rule raises
+    ValueError naming the field."""
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a report bundle (format={data.get('format')!r})")
-    matrices = {
-        key: CorrelationMatrix(
-            names=tuple(data[key]["names"]),
-            cells=tuple(
-                tuple(_from_json(CorrelationCell, c) for c in row)
-                for row in data[key]["cells"]
-            ),
-        )
-        for key in MATRIX_KEYS
+    summaries = {
+        key: {name: _from_json(SampleSummary, v, f"{key}.{name}") for name, v in data[key].items()}
+        for key in ("summary_basic", "summary_metrics")
     }
     return ReportBundle(
         provenance=data["provenance"],
-        summary_basic={k: _from_json(SampleSummary, v) for k, v in data["summary_basic"].items()},
-        summary_metrics={
-            k: _from_json(SampleSummary, v) for k, v in data["summary_metrics"].items()
-        },
+        **summaries,
         histograms={
             name: Histogram(
                 rows=tuple((label, count) for label, count in h["rows"]),
@@ -572,18 +619,19 @@ def bundle_from_json(data: dict) -> ReportBundle:
         },
         categories=[(cat, count) for cat, count in data["categories"]],
         rates={name: _rate_series(name, values) for name, values in data["rates"].items()},
-        **matrices,
+        **{key: _matrix_from_json(key, data[key]) for key in MATRIX_KEYS},
     )
 
 
 # the value types of a list or dict that the C encoder may write whole
 _FLAT_TYPES = frozenset((str, int, float, bool, type(None)))
-_c_json = json.JSONEncoder(ensure_ascii=False).encode
+_c_json = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
 def _json_text(obj, end: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + end``,
-    with no copy of the text made to append ``end``.
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
+    allow_nan=False) + end``, with no copy of the text made to append ``end``:
+    a NaN or an infinity raises ValueError, as no JSON text may hold one.
 
     ``json.dumps`` writes through its pure-Python encoder whenever ``indent``
     is set. Here each list or dict whose values are all plain strings,
@@ -613,7 +661,7 @@ def _json_chunks(obj, newline: str, out) -> None:
         return
     inner = newline + "  "
     if _FLAT_TYPES.issuperset(map(type, values)):
-        text = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
+        text = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False,
                                 separators=("," + inner, ": ")).encode(obj)
         out(opening + inner)
         out(text[1:-1])

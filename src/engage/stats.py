@@ -5,20 +5,28 @@ defined observations travel with every result so downstream tables can
 report their own n. Conventions: sample standard deviation (n-1 in the
 denominator), adjusted Fisher-Pearson skewness (G1) and bias-corrected
 excess kurtosis (G2), the forms mainstream statistics packages print.
+
+Every moment comes from exact integer power sums. Each column is turned
+once into ints over one binary exponent, with an absent value as 0, so
+n, Σx, Σx², Σx³, Σx⁴ and each pair's Σxy are exact, and so is any
+difference of two such sums. Each statistic is then rounded once, to the
+float nearest its exact value: the mean and G2 by one int division,
+r, the standard deviation and G1 by one ``math.isqrt``. The textbook
+one-pass formulas that fail in floating point (Chan, Golub & LeVeque,
+Am. Stat. 37(3), 1983) are exact in integers.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations_with_replacement, compress, repeat
-from operator import is_not, mul, sub, truediv
-from typing import Collection, Iterable, Mapping, Sequence
+from itertools import combinations, compress, filterfalse, repeat
+from operator import is_not, mul, not_, sub, truediv
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .metrics import VideoStatsSnapshot
 
@@ -140,44 +148,16 @@ class StudySample:
             raise ValueError(f"duplicate video ids in sample: {dupes[:5]}")
 
 
-def _defined(values: Iterable[OptionalNumber]) -> list[float]:
-    return [float(v) for v in values if v is not None]
-
-
 def summarize(values: Iterable[OptionalNumber]) -> SampleSummary:
     """Descriptive statistics over the defined entries of ``values``.
 
     Mean, sample standard deviation, min, max, G1 skewness and G2 excess
-    kurtosis; ``bin_mode`` is left for the report's binning to fill in.
-    A standard deviation past the float range is ``None``.
+    kurtosis, each the float nearest its exact value; ``bin_mode`` is left
+    for the report's binning to fill in. A standard deviation past the
+    float range is ``None``. A value that is not finite raises ``ValueError``.
     """
-    return _summary(_deviations(_defined(values)))
-
-
-def _summary(deviations: _Deviations) -> SampleSummary:
-    """``summarize`` of the values whose deviations these are."""
-    n, e, mean, dx, ss, _, lo, hi = deviations
-    if not n:
-        return SampleSummary(n=0)
-
-    std_dev = skew = kurt = None
-    if n >= 2:  # ss is 0 for a constant series
-        sd = math.sqrt(ss / (n - 1))
-        std_dev = math.ldexp(sd, e) if math.frexp(sd)[1] + e <= 1024 else None
-    if dx is not None:
-        z = array("d", map(truediv, dx, repeat(sd)))
-        z3 = math.fsum(map(pow, z, repeat(3)))
-        z4 = math.fsum(map(pow, z, repeat(4)))
-        if n >= 3:
-            skew = n / ((n - 1) * (n - 2)) * z3
-        if n >= 4:
-            kurt = (
-                n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4
-                - 3 * (n - 1) ** 2 / ((n - 2) * (n - 3))
-            )
-
-    return SampleSummary(n=n, mean=math.ldexp(mean, e), std_dev=std_dev, min=lo, max=hi,
-                         skewness=skew, kurtosis=kurt)
+    column = _column("values", list(values))
+    return _summary(column, _power_sums(list(column.ints()), column.mask, higher=True))
 
 
 def pearson(
@@ -189,13 +169,74 @@ def pearson(
     from t = r * sqrt((n-2) / (1-r^2)) with n-2 degrees of freedom,
     evaluated through the regularized incomplete beta function.
 
-    Raises ``ValueError`` on length mismatch; degenerate data (constant
-    series, fewer than 2 pairs) yields an error cell, not an exception.
+    Raises ``ValueError`` on length mismatch or a value that is not finite;
+    degenerate data (constant series, fewer than 2 pairs) yields an error
+    cell, not an exception.
     """
     if len(xs) != len(ys):
         raise ValueError(f"series lengths differ: {len(xs)} != {len(ys)}")
-    rows = _both(_defined_rows(xs), _defined_rows(ys))
-    return _cell(_deviations(_take(xs, rows)), _deviations(_take(ys, rows)))
+    return correlation_matrix({"xs": xs, "ys": ys}).cells[0][1]
+
+
+class _Column(NamedTuple):
+    """One column, exact: row i's value is ``ints()``'s item i times 2**e,
+    which is 0 on an absent row. ``values`` holds those ints, or, when
+    ``floats``, the floats they are scaled from (0.0 on an absent row), so
+    that a float column's ints need be held only while it is summed.
+    ``mask`` holds one byte per row, 1 where the value is defined; ``lo``
+    and ``hi`` are the least and greatest defined values."""
+
+    values: Sequence[int | float]
+    e: int
+    floats: bool
+    mask: bytes
+    lo: Number
+    hi: Number
+
+    def ints(self, rows: Iterable[int] | None = None) -> Iterable[int]:
+        """The ints of every row, or of ``rows`` alone, in that order."""
+        values = self.values if rows is None else list(map(self.values.__getitem__, rows))
+        return map(int, map(math.ldexp, values, repeat(-self.e))) if self.floats else values
+
+
+def _column(label: str, values: Sequence[OptionalNumber]) -> _Column:
+    """``values`` as exact ints over one binary exponent. An int is taken as
+    itself and any other value as ``float(v)``; one that is not finite raises
+    ``ValueError`` naming ``label``."""
+    mask = _defined_rows(values)
+    defined = list(compress(values, mask))
+    kinds = set(map(type, defined))
+    if not kinds <= {int, float}:  # bools, Fractions and other numbers
+        values = [v if v is None or type(v) is int else float(v) for v in values]
+        defined = list(compress(values, mask))
+        kinds = set(map(type, defined))
+    lo, hi = (min(defined), max(defined)) if defined else (0, 0)
+    complete = len(defined) == len(values)
+    if kinds <= {int}:  # counts are ints already
+        return _Column(values if complete else [v or 0 for v in values], 0, False, mask, lo, hi)
+
+    floats = defined if int not in kinds else [v for v in defined if type(v) is float]
+    if not all(map(math.isfinite, floats)):
+        bad = next(filterfalse(math.isfinite, floats))
+        raise ValueError(f"{label} holds {bad!r}, which is not a finite number")
+    # a float is a multiple of its last place, so each one is a multiple of
+    # the last place of the smallest nonzero magnitude, 2**e
+    tiny = min(map(abs, filter(None, floats)), default=0.0)
+    e = math.frexp(tiny)[1] - 53 if tiny else 0
+    if int in kinds:
+        e = min(e, 0)
+    elif math.frexp(max(-lo, hi))[1] - e <= 1024:  # each v * 2**-e is a float
+        return _Column(values if complete else [v or 0.0 for v in values], e, True, mask, lo, hi)
+    # ints among the floats, or more binades than a float spans
+    ints = [_scaled(v, e) if v is not None else 0 for v in values]
+    return _Column(ints, e, False, mask, lo, hi)
+
+
+def _scaled(value: int | float, e: int) -> int:
+    """``value * 2**-e``, which must be an int."""
+    num, den = value.as_integer_ratio()
+    shift = den.bit_length() - 1 + e  # value * 2**-e == num / 2**shift
+    return num >> shift if shift >= 0 else num << -shift
 
 
 def _defined_rows(values: Sequence[OptionalNumber]) -> bytes:
@@ -203,72 +244,147 @@ def _defined_rows(values: Sequence[OptionalNumber]) -> bytes:
     return bytes(map(is_not, values, repeat(None)))
 
 
-def _both(a: bytes, b: bytes) -> bytes:
-    """Mask of the rows defined in both masks."""
-    both = int.from_bytes(a, "little") & int.from_bytes(b, "little")
-    return both.to_bytes(len(a), "little")
+_BLOCK_ROWS = 4096  # rows whose squares are held at once
 
 
-def _take(values: Sequence[OptionalNumber], rows: bytes) -> list[float]:
-    """The values on the masked rows, as floats."""
-    return list(map(float, compress(values, rows)))
+def _power_sums(ints: Sequence[int], mask: bytes, higher: bool = False) -> tuple[int, ...]:
+    """``(n, Σx, Σx²)`` of a column's defined values, then ``Σx³`` and ``Σx⁴``
+    when ``higher``. The squares are held one block of rows at a time."""
+    sums = [mask.count(1), sum(ints), 0, 0, 0]
+    for start in range(0, len(ints), _BLOCK_ROWS):
+        block = ints[start:start + _BLOCK_ROWS]
+        squares = list(map(mul, block, block))
+        sums[2] += sum(squares)
+        if higher:
+            sums[3] += sum(map(mul, squares, block))
+            sums[4] += sum(map(mul, squares, squares))
+    return tuple(sums if higher else sums[:3])
 
 
-# (n, e, mean, dx, ss, error, lo, hi); dx is an array("d"), or a list of the
-# same floats where one column meets many in a correlation matrix
-_Deviations = tuple[int, int, float, "array[float] | list[float] | None", float, "str | None",
-                    float, float]
+def _shared_sums(column: _Column, sums: tuple[int, ...], other: bytes) -> tuple[int, int, int]:
+    """``(n, Σx, Σx²)`` of ``column`` over the rows defined in both its mask and
+    ``other``: its own sums minus the rows that only it defines."""
+    mask = column.mask
+    alone = int.from_bytes(mask, "little") & ~int.from_bytes(other, "little")
+    n, s1, s2 = sums[:3]
+    if not alone:
+        return n, s1, s2
+    dropped = list(column.ints(compress(range(len(mask)), alone.to_bytes(len(mask), "little"))))
+    return n - len(dropped), s1 - sum(dropped), s2 - sum(map(mul, dropped, dropped))
 
 
-def _deviations(values: list[float]) -> _Deviations:
-    """``(n, e, mean, dx, ss, error, lo, hi)``: the mean of ``values * 2**-e``,
-    the deviations from it and their sum of squares, or why the series has no
-    correlation (``dx`` is then None), and the unscaled min and max. This is
-    the one degeneracy rule: fewer than 2 values, or all values equal (tested
-    exactly, not via a rounded mean). One pass gives both a column's summary
-    (``_summary``) and its side of every Pearson cell (``_cell``).
-    """
-    n = len(values)
-    lo, hi = min(values, default=0.0), max(values, default=0.0)
-    e = math.frexp(max(-lo, hi))[1]  # every |x| < 2**e
-    # Unscaled, |dx| < 2**(e+1), and max |dx| > 2**(e-56): two distinct floats
-    # below 2**e, one of them at least 2**(e-1) in magnitude, differ by at least
-    # 2**(e-54). For -200 < e < 239 and n < 2**34 each sum of squares is then in
-    # (2**-510, 2**512), so ssx * ssy is normal and finite, and the squares
-    # below 2**-1022 move ss by less than an ulp. Elsewhere the values are
-    # scaled by 2**-e, exactly but for parts below 2**(e-1074).
-    if -200 < e < 239:
-        e = 0
-    else:
-        values = [math.ldexp(x, -e) for x in values]
-    mean = math.fsum(values) / n if n else 0.0
+def _row_set_sums(columns: Sequence[_Column], higher: Collection[int] = ()
+                  ) -> tuple[list[tuple[int, ...]], dict[tuple[int, int], tuple[int, ...]]]:
+    """The exact sums of ``columns`` over their rows: for each column,
+    ``_power_sums`` (with the higher powers where its index is in ``higher``);
+    for each pair i < j, ``(n, Σx, Σx², Σy, Σy², Σxy)`` over the rows where
+    both are defined. Σxy runs over every row, since an absent value is 0:
+    that is the pairwise deletion. One float column's ints are held at a
+    time; a later one is scaled again as its products are summed."""
+    singles, products = [], {}
+    for i, column in enumerate(columns):
+        xs = list(column.ints()) if column.floats else column.values
+        singles.append(_power_sums(xs, column.mask, i in higher))
+        for j in range(i + 1, len(columns)):
+            products[i, j] = sum(map(mul, xs, columns[j].ints()))
+    pairs = {
+        (i, j): (*_shared_sums(columns[i], singles[i], columns[j].mask),
+                 *_shared_sums(columns[j], singles[j], columns[i].mask)[1:], sxy)
+        for (i, j), sxy in products.items()
+    }
+    return singles, pairs
+
+
+def _degeneracy(n: int, s1: int, s2: int) -> str | None:
+    """Why values with these power sums have no correlation, or None. This is
+    the one degeneracy rule: fewer than 2 values, or all values equal, which
+    is n Σx² = (Σx)² exactly."""
     if n < 2:
-        return n, e, mean, None, 0.0, "fewer than 2 pairs", lo, hi
-    if lo == hi:
-        return n, e, mean, None, 0.0, "constant series", lo, hi
-    dx = array("d", map(sub, values, repeat(mean)))
-    # d * d is the correctly rounded square; the window above keeps it finite
-    return n, e, mean, dx, math.fsum(map(mul, dx, dx)), None, lo, hi
+        return "fewer than 2 pairs"
+    if n * s2 == s1 * s1:
+        return "constant series"
+    return None
 
 
-def _cell(x: _Deviations, y: _Deviations) -> CorrelationCell:
-    """The Pearson cell of two series' deviations over the same rows."""
-    n, _, _, dx, ssx, error, _, _ = x
-    _, _, _, dy, ssy, y_error, _, _ = y
-    error = error or y_error
+def _matrix(names: tuple[str, ...], singles: Sequence[tuple[int, ...]],
+            pairs: Mapping[tuple[int, int], tuple[int, ...]]) -> CorrelationMatrix:
+    """The correlation matrix of a row set's ``_row_set_sums``."""
+    cells: list[list[CorrelationCell | None]] = [[None] * len(names) for _ in names]
+    for i, (n, s1, s2, *_) in enumerate(singles):
+        error = _degeneracy(n, s1, s2)
+        cells[i][i] = CorrelationCell(r=None if error else 1.0, p_value=None, n=n, error=error)
+    for (i, j), sums in pairs.items():
+        cells[i][j] = cells[j][i] = _cell(*sums)
+    return CorrelationMatrix(names=names, cells=tuple(map(tuple, cells)))  # type: ignore[arg-type]
+
+
+def _cell(n: int, sx: int, sxx: int, sy: int, syy: int, sxy: int) -> CorrelationCell:
+    """The Pearson cell of two series with these power sums over n pairs."""
+    error = _degeneracy(n, sx, sxx) or _degeneracy(n, sy, syy)
     if error is not None:
         return CorrelationCell(r=None, p_value=None, n=n, error=error)
-    r = math.fsum(map(mul, dx, dy)) / math.sqrt(ssx * ssy)
-    r = max(-1.0, min(1.0, r))
-    return CorrelationCell(r=r, p_value=_pearson_p(r, n), n=n)
+    # r = cxy / sqrt(cxx * cyy), each c being n times a sum of deviation products
+    cxy = n * sxy - sx * sy
+    num, den = cxy * cxy, (n * sxx - sx * sx) * (n * syy - sy * sy)
+    r = _sqrt_ratio(num, den)
+    r = -r if cxy < 0 else r
+    p = None if n < 3 or abs(r) == 1.0 else _pearson_p(n, num, den)
+    return CorrelationCell(r=r, p_value=p, n=n)
 
 
-def _pearson_p(r: float, n: int) -> float | None:
-    if n < 3 or abs(r) == 1.0:
-        return None
-    # two-tailed p for t = r*sqrt(df/(1-r^2)) is I_{1-r^2}(df/2, 1/2); both
-    # 1-r^2 and r^2 are passed so neither is formed by a cancelling subtraction
-    return _betainc((n - 2) / 2.0, 0.5, (1.0 - r) * (1.0 + r), r * r)
+def _pearson_p(n: int, num: int, den: int) -> float:
+    """Two-tailed p of r² = num / den over n >= 3 pairs. For t = r*sqrt(df/(1-r²))
+    it is I_{1-r²}(df/2, 1/2); r² and 1 - r² are each one correctly rounded
+    division of exact ints, so neither is formed by a cancelling subtraction."""
+    return _betainc((n - 2) / 2.0, 0.5, (den - num) / den, num / den)
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """The float nearest sqrt(num / den), for num >= 0 and den > 0. An isqrt
+    to at least 55 bits keeps a sticky bit (round to odd), so the one
+    correctly rounded int division after it rounds the root correctly
+    (Boldo & Melquiond, IEEE Trans. Comput. 57(4), 2008). Raises
+    OverflowError past the float range."""
+    shift = (num.bit_length() - den.bit_length() - 110) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    quotient, remainder = divmod(num, den)
+    root = math.isqrt(quotient)
+    root |= remainder != 0 or root * root != quotient
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
+def _exp2_ratio(num: int, den: int, e: int) -> tuple[int, int]:
+    """``(num, den)`` with the factor 2**e moved onto one of them."""
+    return (num << e, den) if e >= 0 else (num, den << -e)
+
+
+def _summary(column: _Column, sums: tuple[int, ...]) -> SampleSummary:
+    """``summarize`` of a column with these ``_power_sums``, higher powers included."""
+    n, s1, s2, s3, s4 = sums
+    if not n:
+        return SampleSummary(n=0)
+    c2 = n * s2 - s1 * s1  # n times the sum of squared deviations
+    std_dev = skew = kurt = None
+    if n >= 2:
+        try:
+            std_dev = _sqrt_ratio(*_exp2_ratio(c2, n * (n - 1), 2 * column.e))
+        except OverflowError:  # past the float range
+            pass
+    if n >= 3 and c2:
+        c3 = (n * s3 - 3 * s1 * s2) * n + 2 * s1 * s1 * s1  # n² Σ(x - mean)³
+        g1 = _sqrt_ratio(n * (n - 1) * c3 * c3, (n - 2) * (n - 2) * c2 * c2 * c2)
+        skew = -g1 if c3 < 0 else g1
+    if n >= 4 and c2:
+        # n³ Σ(x - mean)⁴
+        c4 = ((n * s4 - 4 * s1 * s3) * n + 6 * s1 * s1 * s2) * n - 3 * s1 * s1 * s1 * s1
+        kurt = ((n - 1) * ((n + 1) * c4 - 3 * (n - 1) * c2 * c2)
+                / ((n - 2) * (n - 3) * c2 * c2))
+    return SampleSummary(n=n, mean=truediv(*_exp2_ratio(s1, n, column.e)), std_dev=std_dev,
+                         min=float(column.lo), max=float(column.hi), skewness=skew,
+                         kurtosis=kurt)
 
 
 _BETAINC_MAX_TERMS = 200  # b = 1/2 takes at most 60, up to n = 10^9
@@ -342,67 +458,45 @@ def correlation_matrix(
     of its two columns. A diagonal cell is exactly r = 1 over the column's
     defined values unless ``pearson``'s degeneracy rule holds there: fewer
     than 2 values or all values equal. The diagonal then names the
-    condition, and so does every cell in its row. Each column's deviations
-    are taken once per set of rows it is paired on.
+    condition, and so does every cell in its row. A value that is not
+    finite raises ``ValueError`` naming its column.
     """
     return _correlations(columns)[0]
 
 
 def _correlations(
-    columns: Mapping[str, Sequence[OptionalNumber]], summarized: Collection[str] = ()
-) -> tuple[CorrelationMatrix, dict[str, SampleSummary]]:
-    """``correlation_matrix`` of ``columns``, plus ``summarize`` of each
-    column named in ``summarized``, taken from its diagonal's deviations."""
+    columns: Mapping[str, Sequence[OptionalNumber]], summarized: Collection[str] = (),
+    kept: Sequence[int] | None = None,
+) -> tuple[CorrelationMatrix, dict[str, SampleSummary], CorrelationMatrix | None]:
+    """``correlation_matrix`` of ``columns``; ``summarize`` of each column
+    named in ``summarized``; and ``correlation_matrix`` over the distinct rows
+    in ``kept`` alone, or None. The kept rows' sums are the full sums minus
+    those over the other rows, which integers give exactly."""
     names = tuple(columns.keys())
-    series = [columns[name] for name in names]
-    length = len(series[0]) if series else 0
-    for name, col in zip(names, series):
-        if len(col) != length:
-            raise ValueError(f"column {name!r} has length {len(col)}, expected {length}")
-
-    # the pairs, diagonal included, grouped by the rows they are defined on,
-    # so that each column's deviations are taken once per row set
-    masks = [_defined_rows(col) for col in series]
-    by_rows: dict[bytes, list[tuple[int, int]]] = {}
-    for i, j in combinations_with_replacement(range(len(names)), 2):
-        rows = masks[i] if i == j else _both(masks[i], masks[j])
-        by_rows.setdefault(rows, []).append((i, j))
-
-    cells: list[list[CorrelationCell | None]] = [[None] * len(names) for _ in names]
-    summaries: dict[str, SampleSummary] = {}
-    for rows, pairs in by_rows.items():
-        _fill_row_set(cells, summaries, names, summarized,
-                      {i: _deviations(_take(series[i], rows)) for i in set(chain(*pairs))},
-                      pairs)
-    matrix = CorrelationMatrix(
-        names=names, cells=tuple(tuple(row) for row in cells)  # type: ignore[arg-type]
-    )
-    return matrix, summaries
-
-
-def _fill_row_set(cells: list[list], summaries: dict[str, SampleSummary],
-                  names: tuple[str, ...], summarized: Collection[str],
-                  deviations: dict[int, _Deviations], pairs: list[tuple[int, int]]) -> None:
-    """The cells of one row set's pairs, and the summaries on its diagonals.
-
-    Only this row set's deviations are held, and only while it is filled.
-    The pairs come sorted by their left column, which is turned into a list
-    once for all its pairs, so each product boxes one operand and not two.
-    """
-    left_i, left = -1, None
-    for i, j in pairs:
-        if i == j:
-            n, _, _, _, _, error, _, _ = deviations[i]
-            cells[i][i] = CorrelationCell(r=None if error else 1.0, p_value=None, n=n,
-                                          error=error)
-            if names[i] in summarized:
-                summaries[names[i]] = _summary(deviations[i])
-            continue
-        if i != left_i:
-            left_i, left = i, deviations[i]
-            if left[3] is not None:
-                left = (*left[:3], left[3].tolist(), *left[4:])
-        cells[i][j] = cells[j][i] = _cell(left, deviations[j])
+    length = len(columns[names[0]]) if names else 0
+    for name in names:
+        if len(columns[name]) != length:
+            raise ValueError(f"column {name!r} has length {len(columns[name])}, "
+                             f"expected {length}")
+    series = [_column(f"column {name!r}", columns[name]) for name in names]
+    higher = [i for i, name in enumerate(names) if name in summarized]
+    singles, pairs = _row_set_sums(series, higher)
+    summaries = {names[i]: _summary(series[i], singles[i]) for i in higher}
+    if kept is None:
+        return _matrix(names, singles, pairs), summaries, None
+    # the other rows' ints, each column's lo and hi left as they are
+    is_kept = bytearray(length)
+    for row in kept:
+        is_kept[row] = 1
+    dropped = list(compress(range(length), map(not_, is_kept)))
+    low_singles, low_pairs = _row_set_sums([
+        c._replace(values=list(c.ints(dropped)), floats=False,
+                   mask=bytes(map(c.mask.__getitem__, dropped)))
+        for c in series])
+    kept_matrix = _matrix(
+        names, [tuple(map(sub, full[:3], low)) for full, low in zip(singles, low_singles)],
+        {pair: tuple(map(sub, sums, low_pairs[pair])) for pair, sums in pairs.items()})
+    return _matrix(names, singles, pairs), summaries, kept_matrix
 
 
 def upper_quartile_rows(snapshots: Sequence[VideoStatsSnapshot]) -> list[int]:

@@ -583,6 +583,21 @@ def _bundle_with_rate(tmp_path, bundle, rate):
     return _write(tmp_path, "b.json", json.dumps(data))
 
 
+def _bundle_edited(tmp_path, bundle, edit):
+    data = json.loads(Path(bundle).read_text(encoding="utf-8"))
+    edit(data)
+    return _write(tmp_path, "b.json", json.dumps(data))  # NaN as the bare token
+
+
+def _set(path, value):
+    """An edit that sets the field at ``path``, a list of keys, to ``value``."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
 # (case, exit code, text the error names, argv from a scratch directory and a valid bundle)
 BAD_INPUT_CASES = [
     ("config-nested", 2, "config file",
@@ -626,6 +641,37 @@ BAD_INPUT_CASES = [
      lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, float("nan")))),
     ("bundle-rate-true", 4, "rate series 'CpkI'",
      lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, True))),
+    # summaries, cells and matrix shapes are checked on load, naming the field
+    ("bundle-summary-mean-string", 4, "summary_metrics.CpkI.mean",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, _set(["summary_metrics", "CpkI", "mean"], "1.5")))),
+    ("bundle-summary-mean-nan", 4, "summary_metrics.CpkI.mean",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, _set(["summary_metrics", "CpkI", "mean"], float("nan"))))),
+    ("bundle-summary-n-string", 4, "summary_basic.Views.n",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, _set(["summary_basic", "Views", "n"], "100")))),
+    ("bundle-cell-r-string", 4, "corr_full.cells[1][0].r",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, _set(["corr_full", "cells", 1, 0, "r"], "0.5")))),
+    ("bundle-cell-r-nan", 4, "corr_full.cells[1][0].r",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, _set(["corr_full", "cells", 1, 0, "r"], float("nan"))))),
+    ("bundle-cell-r-past-one", 4, "corr_upper_quartiles.cells[2][1].r",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, _set(["corr_upper_quartiles", "cells", 2, 1, "r"], 1.5)))),
+    ("bundle-cell-p-negative", 4, "corr_full.cells[1][0].p_value",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, _set(["corr_full", "cells", 1, 0, "p_value"], -0.5)))),
+    ("bundle-cell-error-int", 4, "corr_full.cells[1][0].error",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, _set(["corr_full", "cells", 1, 0, "error"], 1)))),
+    ("bundle-matrix-row-empty", 4, "corr_full.cells must be 8 rows of 8 cells",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, _set(["corr_full", "cells", 1], [])))),
+    ("bundle-matrix-names-short", 4, "corr_full.cells must be 7 rows of 7 cells",
+     lambda tmp, bundle: _report(tmp, _bundle_edited(
+         tmp, bundle, lambda data: data["corr_full"]["names"].pop()))),
 ]
 
 

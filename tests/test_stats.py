@@ -3,6 +3,7 @@ import random
 from bisect import bisect_right
 from datetime import datetime, timezone
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -97,6 +98,22 @@ def test_summarize_small_and_degenerate():
     # the test for equal values is exact, so a rounded mean leaves no deviations
     inexact = summarize([0.1] * 3)
     assert inexact.std_dev == 0 and inexact.skewness is None
+
+
+def test_moments_of_one_outlier_are_exact():
+    # a rounded mean would absorb the spread: these are the exact G1 and G2
+    # of two or three equal values and one below them
+    assert summarize([1.0, 1.0, 1 - 2**-53]).skewness == -1.7320508075688772
+    assert summarize([1.0, 1.0, 1.0, 1 - 2**-53]).kurtosis == 4.0
+
+
+def test_non_finite_values_raise_naming_their_column():
+    with pytest.raises(ValueError, match="values holds inf"):
+        summarize([1.0, math.inf])
+    with pytest.raises(ValueError, match="'xs' holds inf"):
+        pearson([1, 2, math.inf], [1, 2, 3])
+    with pytest.raises(ValueError, match="column 'b' holds nan"):
+        correlation_matrix({"a": [1.0, 2.0, 3.0], "b": [0.5, None, math.nan]})
 
 
 def test_summarize_skips_absent_values():
@@ -216,7 +233,8 @@ def test_pearson_p_matches_mpmath():
         drawn = [t / math.sqrt(df + t * t) for t in (rng.uniform(0, 30) for _ in range(40))]
         for r in fixed + [rng.choice((-1, 1)) * r for r in drawn]:
             points += 1
-            got = stats._pearson_p(r, n)
+            r2 = Fraction(r) ** 2
+            got = stats._pearson_p(n, r2.numerator, r2.denominator)
             want = _mpmath_pearson_p(r, n)
             if not want:
                 skipped += 1
@@ -366,7 +384,7 @@ def test_any_finite_constant_is_a_constant_series(constant, others):
 
 
 def test_correlation_matrix_subnormal_column_agrees_with_its_row():
-    # distinct subnormals are scaled by a power of two before their moments
+    # distinct subnormals are distinct ints over the exponent 2**-1126
     m = correlation_matrix({"s": [5e-324, 1e-323, 1.5e-323], "x": [1, 2, 3]})
     assert m.cell("s", "s").r == 1.0 and m.cell("s", "s").n == 3
     assert m.cell("s", "x").r == 1.0
@@ -374,7 +392,7 @@ def test_correlation_matrix_subnormal_column_agrees_with_its_row():
 
 
 def test_correlation_matrix_column_within_1e_162_agrees_with_its_row():
-    # the squares of s's deviations underflow to a zero sum unless s is scaled first
+    # the squares of s's deviations are below the float range
     s = [1.6086415292405457e-162, 2.2162096354476993e-162, 2.0813909966885495e-162,
          0.0, 2.2162096354476993e-162, 0.0]
     m = correlation_matrix({"s": s, "x": [None, 1, 2, 3, 4, None]})
@@ -386,7 +404,7 @@ def test_correlation_matrix_column_within_1e_162_agrees_with_its_row():
 
 
 def test_pearson_and_summarize_on_overflowing_squares():
-    # the squared deviations are past the float range; the scaled ones are not
+    # the squared deviations are past the float range
     assert pearson([1e200, -1e200, 0], [1, 2, 3]).r == -0.5
     assert pearson([1e200, -1e200, 0], [1, 1, 1]).error == "constant series"
     big = correlation_matrix({"big": [1e200, -1e200, 0], "x": [1, 2, 3]})
@@ -464,47 +482,101 @@ extreme = st.one_of(
 )
 
 
-def _exact_moments(values):
-    """Exact mean, deviations and sum of squares, as Fractions."""
+def _nearest_sqrt(square):
+    """The float nearest the square root of a Fraction, or None past the
+    float range: a 300-bit mpmath root, checked to be within half an ulp."""
+    with mpmath.workprec(300):
+        root = float(mpmath.sqrt(mpmath.mpf(square.numerator) / square.denominator))
+    if math.isinf(root):
+        assert square >= Fraction(2**1024 - 2**970) ** 2
+        return None
+    below = (Fraction(root) + Fraction(math.nextafter(root, 0.0))) / 2
+    above = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    assert below * below <= square <= above * above
+    return root
+
+
+def _signed_sqrt(sign, square):
+    root = _nearest_sqrt(square)
+    return -root if sign < 0 else root
+
+
+def _oracle_summary(values):
+    """Exact mean, standard deviation, G1 and G2 from Fraction deviations, each
+    rounded once to the nearest float (None where undefined)."""
     exact = [Fraction(v) for v in values]
-    mean = sum(exact) / len(exact)
+    n = len(exact)
+    mean = sum(exact) / n
     dx = [v - mean for v in exact]
-    return mean, dx, sum(d * d for d in dx)
+    m2, m3, m4 = (sum(d**k for d in dx) for k in (2, 3, 4))
+    std = _nearest_sqrt(m2 / (n - 1)) if n >= 2 else None
+    g1 = g2 = None
+    if n >= 3 and m2:
+        g1 = _signed_sqrt(m3, Fraction(n * n * (n - 1)) * m3 * m3 / ((n - 2) ** 2 * m2**3))
+    if n >= 4 and m2:
+        g2 = float(Fraction(n * (n + 1) * (n - 1)) * m4 / ((n - 2) * (n - 3) * m2 * m2)
+                   - Fraction(3 * (n - 1) ** 2, (n - 2) * (n - 3)))
+    return float(mean), std, g1, g2
+
+
+def _oracle_r2(xs, ys):
+    """The exact covariance's sign and r², as a Fraction."""
+    ex, ey = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    mx, my = sum(ex) / len(ex), sum(ey) / len(ey)
+    dx, dy = [v - mx for v in ex], [v - my for v in ey]
+    sxy = sum(a * b for a, b in zip(dx, dy))
+    return sxy, sxy * sxy / (sum(d * d for d in dx) * sum(d * d for d in dy))
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+def _assert_exact(xs, ys):
+    """summarize(xs) and pearson(xs, ys), the r² and 1 - r² that pearson hands
+    to the incomplete beta included, equal their correctly rounded values."""
+    summary = summarize(xs)
+    with mock.patch.object(stats, "_betainc", wraps=stats._betainc) as betainc:
+        cell = pearson(xs, ys)
+    assert summary.n == cell.n == len(xs)
+    if not xs:
+        assert cell.error == "fewer than 2 pairs"
+        return
+    got = (summary.mean, summary.std_dev, summary.skewness, summary.kurtosis)
+    assert tuple(map(_bits, got)) == tuple(map(_bits, _oracle_summary(xs)))
+    assert (summary.min, summary.max) == (min(xs), max(xs))
+    if len(xs) < 2 or min(xs) == max(xs) or min(ys) == max(ys):
+        assert cell.error is not None and cell.r is None and not betainc.called
+        return
+    sxy, r2 = _oracle_r2(xs, ys)
+    assert _bits(cell.r) == _bits(_signed_sqrt(sxy, r2))
+    if len(xs) < 3 or abs(cell.r) == 1.0:
+        assert cell.p_value is None and not betainc.called
+    else:
+        (a, b, x, y), _ = betainc.call_args
+        assert (a, b, _bits(x), _bits(y)) == ((len(xs) - 2) / 2, 0.5, _bits(float(1 - r2)),
+                                              _bits(float(r2)))
 
 
 @given(pairs=st.lists(st.tuples(extreme, extreme), max_size=10))
 def test_moments_of_any_finite_floats_match_an_exact_oracle(pairs):
-    xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
-    summary = summarize(xs)
-    cell = pearson(xs, ys)
-    assert cell.n == len(pairs)
-    if not pairs:
-        assert summary.n == 0 and cell.error == "fewer than 2 pairs"
-        return
-    mean, dx, ssx = _exact_moments(xs)
-    big_x = max(map(abs, xs))
-    # the mean is rounded twice, and scaling drops parts below 2**-1074 of a
-    # value's scale: within two ulps plus 2**-1072 of the largest magnitude
-    slack = 2 * math.ulp(float(mean)) + math.ldexp(big_x, -1072) + 5e-324
-    assert abs(Fraction(summary.mean) - mean) <= Fraction(slack)
-    assert (summary.min, summary.max) == (min(xs), max(xs))
-    if summary.std_dev is not None:
-        assert math.isfinite(summary.std_dev)
-    if len(pairs) < 2 or min(xs) == max(xs) or min(ys) == max(ys):
-        assert cell.error is not None and cell.r is None
-        return
-    assert cell.error is None and -1.0 <= cell.r <= 1.0
-    _, dy, ssy = _exact_moments(ys)
-    sxy = sum(a * b for a, b in zip(dx, dy))
-    exact_r = math.sqrt(sxy * sxy / (ssx * ssy)) * (1 if sxy >= 0 else -1)
-    # each deviation carries the rounding of the mean, up to 2**-51 of the
-    # largest magnitude; r, the cosine of the angle between the deviation
-    # vectors, moves by at most twice their relative perturbation
-    n = len(pairs)
-    big_y = max(map(abs, ys))
-    spread = math.sqrt(Fraction(big_x) ** 2 / ssx) + math.sqrt(Fraction(big_y) ** 2 / ssy)
-    tilt = math.sqrt(n) * 2.0**-51 * spread
-    assert abs(cell.r - exact_r) <= 2 * tilt + 1e-14
+    _assert_exact([p[0] for p in pairs], [p[1] for p in pairs])
+
+
+def test_moments_of_a_column_spanning_every_binade_match_an_exact_oracle():
+    # 5e-324 and 1.7e308 over one exponent make ints of about 2,150 bits
+    rng = random.Random(43)
+    xs = [rng.choice((5e-324, 1.7e308, -1.7e308, 1e-300, 3.0)) for _ in range(300)]
+    ys = [rng.choice((5e-324, 2.5e-310, 1.0, 1e200)) * rng.random() for _ in range(300)]
+    _assert_exact(xs, ys)
+    _assert_exact(ys, xs)
+
+
+def test_moments_of_the_found_and_constant_cases_match_an_exact_oracle():
+    for xs in ([1.0, 1.0, 1 - 2**-53], [1.0, 1.0, 1.0, 1 - 2**-53], [0.1] * 5,
+               [5e-324] * 4, [1.7e308] * 3, [1e200, -1e200, 0.0], [1.7e308, -1.7e308],
+               [5e-324, 1e-323, 1.5e-323], [2**-1074, 2**-1073, 1.0, 2.0]):
+        _assert_exact(xs, [float(i * i) for i in range(len(xs))])
 
 
 def test_correlation_matrix_rejects_ragged_columns():
