@@ -588,8 +588,9 @@ def _rate_series(name: str, values) -> list:
     unless each rate is None or exactly an int or a float, finite and within
     the float range."""
     rates = list(values)
-    for rate in rates:
-        if not _is_optional_number(rate):
+    for rate in rates:  # _is_optional_number, inline: a call per rate doubles the cost
+        if not (type(rate) is float and math.isfinite(rate) or rate is None
+                or type(rate) is int and abs(rate) <= sys.float_info.max):
             raise ValueError(f"rate series {name!r} holds a value that is not a finite "
                              f"number: {rate!r:.40}")
     return rates

@@ -6,8 +6,8 @@ report their own n. Conventions: sample standard deviation (n-1 in the
 denominator), adjusted Fisher-Pearson skewness (G1) and bias-corrected
 excess kurtosis (G2), the forms mainstream statistics packages print.
 
-Every moment comes from exact integer power sums. Each column is turned
-once into ints over one binary exponent, with an absent value as 0, so
+Every moment comes from exact integer power sums. Each column is taken
+as ints over one binary exponent, with an absent value as 0, so
 n, Σx, Σx², Σx³, Σx⁴ and each pair's Σxy are exact, and so is any
 difference of two such sums. Each statistic is then rounded once, to the
 float nearest its exact value: the mean and G2 by one int division,

@@ -11,6 +11,7 @@ import engage
 from engage import ingestion
 from engage.cli import main
 from engage.ingestion import load_snapshots
+from engage.report import CORR_NAMES
 
 BUNDLED_FIXTURES = Path(engage.__file__).parent / "fixtures" / "replication"
 
@@ -571,31 +572,15 @@ def _report(tmp_path, bundle, bins=None):
     return argv + ["--bins", _write(tmp_path, "bins.json", bins)] if bins else argv
 
 
-def _bundle_with_category(tmp_path, bundle, category):
+def _bundle_with(tmp_path, bundle, path, value):
+    """The bundle with the field at ``path``, a list of keys, set to ``value``."""
     data = json.loads(Path(bundle).read_text(encoding="utf-8"))
-    data["categories"][0][0] = category
-    return _write(tmp_path, "b.json", json.dumps(data))  # ASCII, with JSON escapes
-
-
-def _bundle_with_rate(tmp_path, bundle, rate):
-    data = json.loads(Path(bundle).read_text(encoding="utf-8"))
-    data["rates"]["CpkI"][0] = rate
+    field = data
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    # ASCII, with JSON escapes; NaN as the bare token
     return _write(tmp_path, "b.json", json.dumps(data))
-
-
-def _bundle_edited(tmp_path, bundle, edit):
-    data = json.loads(Path(bundle).read_text(encoding="utf-8"))
-    edit(data)
-    return _write(tmp_path, "b.json", json.dumps(data))  # NaN as the bare token
-
-
-def _set(path, value):
-    """An edit that sets the field at ``path``, a list of keys, to ``value``."""
-    def edit(data):
-        for key in path[:-1]:
-            data = data[key]
-        data[path[-1]] = value
-    return edit
 
 
 # (case, exit code, text the error names, argv from a scratch directory and a valid bundle)
@@ -626,52 +611,53 @@ BAD_INPUT_CASES = [
      lambda tmp, bundle: _report(
          tmp, bundle, '{"cpki": {"edges": [0, 1000], "labels": ["\\ud800"]}}')),
     ("bundle-category-surrogate", 4, "cannot write",
-     lambda tmp, bundle: _report(tmp, _bundle_with_category(tmp, bundle, "\ud800"))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["categories", 0, 0], "\ud800"))),
     # a valid bins file over a bundle whose rates cannot be binned blames the bundle
     ("bundle-rate-past-float-range", 4, "rate series 'CpkI'",
-     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, 10**400),
+     lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["rates", "CpkI", 0], 10**400),
                                  '{"cpki": {"edges": [0, 1, 2]}}')),
     ("bundle-rate-not-a-number", 4, "rate series 'CpkI'",
-     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, "x"),
+     lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["rates", "CpkI", 0], "x"),
                                  '{"cpki": {"edges": [0, 1, 2]}}')),
     # a rate that is not a finite number is refused on load, with or without --bins
     ("bundle-rate-numeric-string", 4, "rate series 'CpkI'",
-     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, "1.5"))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["rates", "CpkI", 0], "1.5"))),
     ("bundle-rate-nan", 4, "rate series 'CpkI'",
-     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, float("nan")))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["rates", "CpkI", 0], float("nan")))),
     ("bundle-rate-true", 4, "rate series 'CpkI'",
-     lambda tmp, bundle: _report(tmp, _bundle_with_rate(tmp, bundle, True))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["rates", "CpkI", 0], True))),
     # summaries, cells and matrix shapes are checked on load, naming the field
     ("bundle-summary-mean-string", 4, "summary_metrics.CpkI.mean",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, _set(["summary_metrics", "CpkI", "mean"], "1.5")))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["summary_metrics", "CpkI", "mean"], "1.5"))),
     ("bundle-summary-mean-nan", 4, "summary_metrics.CpkI.mean",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, _set(["summary_metrics", "CpkI", "mean"], float("nan"))))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["summary_metrics", "CpkI", "mean"], float("nan")))),
     ("bundle-summary-n-string", 4, "summary_basic.Views.n",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, _set(["summary_basic", "Views", "n"], "100")))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["summary_basic", "Views", "n"], "100"))),
     ("bundle-cell-r-string", 4, "corr_full.cells[1][0].r",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, _set(["corr_full", "cells", 1, 0, "r"], "0.5")))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["corr_full", "cells", 1, 0, "r"], "0.5"))),
     ("bundle-cell-r-nan", 4, "corr_full.cells[1][0].r",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, _set(["corr_full", "cells", 1, 0, "r"], float("nan"))))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["corr_full", "cells", 1, 0, "r"], float("nan")))),
     ("bundle-cell-r-past-one", 4, "corr_upper_quartiles.cells[2][1].r",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, _set(["corr_upper_quartiles", "cells", 2, 1, "r"], 1.5)))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["corr_upper_quartiles", "cells", 2, 1, "r"], 1.5))),
     ("bundle-cell-p-negative", 4, "corr_full.cells[1][0].p_value",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, _set(["corr_full", "cells", 1, 0, "p_value"], -0.5)))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["corr_full", "cells", 1, 0, "p_value"], -0.5))),
     ("bundle-cell-error-int", 4, "corr_full.cells[1][0].error",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, _set(["corr_full", "cells", 1, 0, "error"], 1)))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["corr_full", "cells", 1, 0, "error"], 1))),
     ("bundle-matrix-row-empty", 4, "corr_full.cells must be 8 rows of 8 cells",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, _set(["corr_full", "cells", 1], [])))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["corr_full", "cells", 1], []))),
     ("bundle-matrix-names-short", 4, "corr_full.cells must be 7 rows of 7 cells",
-     lambda tmp, bundle: _report(tmp, _bundle_edited(
-         tmp, bundle, lambda data: data["corr_full"]["names"].pop()))),
+     lambda tmp, bundle: _report(tmp, _bundle_with(
+         tmp, bundle, ["corr_full", "names"], list(CORR_NAMES[:-1])))),
 ]
 
 

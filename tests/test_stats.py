@@ -575,7 +575,8 @@ def test_moments_of_a_column_spanning_every_binade_match_an_exact_oracle():
 def test_moments_of_the_found_and_constant_cases_match_an_exact_oracle():
     for xs in ([1.0, 1.0, 1 - 2**-53], [1.0, 1.0, 1.0, 1 - 2**-53], [0.1] * 5,
                [5e-324] * 4, [1.7e308] * 3, [1e200, -1e200, 0.0], [1.7e308, -1.7e308],
-               [5e-324, 1e-323, 1.5e-323], [2**-1074, 2**-1073, 1.0, 2.0]):
+               [5e-324, 1e-323, 1.5e-323], [2**-1074, 2**-1073, 1.0, 2.0],
+               [3, 0.5, 2**52 + 1, -7, True]):
         _assert_exact(xs, [float(i * i) for i in range(len(xs))])
 
 
