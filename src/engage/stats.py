@@ -244,21 +244,14 @@ def _defined_rows(values: Sequence[OptionalNumber]) -> bytes:
     return bytes(map(is_not, values, repeat(None)))
 
 
-_BLOCK_ROWS = 4096  # rows whose squares are held at once
-
-
 def _power_sums(ints: Sequence[int], mask: bytes, higher: bool = False) -> tuple[int, ...]:
     """``(n, Σx, Σx²)`` of a column's defined values, then ``Σx³`` and ``Σx⁴``
-    when ``higher``. The squares are held one block of rows at a time."""
-    sums = [mask.count(1), sum(ints), 0, 0, 0]
-    for start in range(0, len(ints), _BLOCK_ROWS):
-        block = ints[start:start + _BLOCK_ROWS]
-        squares = list(map(mul, block, block))
-        sums[2] += sum(squares)
-        if higher:
-            sums[3] += sum(map(mul, squares, block))
-            sums[4] += sum(map(mul, squares, squares))
-    return tuple(sums if higher else sums[:3])
+    when ``higher``. The squares are held only while these are taken."""
+    if not higher:
+        return mask.count(1), sum(ints), sum(map(mul, ints, ints))
+    squares = list(map(mul, ints, ints))
+    return (mask.count(1), sum(ints), sum(squares), sum(map(mul, squares, ints)),
+            sum(map(mul, squares, squares)))
 
 
 def _shared_sums(column: _Column, sums: tuple[int, ...], other: bytes) -> tuple[int, int, int]:
