@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, compress, filterfalse, repeat
+from itertools import compress, filterfalse, repeat
 from operator import is_not, mul, not_, sub, truediv
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
