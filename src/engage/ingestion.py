@@ -482,20 +482,26 @@ def select_study_sample(candidates: StudySample, n: int) -> StudySample:
     candidates is a shortfall, not a fault: all eligible are returned and
     the selection note records the shortfall.
     """
+    # each snapshot's fields with the snapshot itself last, as _top_rows ranks them
+    rows = [(*_fields(s), s) for s in candidates.snapshots]
+    chosen, note = _top_rows(rows, n, candidates.selection_note)
+    return StudySample(snapshots=tuple(row[-1] for row in chosen), selection_note=note)
+
+
+def _top_rows(rows: Sequence[tuple], n: int, note: str) -> tuple[list[tuple], str]:
+    """``select_study_sample`` over rows that begin with a snapshot's fields:
+    the chosen rows, best first, and ``note`` with the selection appended."""
     if n < 1:
         raise ConfigError(f"sample size must be >= 1, got {n}")
-    eligible = [s for s in candidates.snapshots if s.comments_enabled]
-    # equal to sorted(...)[:n], without sorting the whole eligible set
-    chosen = tuple(heapq.nsmallest(n, eligible, key=lambda s: (-s.views, s.video_id)))
+    eligible = [row for row in rows if row[6]]  # comments_enabled
+    # equal to sorted(...)[:n] by (-views, video_id), without sorting the whole eligible set
+    chosen = heapq.nsmallest(n, eligible, key=lambda row: (-row[2], row[0]))
 
-    note = (
-        f"{candidates.selection_note}; top {len(chosen)} of {len(eligible)} "
-        f"comment-enabled by views"
-    ).lstrip("; ")
+    note = f"{note}; top {len(chosen)} of {len(eligible)} comment-enabled by views".lstrip("; ")
     if len(eligible) < n:
         logger.warning("only %d eligible videos for requested n=%d", len(eligible), n)
         note += f" (shortfall: requested {n})"
-    return StudySample(snapshots=chosen, selection_note=note)
+    return chosen, note
 
 
 def snapshot_to_record(snapshot: VideoStatsSnapshot) -> dict:
@@ -681,6 +687,19 @@ def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
     interrupted append: either mode skips it with a warning and names it in
     the note.
     """
+    rows, note = _load_rows(path, lenient)
+    # each row is replaced as its snapshot is built, so the two are never both
+    # held in full
+    for i, values in enumerate(rows):
+        rows[i] = VideoStatsSnapshot(*values)
+    unique = tuple(rows)
+    del rows  # freed before the sample's own id check allocates
+    return StudySample(snapshots=unique, selection_note=note)
+
+
+def _load_rows(path: Path, lenient: bool = False) -> tuple[list[_Values], str]:
+    """``load_snapshots`` without the snapshots: the validated fields of each
+    id's latest record, in first-seen order of the ids, and the note."""
     records = skipped = 0
     torn = False
 
@@ -708,19 +727,13 @@ def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
 
     try:
         with open(path, "rb") as f:
-            latest = _latest_by_id(rows(f))
+            unique = list(_latest_by_id(rows(f)).values())
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
-    # each tuple is replaced as its snapshot is built, so the two are never
-    # both held in full
-    for video_id, values in latest.items():
-        latest[video_id] = VideoStatsSnapshot(*values)
-    unique = tuple(latest.values())
-    del latest  # freed before the sample's own id check allocates
 
     note = f"loaded {records} records from {path.name}, {len(unique)} unique ids"
     if skipped:
         note += f", {skipped} malformed line(s) skipped"
     if torn:
         note += ", 1 torn final line skipped"
-    return StudySample(snapshots=unique, selection_note=note)
+    return unique, note

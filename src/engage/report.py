@@ -15,10 +15,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from json.encoder import encode_basestring
-from typing import Mapping
+from operator import gt, is_not
+from typing import Iterable, Mapping, Sequence
 
-from .ingestion import format_rfc3339, read_json_object
+from .ingestion import _fields, format_rfc3339, read_json_object
 from .stats import (
     BinSpec,
     CorrelationCell,
@@ -26,10 +28,10 @@ from .stats import (
     Histogram,
     SampleSummary,
     StudySample,
+    _category_table,
     _correlations,
-    category_counts,
+    _upper_quartile,
     histogram,
-    upper_quartile_rows,
 )
 
 BUNDLE_FORMAT = "engage-bundle/1"
@@ -38,6 +40,9 @@ MATRIX_KEYS = ("corr_full", "corr_upper_quartiles")
 METRIC_NAMES = ("CpkI", "VpkI", "DisP")
 BASIC_NAMES = ("Views", "Comments", "Votes")
 CORR_NAMES = ("CpkI", "VpkI", "DisP", "Views", "Votes+", "Votes-", "Comments", "Votes (sum)")
+COUNT_NAMES = ("Views", "Votes+", "Votes-", "Comments")  # the correlation columns that are counts
+# each rate's valid range; the range annotation names the videos outside it
+RATE_RANGES = {"CpkI": (0, math.inf), "VpkI": (0, math.inf), "DisP": (0, 1)}
 # summary name -> the correlation column it summarizes
 SUMMARIZED_COLUMNS = {"Views": "Views", "Comments": "Comments", "Votes": "Votes (sum)",
                       **{name: name for name in METRIC_NAMES}}
@@ -90,11 +95,19 @@ def build_report(sample: StudySample) -> ReportBundle:
     Statistics that cannot be computed (too little data, constant or
     absent columns) become per-table annotations rather than failures.
     """
-    if not sample.snapshots:
-        raise ValueError("cannot build a report from an empty sample")
+    return _report(map(_fields, sample.snapshots), sample.selection_note)
 
-    columns = _metric_columns(sample)
-    upper = upper_quartile_rows(sample.snapshots)
+
+def _report(rows: Iterable[tuple], note: str) -> ReportBundle:
+    """``build_report`` of the sample whose snapshots have these fields, each
+    row in ``VideoStatsSnapshot``'s order, and whose selection note is ``note``."""
+    by_field = list(zip(*rows))  # one column per field
+    if not by_field:
+        raise ValueError("cannot build a report from an empty sample")
+    video_ids, fetched_at, views, likes, dislikes, comments, enabled, categories = by_field
+
+    columns = _metric_columns(views, likes, dislikes, comments, enabled)
+    upper = _upper_quartile(views, video_ids)
 
     # one pass of exact sums gives the full matrix and the summaries; the
     # upper quartiles' sums are the full ones minus the lowest quartile's
@@ -104,14 +117,17 @@ def build_report(sample: StudySample) -> ReportBundle:
     summary_basic = {name: summaries[SUMMARIZED_COLUMNS[name]] for name in BASIC_NAMES}
     summary_metrics = {name: summaries[name] for name in METRIC_NAMES}
 
+    annotations = _annotations(summary_metrics, corr_full, corr_upper)
+    if out_of_range := _range_note(video_ids, columns, summary_metrics):
+        annotations["range"] = out_of_range
     provenance = {
-        "sample_n": len(sample.snapshots),
-        "selection_note": sample.selection_note,
-        "fetched_from": format_rfc3339(min(s.fetched_at for s in sample.snapshots)),
-        "fetched_to": format_rfc3339(max(s.fetched_at for s in sample.snapshots)),
+        "sample_n": len(video_ids),
+        "selection_note": note,
+        "fetched_from": format_rfc3339(min(fetched_at)),
+        "fetched_to": format_rfc3339(max(fetched_at)),
         "upper_quartile_n": len(upper),
-        "coverage_notes": _coverage_notes(sample, columns),
-        "annotations": _annotations(summary_metrics, corr_full, corr_upper),
+        "coverage_notes": _coverage_notes(len(video_ids), columns),
+        "annotations": annotations,
     }
     bundle = ReportBundle(
         provenance=provenance,
@@ -120,7 +136,7 @@ def build_report(sample: StudySample) -> ReportBundle:
         corr_full=corr_full,
         corr_upper_quartiles=corr_upper,
         histograms={},
-        categories=category_counts(sample),
+        categories=_category_table(categories),
         rates={name: list(columns[name]) for name in METRIC_NAMES},
     )
     return rebin_bundle(bundle, DEFAULT_BINS)
@@ -175,18 +191,17 @@ def rebin_bundle(bundle: ReportBundle, bins: Mapping[str, BinSpec]) -> ReportBun
     return replace(bundle, histograms=histograms, summary_metrics=summaries)
 
 
-def _metric_columns(sample: StudySample) -> dict[str, list]:
-    """Aligned per-video series for every summary and correlation column.
+def _metric_columns(views: Sequence[int], likes: Sequence[int | None],
+                    dislikes: Sequence[int | None], comments: Sequence[int | None],
+                    comments_enabled: Sequence[bool]) -> dict[str, list]:
+    """Aligned per-video series for every summary and correlation column,
+    from the sample's count and ``comments_enabled`` columns.
 
     The rates follow ``metrics.compute_*`` exactly: CPython's int / int
     division is correctly rounded, so each rate is the float nearest its
     exact ``Fraction``, bit for bit, without building the ``Fraction``.
     """
-    snaps = sample.snapshots
-    views = [s.views for s in snaps]
-    likes = [s.likes for s in snaps]
-    dislikes = [s.dislikes for s in snaps]
-    comments = [s.comments if s.comments_enabled else None for s in snaps]
+    comments = [c if enabled else None for c, enabled in zip(comments, comments_enabled)]
     votes = [
         up + down if up is not None and down is not None else None
         for up, down in zip(likes, dislikes)
@@ -208,8 +223,7 @@ def _metric_columns(sample: StudySample) -> dict[str, list]:
     }
 
 
-def _coverage_notes(sample: StudySample, columns: dict[str, list]) -> list[str]:
-    n = len(sample.snapshots)
+def _coverage_notes(n: int, columns: dict[str, list]) -> list[str]:
     notes = []
     for name, consequence in (
         ("Votes-", "VpkI and DisP are undefined there"),
@@ -221,6 +235,26 @@ def _coverage_notes(sample: StudySample, columns: dict[str, list]) -> list[str]:
             label = {"Votes-": "dislike", "Votes+": "like", "Comments": "comment"}[name]
             notes.append(f"{label} counts absent for {missing} of {n} snapshots; {consequence}")
     return notes
+
+
+def _range_note(video_ids: Sequence[str], columns: dict[str, list],
+                summary_metrics: dict[str, SampleSummary]) -> str | None:
+    """The ``range`` annotation: how many counts are negative, and which
+    videos have a rate outside ``RATE_RANGES``; None when every value is in
+    range. A summary's exact min and max tell which rates need the search."""
+    parts = []
+    negative = sum(sum(map(partial(gt, 0), filter(partial(is_not, None), columns[name])))
+                   for name in COUNT_NAMES)
+    if negative:
+        parts.append(f"negative counts: {negative}")
+    for name, (low, high) in RATE_RANGES.items():
+        summary = summary_metrics[name]
+        if summary.n and (summary.min < low or summary.max > high):
+            bad = [video_ids[i] for i, rate in enumerate(columns[name])
+                   if rate is not None and not low <= rate <= high]
+            shown = ", ".join(bad[:5]) + (", ..." if len(bad) > 5 else "")
+            parts.append(f"{name} outside [{low:g}, {high:g}]: {len(bad)} videos ({shown})")
+    return "; ".join(parts) or None
 
 
 def _annotations(
@@ -522,8 +556,27 @@ def _is_optional_text(value) -> bool:
     return value is None or type(value) is str
 
 
-# each field of a summary and of a correlation cell: (test of its value, what it must be)
+def _is_text(value) -> bool:
+    return type(value) is str
+
+
+def _is_bin_row(row) -> bool:
+    return type(row) is list and len(row) == 2 and _is_text(row[0]) and _is_count(row[1])
+
+
+# each field of the provenance, a summary, a correlation cell and a histogram:
+# (test of its value, what it must be)
 _FIELD_RULES = {
+    "provenance": {
+        "sample_n": (_is_count, "an int"),
+        **{name: (_is_text, "a string")
+           for name in ("selection_note", "fetched_from", "fetched_to")},
+        "upper_quartile_n": (_is_count, "an int"),
+        "coverage_notes": (lambda notes: type(notes) is list and all(map(_is_text, notes)),
+                           "a list of strings"),
+        "annotations": (lambda notes: type(notes) is dict and all(map(_is_text, notes.values())),
+                        "an object of strings"),
+    },
     SampleSummary: {
         "n": (_is_count, "an int"),
         **{name: (_is_optional_number, "null or a finite number")
@@ -538,19 +591,39 @@ _FIELD_RULES = {
         "n": (_is_count, "an int"),
         "error": (_is_optional_text, "null or a string"),
     },
+    Histogram: {
+        "rows": (lambda rows: type(rows) is list and all(map(_is_bin_row, rows)),
+                 "a list of [label, count] pairs"),
+        "underflow": (_is_count, "an int"),
+        "overflow": (_is_count, "an int"),
+    },
 }
 
 
-def _from_json(cls, data: dict, where: str):
-    """Rebuild a summary or a cell from its field dict. A missing key raises
-    KeyError; a value that breaks its field's rule raises ValueError naming
-    the field as ``where.field``."""
+def _checked(kind, data, where: str) -> dict:
+    """The fields that ``_FIELD_RULES[kind]`` names, taken from the JSON object
+    ``data``. A value that is not an object, a missing field or a value that
+    breaks its field's rule raises ValueError naming it as ``where.field``."""
+    if type(data) is not dict:
+        raise ValueError(f"{where} must be an object, not {data!r:.40}")
     values = {}
-    for name, (valid, rule) in _FIELD_RULES[cls].items():
+    for name, (valid, rule) in _FIELD_RULES[kind].items():
+        if name not in data:
+            raise ValueError(f"{where}.{name} is missing")
         value = values[name] = data[name]
         if not valid(value):
             raise ValueError(f"{where}.{name} must be {rule}, not {value!r:.40}")
-    return cls(**values)
+    return values
+
+
+def _from_json(cls, data, where: str):
+    """Rebuild a summary or a cell from its checked field dict."""
+    return cls(**_checked(cls, data, where))
+
+
+def _histogram_from_json(name: str, data) -> Histogram:
+    values = _checked(Histogram, data, f"histograms.{name}")
+    return Histogram(**{**values, "rows": tuple(map(tuple, values["rows"]))})
 
 
 def _matrix_from_json(key: str, data: dict) -> CorrelationMatrix:
@@ -598,11 +671,12 @@ def _rate_series(name: str, values) -> list:
 
 def bundle_from_json(data: dict) -> ReportBundle:
     """The bundle that ``bundle_to_json`` wrote as ``data``. A rate that is
-    not a finite number raises ValueError naming its series; a summary field,
-    a correlation cell field or a matrix shape that breaks its rule raises
-    ValueError naming the field."""
+    not a finite number raises ValueError naming its series; a provenance,
+    summary, correlation cell or histogram field, or a matrix shape, that is
+    missing or breaks its rule raises ValueError naming the field."""
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a report bundle (format={data.get('format')!r})")
+    _checked("provenance", data["provenance"], "provenance")
     summaries = {
         key: {name: _from_json(SampleSummary, v, f"{key}.{name}") for name, v in data[key].items()}
         for key in ("summary_basic", "summary_metrics")
@@ -610,14 +684,7 @@ def bundle_from_json(data: dict) -> ReportBundle:
     return ReportBundle(
         provenance=data["provenance"],
         **summaries,
-        histograms={
-            name: Histogram(
-                rows=tuple((label, count) for label, count in h["rows"]),
-                underflow=h["underflow"],
-                overflow=h["overflow"],
-            )
-            for name, h in data["histograms"].items()
-        },
+        histograms={name: _histogram_from_json(name, h) for name, h in data["histograms"].items()},
         categories=[(cat, count) for cat, count in data["categories"]],
         rates={name: _rate_series(name, values) for name, values in data["rates"].items()},
         **{key: _matrix_from_json(key, data[key]) for key in MATRIX_KEYS},

@@ -498,7 +498,12 @@ def upper_quartile_rows(snapshots: Sequence[VideoStatsSnapshot]) -> list[int]:
     The lowest floor(n/4) snapshots by ``(views, video_id)`` are dropped,
     so an n=100 sample keeps 75 and ties at the cut go to the higher id.
     """
-    ranks = [(s.views, s.video_id) for s in snapshots]
+    return _upper_quartile([s.views for s in snapshots], [s.video_id for s in snapshots])
+
+
+def _upper_quartile(views: Sequence[int], video_ids: Sequence[str]) -> list[int]:
+    """``upper_quartile_rows`` of the snapshots with these views and ids."""
+    ranks = list(zip(views, video_ids))
     ranked = sorted(range(len(ranks)), key=ranks.__getitem__)
     return sorted(ranked[len(ranks) // 4:])
 
@@ -522,5 +527,9 @@ def histogram(values: Iterable[OptionalNumber], bins: BinSpec) -> Histogram:
 
 def category_counts(sample: StudySample) -> list[tuple[str, int]]:
     """Category frequencies, sorted by count descending then name ascending."""
-    counts = Counter(s.category for s in sample.snapshots)
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return _category_table(s.category for s in sample.snapshots)
+
+
+def _category_table(categories: Iterable[str]) -> list[tuple[str, int]]:
+    """``category_counts`` of the snapshots with these categories."""
+    return sorted(Counter(categories).items(), key=lambda kv: (-kv[1], kv[0]))

@@ -3,15 +3,19 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import engage
 from engage import ingestion
 from engage.cli import main
-from engage.ingestion import load_snapshots
-from engage.report import CORR_NAMES
+from engage.ingestion import load_snapshots, select_study_sample
+from engage.metrics import VideoStatsSnapshot
+from engage.report import CORR_NAMES, build_report, render
 
 BUNDLED_FIXTURES = Path(engage.__file__).parent / "fixtures" / "replication"
 
@@ -277,6 +281,67 @@ def test_analyze_shortfall_keeps_going(pipeline, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "analyzed 100 videos" in printed
     assert "shortfall: requested 150" in printed
+
+
+def test_analyze_builds_no_snapshot(pipeline, tmp_path, monkeypatch):
+    built = []
+    init = VideoStatsSnapshot.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[:1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VideoStatsSnapshot, "__init__", counting_init)
+    out = tmp_path / "b.json"
+    assert main(["analyze", "--store", str(pipeline["store"]), "--out", str(out)]) == 0
+    assert built == []
+    assert out.read_bytes() == pipeline["bundle"].read_bytes()
+    load_snapshots(pipeline["store"])  # the wrapper does see the public path build them
+    assert len(built) == 106
+
+
+STAMPS = ["2013-12-10T09:00:00Z", "2013-12-10T10:00:00Z", "2013-12-11T09:00:00Z"]
+store_records = st.lists(st.fixed_dictionaries({
+    # few ids and stamps: repeated ids with older, equal and newer fetched_at
+    "video_id": st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+    "fetched_at": st.sampled_from(STAMPS),
+    "views": st.integers(0, 4),  # few view counts: ties at the top-n cut
+    # hidden counts, and now and then a negative one
+    "likes": st.none() | st.integers(-1, 40),
+    "dislikes": st.none() | st.integers(0, 40),
+    "comments": st.none() | st.integers(0, 40),
+    "comments_enabled": st.booleans(),
+    "category": st.sampled_from(["News", "Music", ""]),
+}), max_size=30)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(records=store_records, n=st.integers(1, 7))  # more than the eligible ids: a shortfall
+def test_analyze_writes_what_the_public_functions_give(records, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        store, out = Path(tmp) / "s.jsonl", Path(tmp) / "b.json"
+        store.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code = main(["analyze", "--store", str(store), "--n", str(n), "--out", str(out)])
+        sample = select_study_sample(load_snapshots(store), n)
+        if not sample.snapshots:
+            assert code == 5 and not out.exists()
+            return
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == render(build_report(sample), "json")
+
+
+def test_analyze_annotates_values_out_of_range(tmp_path, capsys):
+    records = [{**RECORD, "video_id": f"vid0000000{i}", "views": 1000 + 7 * i * i,
+                "likes": 10 + i, "dislikes": 1 + i % 2, "comments": 3 + i * i}
+               for i in range(4)]
+    records.append({**RECORD, "video_id": "vid00000009", "likes": -1, "dislikes": 2})
+    store = _write(tmp_path, "s.jsonl", "".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "b.json"
+    assert main(["analyze", "--store", store, "--out", str(out)]) == 0
+    bundle = json.loads(out.read_text(encoding="utf-8"))
+    assert bundle["summary_metrics"]["DisP"]["max"] == 2.0
+    assert bundle["provenance"]["annotations"]["range"] == (
+        "negative counts: 1; DisP outside [0, 1]: 1 videos (vid00000009)")
 
 
 def test_analyze_empty_store_exit5(tmp_path, capsys):
@@ -572,13 +637,20 @@ def _report(tmp_path, bundle, bins=None):
     return argv + ["--bins", _write(tmp_path, "bins.json", bins)] if bins else argv
 
 
+MISSING = object()
+
+
 def _bundle_with(tmp_path, bundle, path, value):
-    """The bundle with the field at ``path``, a list of keys, set to ``value``."""
+    """The bundle with the field at ``path``, a list of keys, set to ``value``,
+    or removed when ``value`` is ``MISSING``."""
     data = json.loads(Path(bundle).read_text(encoding="utf-8"))
     field = data
     for key in path[:-1]:
         field = field[key]
-    field[path[-1]] = value
+    if value is MISSING:
+        del field[path[-1]]
+    else:
+        field[path[-1]] = value
     # ASCII, with JSON escapes; NaN as the bare token
     return _write(tmp_path, "b.json", json.dumps(data))
 
@@ -658,6 +730,27 @@ BAD_INPUT_CASES = [
     ("bundle-matrix-names-short", 4, "corr_full.cells must be 7 rows of 7 cells",
      lambda tmp, bundle: _report(tmp, _bundle_with(
          tmp, bundle, ["corr_full", "names"], list(CORR_NAMES[:-1])))),
+    # provenance and histogram fields are checked on load, naming the field
+    *((f"bundle-{case}", 4, named, lambda tmp, bundle, path=path, value=value: _report(
+        tmp, _bundle_with(tmp, bundle, path, value)))
+      for case, named, path, value in (
+          ("coverage-notes-int", "provenance.coverage_notes",
+           ["provenance", "coverage_notes"], 1),
+          ("sample-n-missing", "provenance.sample_n is missing",
+           ["provenance", "sample_n"], MISSING),
+          ("fetched-from-int", "provenance.fetched_from", ["provenance", "fetched_from"], 5),
+          ("selection-note-int", "provenance.selection_note",
+           ["provenance", "selection_note"], 5),
+          ("upper-quartile-n-string", "provenance.upper_quartile_n",
+           ["provenance", "upper_quartile_n"], "75"),
+          ("annotations-list", "provenance.annotations", ["provenance", "annotations"], []),
+          ("annotation-int", "provenance.annotations",
+           ["provenance", "annotations"], {"corr_full": 1}),
+          ("histogram-count-string", "histograms.CpkI.rows",
+           ["histograms", "CpkI", "rows", 0, 1], "3"),
+          ("histogram-underflow-string", "histograms.CpkI.underflow",
+           ["histograms", "CpkI", "underflow"], "0"),
+      )),
 ]
 
 

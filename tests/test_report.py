@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engage.ingestion import MAX_COUNT
+from engage.ingestion import MAX_COUNT, _fields
 from engage.metrics import VideoStatsSnapshot, compute_cpki, compute_disp, compute_vpki
 from engage.report import (
     CORR_NAMES,
@@ -62,6 +62,11 @@ def make_sample(n=100, seed=47):
         for i in range(n)
     )
     return StudySample(snapshots=snaps, selection_note="synthetic sample")
+
+
+def metric_columns(sample):
+    """``_metric_columns`` of the sample's count and ``comments_enabled`` columns."""
+    return _metric_columns(*list(zip(*map(_fields, sample.snapshots)))[2:7])
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +140,7 @@ def test_rate_columns_equal_the_exact_rates_bit_for_bit(rows):
                            dislikes=dislikes, comments=comments, comments_enabled=enabled)
         for i, (views, likes, dislikes, comments, enabled) in enumerate(rows)
     )
-    columns = _metric_columns(StudySample(snapshots=snaps))
+    columns = metric_columns(StudySample(snapshots=snaps))
     for i, s in enumerate(snaps):
         comments = s.comments if s.comments_enabled else None
         assert _bits(columns["CpkI"][i]) == _bits(compute_cpki(comments, s.views))
@@ -145,7 +150,7 @@ def test_rate_columns_equal_the_exact_rates_bit_for_bit(rows):
 
 def test_disp_of_zero_dislikes_over_a_negative_total_is_positive_zero():
     s = snap(1, views=10, likes=-5, dislikes=0)
-    assert _bits(_metric_columns(StudySample(snapshots=(s,)))["DisP"][0]) == (0.0).hex()
+    assert _bits(metric_columns(StudySample(snapshots=(s,)))["DisP"][0]) == (0.0).hex()
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 50), st.integers(0, 50),
@@ -162,7 +167,7 @@ def test_upper_quartile_is_the_quartile_filter(rows):
     kept = StudySample(snapshots=tuple(s for s in sample.snapshots if s in cut))
     bundle = build_report(sample)
     assert bundle.provenance["upper_quartile_n"] == n - n // 4 == len(kept.snapshots)
-    columns = _metric_columns(kept)
+    columns = metric_columns(kept)
     assert bundle.corr_upper_quartiles == correlation_matrix(
         {name: columns[name] for name in CORR_NAMES}
     )
@@ -312,7 +317,7 @@ def drawn_samples(draw):
 def test_summaries_and_matrices_equal_the_public_functions(sample):
     # build_report takes each summary from the full matrix's diagonal
     bundle = build_report(sample)
-    columns = _metric_columns(sample)
+    columns = metric_columns(sample)
     summarized = {"Views": "Views", "Comments": "Comments", "Votes": "Votes (sum)",
                   **{name: name for name in METRIC_NAMES}}
     summaries = {**bundle.summary_basic, **bundle.summary_metrics}
