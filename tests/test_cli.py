@@ -16,6 +16,7 @@ from engage.cli import main
 from engage.ingestion import load_snapshots, select_study_sample
 from engage.metrics import VideoStatsSnapshot
 from engage.report import CORR_NAMES, build_report, render
+from engage.stats import StudySample
 
 BUNDLED_FIXTURES = Path(engage.__file__).parent / "fixtures" / "replication"
 
@@ -283,21 +284,19 @@ def test_analyze_shortfall_keeps_going(pipeline, tmp_path, capsys):
     assert "shortfall: requested 150" in printed
 
 
-def test_analyze_builds_no_snapshot(pipeline, tmp_path, monkeypatch):
+def test_analyze_builds_no_snapshot_and_no_sample(pipeline, tmp_path, monkeypatch):
     built = []
-    init = VideoStatsSnapshot.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args[:1])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(VideoStatsSnapshot, "__init__", counting_init)
+    for cls in (VideoStatsSnapshot, StudySample):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
     out = tmp_path / "b.json"
     assert main(["analyze", "--store", str(pipeline["store"]), "--out", str(out)]) == 0
     assert built == []
     assert out.read_bytes() == pipeline["bundle"].read_bytes()
-    load_snapshots(pipeline["store"])  # the wrapper does see the public path build them
-    assert len(built) == 106
+    load_snapshots(pipeline["store"])  # the wrappers do see the public path build them
+    assert built.count("VideoStatsSnapshot") == 106 and built.count("StudySample") == 1
 
 
 STAMPS = ["2013-12-10T09:00:00Z", "2013-12-10T10:00:00Z", "2013-12-11T09:00:00Z"]
