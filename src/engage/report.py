@@ -109,8 +109,8 @@ def _report(rows: Iterable[tuple], note: str) -> ReportBundle:
     columns = _metric_columns(views, likes, dislikes, comments, enabled)
     upper = _upper_quartile(views, video_ids)
 
-    # one pass of exact sums gives the full matrix and the summaries; the
-    # upper quartiles' sums are the full ones minus the lowest quartile's
+    # one pass of exact sums, in blocks that keep the upper quartiles apart from
+    # the lowest, gives the full matrix, the summaries and the upper-quartile matrix
     corr_full, summaries, corr_upper = _correlations(
         {name: columns[name] for name in CORR_NAMES}, SUMMARIZED_COLUMNS.values(), upper
     )
@@ -560,13 +560,26 @@ def _is_text(value) -> bool:
     return type(value) is str
 
 
-def _is_bin_row(row) -> bool:
-    return type(row) is list and len(row) == 2 and _is_text(row[0]) and _is_count(row[1])
+def _is_object(value) -> bool:
+    return type(value) is dict
 
 
-# each field of the provenance, a summary, a correlation cell and a histogram:
-# (test of its value, what it must be)
+def _are_count_rows(rows) -> bool:
+    """Whether ``rows`` is a list of ``[label, count]`` pairs."""
+    return type(rows) is list and all(
+        type(row) is list and len(row) == 2 and _is_text(row[0]) and _is_count(row[1])
+        for row in rows)
+
+
+# each field of the bundle, its provenance, a summary, a correlation matrix and
+# cell, and a histogram: (test of its value, what it must be)
 _FIELD_RULES = {
+    ReportBundle: {
+        **{name: (_is_object, "an object")
+           for name in ("provenance", "summary_basic", "summary_metrics", *MATRIX_KEYS,
+                        "histograms", "rates")},
+        "categories": (_are_count_rows, "a list of [category, count] pairs"),
+    },
     "provenance": {
         "sample_n": (_is_count, "an int"),
         **{name: (_is_text, "a string")
@@ -583,6 +596,12 @@ _FIELD_RULES = {
            for name in ("mean", "std_dev", "min", "max", "skewness", "kurtosis")},
         "bin_mode": (_is_optional_text, "null or a string"),
     },
+    CorrelationMatrix: {
+        "names": (lambda names: type(names) is list and all(map(_is_text, names)),
+                  "a list of strings"),
+        "cells": (lambda rows: type(rows) is list and all(type(row) is list for row in rows),
+                  "a list of lists"),
+    },
     CorrelationCell: {
         "r": (lambda r: r is None or _is_number(r) and -1 <= r <= 1,
               "null or a number in [-1, 1]"),
@@ -592,8 +611,7 @@ _FIELD_RULES = {
         "error": (_is_optional_text, "null or a string"),
     },
     Histogram: {
-        "rows": (lambda rows: type(rows) is list and all(map(_is_bin_row, rows)),
-                 "a list of [label, count] pairs"),
+        "rows": (_are_count_rows, "a list of [label, count] pairs"),
         "underflow": (_is_count, "an int"),
         "overflow": (_is_count, "an int"),
     },
@@ -626,11 +644,9 @@ def _histogram_from_json(name: str, data) -> Histogram:
     return Histogram(**{**values, "rows": tuple(map(tuple, values["rows"]))})
 
 
-def _matrix_from_json(key: str, data: dict) -> CorrelationMatrix:
+def _matrix_from_json(key: str, data) -> CorrelationMatrix:
     """A correlation matrix from its JSON; it must be square over its names."""
-    names, rows = data["names"], data["cells"]
-    if not all(type(name) is str for name in names):
-        raise ValueError(f"{key}.names must be strings")
+    names, rows = _checked(CorrelationMatrix, data, key).values()
     if len(rows) != len(names) or any(len(row) != len(names) for row in rows):
         raise ValueError(f"{key}.cells must be {len(names)} rows of {len(names)} cells, "
                          f"one per name")
@@ -660,6 +676,8 @@ def _rate_series(name: str, values) -> list:
     """A bundle's rate series as a list. Raises ValueError naming the series
     unless each rate is None or exactly an int or a float, finite and within
     the float range."""
+    if type(values) is not list:
+        raise ValueError(f"rate series {name!r} must be a list, not {values!r:.40}")
     rates = list(values)
     for rate in rates:  # _is_optional_number, inline: a call per rate doubles the cost
         if not (type(rate) is float and math.isfinite(rate) or rate is None
@@ -670,12 +688,14 @@ def _rate_series(name: str, values) -> list:
 
 
 def bundle_from_json(data: dict) -> ReportBundle:
-    """The bundle that ``bundle_to_json`` wrote as ``data``. A rate that is
-    not a finite number raises ValueError naming its series; a provenance,
-    summary, correlation cell or histogram field, or a matrix shape, that is
-    missing or breaks its rule raises ValueError naming the field."""
+    """The bundle that ``bundle_to_json`` wrote as ``data``. A rate series
+    that is not a list of finite numbers raises ValueError naming it; a field
+    of the bundle, its provenance, a summary, a matrix, a correlation cell or
+    a histogram, or a matrix shape, that is missing or breaks its rule raises
+    ValueError naming the field."""
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a report bundle (format={data.get('format')!r})")
+    _checked(ReportBundle, data, "bundle")
     _checked("provenance", data["provenance"], "provenance")
     summaries = {
         key: {name: _from_json(SampleSummary, v, f"{key}.{name}") for name, v in data[key].items()}

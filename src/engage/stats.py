@@ -8,12 +8,15 @@ excess kurtosis (G2), the forms mainstream statistics packages print.
 
 Every moment comes from exact integer power sums. Each column is taken
 as ints over one binary exponent, with an absent value as 0, so
-n, Σx, Σx², Σx³, Σx⁴ and each pair's Σxy are exact, and so is any
-difference of two such sums. Each statistic is then rounded once, to the
-float nearest its exact value: the mean and G2 by one int division,
-r, the standard deviation and G1 by one ``math.isqrt``. The textbook
-one-pass formulas that fail in floating point (Chan, Golub & LeVeque,
-Am. Stat. 37(3), 1983) are exact in integers.
+n, Σx, Σx², Σx³, Σx⁴ and each pair's Σxy are exact. The rows are summed
+in blocks that keep a subsample's rows apart from the others, and the
+sums of disjoint blocks simply add (Chan, Golub & LeVeque, Am. Stat.
+37(3), 1983): every block gives the full sample, the subsample's blocks
+alone give the subsample, and each row is summed once. Each statistic
+is then rounded once, to the float nearest its exact value: the mean and
+G2 by one int division, r, the standard deviation and G1 by one
+``math.isqrt``. The textbook one-pass formulas that fail in floating
+point are exact in integers.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress, filterfalse, repeat
-from operator import is_not, mul, not_, sub, truediv
+from itertools import compress, filterfalse, islice, repeat
+from operator import add, is_not, mul, truediv
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .metrics import VideoStatsSnapshot
@@ -157,7 +160,8 @@ def summarize(values: Iterable[OptionalNumber]) -> SampleSummary:
     float range is ``None``. A value that is not finite raises ``ValueError``.
     """
     column = _column("values", list(values))
-    return _summary(column, _power_sums(list(column.ints()), column.mask, higher=True))
+    (singles, _), _ = _sums([column], (0,))
+    return _summary(column, singles[0])
 
 
 def pearson(
@@ -179,12 +183,11 @@ def pearson(
 
 
 class _Column(NamedTuple):
-    """One column, exact: row i's value is ``ints()``'s item i times 2**e,
-    which is 0 on an absent row. ``values`` holds those ints, or, when
-    ``floats``, the floats they are scaled from (0.0 on an absent row), so
-    that a float column's ints need be held only while it is summed.
-    ``mask`` holds one byte per row, 1 where the value is defined; ``lo``
-    and ``hi`` are the least and greatest defined values."""
+    """One column, exact: row i's value is an int times 2**e, which is 0 on an
+    absent row. ``values`` holds those ints, or, when ``floats``, the floats
+    they are scaled from (0.0 on an absent row); ``take`` gives the ints of
+    some rows. ``mask`` holds one byte per row, 1 where the value is
+    defined; ``lo`` and ``hi`` are the least and greatest defined values."""
 
     values: Sequence[int | float]
     e: int
@@ -193,10 +196,13 @@ class _Column(NamedTuple):
     lo: Number
     hi: Number
 
-    def ints(self, rows: Iterable[int] | None = None) -> Iterable[int]:
-        """The ints of every row, or of ``rows`` alone, in that order."""
-        values = self.values if rows is None else list(map(self.values.__getitem__, rows))
-        return map(int, map(math.ldexp, values, repeat(-self.e))) if self.floats else values
+    def take(self, rows: Sequence[int]) -> _Column:
+        """The column over ``rows`` alone, in that order, with int values."""
+        values = list(map(self.values.__getitem__, rows))
+        if self.floats:
+            values = list(map(int, map(math.ldexp, values, repeat(-self.e))))
+        return self._replace(values=values, floats=False,
+                             mask=bytes(map(self.mask.__getitem__, rows)))
 
 
 def _column(label: str, values: Sequence[OptionalNumber]) -> _Column:
@@ -244,6 +250,9 @@ def _defined_rows(values: Sequence[OptionalNumber]) -> bytes:
     return bytes(map(is_not, values, repeat(None)))
 
 
+_BLOCK = 4096  # rows summed at a time: one block's ints are all that is held
+
+
 def _power_sums(ints: Sequence[int], mask: bytes, higher: bool = False) -> tuple[int, ...]:
     """``(n, Σx, Σx²)`` of a column's defined values, then ``Σx³`` and ``Σx⁴``
     when ``higher``. The squares are held only while these are taken."""
@@ -255,37 +264,68 @@ def _power_sums(ints: Sequence[int], mask: bytes, higher: bool = False) -> tuple
 
 
 def _shared_sums(column: _Column, sums: tuple[int, ...], other: bytes) -> tuple[int, int, int]:
-    """``(n, Σx, Σx²)`` of ``column`` over the rows defined in both its mask and
-    ``other``: its own sums minus the rows that only it defines."""
+    """``(n, Σx, Σx²)`` of the int ``column`` over the rows defined in both its
+    mask and ``other``: its own sums minus the rows that only it defines."""
     mask = column.mask
     alone = int.from_bytes(mask, "little") & ~int.from_bytes(other, "little")
     n, s1, s2 = sums[:3]
     if not alone:
         return n, s1, s2
-    dropped = list(column.ints(compress(range(len(mask)), alone.to_bytes(len(mask), "little"))))
+    dropped = list(compress(column.values, alone.to_bytes(len(mask), "little")))
     return n - len(dropped), s1 - sum(dropped), s2 - sum(map(mul, dropped, dropped))
 
 
-def _row_set_sums(columns: Sequence[_Column], higher: Collection[int] = ()
-                  ) -> tuple[list[tuple[int, ...]], dict[tuple[int, int], tuple[int, ...]]]:
-    """The exact sums of ``columns`` over their rows: for each column,
+_Sums = tuple[list[tuple[int, ...]], dict[tuple[int, int], tuple[int, ...]]]
+
+
+def _row_set_sums(columns: Sequence[_Column], higher: Collection[int] = ()) -> _Sums:
+    """The exact sums of the int ``columns`` over their rows: for each column,
     ``_power_sums`` (with the higher powers where its index is in ``higher``);
     for each pair i < j, ``(n, Σx, Σx², Σy, Σy², Σxy)`` over the rows where
     both are defined. Σxy runs over every row, since an absent value is 0:
-    that is the pairwise deletion. One float column's ints are held at a
-    time; a later one is scaled again as its products are summed."""
-    singles, products = [], {}
-    for i, column in enumerate(columns):
-        xs = list(column.ints()) if column.floats else column.values
-        singles.append(_power_sums(xs, column.mask, i in higher))
+    that is the pairwise deletion."""
+    singles = [_power_sums(c.values, c.mask, i in higher) for i, c in enumerate(columns)]
+    pairs = {}
+    for i, x in enumerate(columns):
         for j in range(i + 1, len(columns)):
-            products[i, j] = sum(map(mul, xs, columns[j].ints()))
-    pairs = {
-        (i, j): (*_shared_sums(columns[i], singles[i], columns[j].mask),
-                 *_shared_sums(columns[j], singles[j], columns[i].mask)[1:], sxy)
-        for (i, j), sxy in products.items()
-    }
+            y = columns[j]
+            pairs[i, j] = (*_shared_sums(x, singles[i], y.mask),
+                           *_shared_sums(y, singles[j], x.mask)[1:],
+                           sum(map(mul, x.values, y.values)))
     return singles, pairs
+
+
+def _add(total: _Sums, sums: _Sums) -> None:
+    """Add the ``_row_set_sums`` of a row set to ``total``, those of a disjoint
+    one, in place: ``total`` becomes the sums of their union."""
+    singles, pairs = total
+    for i, single in enumerate(sums[0]):
+        singles[i] = tuple(map(add, singles[i], single))
+    for pair, pair_sums in sums[1].items():
+        pairs[pair] = tuple(map(add, pairs[pair], pair_sums))
+
+
+def _sums(series: Sequence[_Column], higher: Collection[int] = (),
+          kept: bytes | None = None) -> tuple[_Sums, _Sums | None]:
+    """``_row_set_sums`` of ``series`` over every row, and over the rows that
+    ``kept`` marks with a 1 (None when ``kept`` is None). The other rows and
+    then the kept ones are summed in blocks of at most ``_BLOCK`` rows, in
+    row order, so no block mixes the two; the sums of disjoint blocks add,
+    and no row is summed twice. Each block scales its float values to ints
+    once."""
+    # the totals come first and change in place, so nothing that outlives a
+    # block is allocated among its lists
+    full, upper = (_row_set_sums([c.take(()) for c in series], higher) for _ in range(2))
+    length = len(series[0].mask) if series else 0
+    flags = bytes(length) if kept is None else kept
+    for flag in (0, 1):
+        rows = compress(range(length), map(flag.__eq__, flags))
+        while block := list(islice(rows, _BLOCK)):
+            sums = _row_set_sums([c.take(block) for c in series], higher)
+            _add(full, sums)
+            if flag:
+                _add(upper, sums)
+    return full, None if kept is None else upper
 
 
 def _degeneracy(n: int, s1: int, s2: int) -> str | None:
@@ -463,8 +503,7 @@ def _correlations(
 ) -> tuple[CorrelationMatrix, dict[str, SampleSummary], CorrelationMatrix | None]:
     """``correlation_matrix`` of ``columns``; ``summarize`` of each column
     named in ``summarized``; and ``correlation_matrix`` over the distinct rows
-    in ``kept`` alone, or None. The kept rows' sums are the full sums minus
-    those over the other rows, which integers give exactly."""
+    in ``kept`` alone, or None. One pass of ``_sums`` gives all three."""
     names = tuple(columns.keys())
     length = len(columns[names[0]]) if names else 0
     for name in names:
@@ -473,23 +512,15 @@ def _correlations(
                              f"expected {length}")
     series = [_column(f"column {name!r}", columns[name]) for name in names]
     higher = [i for i, name in enumerate(names) if name in summarized]
-    singles, pairs = _row_set_sums(series, higher)
+    is_kept = None
+    if kept is not None:
+        is_kept = bytearray(length)
+        for row in kept:
+            is_kept[row] = 1
+    (singles, pairs), upper = _sums(series, higher, is_kept)
     summaries = {names[i]: _summary(series[i], singles[i]) for i in higher}
-    if kept is None:
-        return _matrix(names, singles, pairs), summaries, None
-    # the other rows' ints, each column's lo and hi left as they are
-    is_kept = bytearray(length)
-    for row in kept:
-        is_kept[row] = 1
-    dropped = list(compress(range(length), map(not_, is_kept)))
-    low_singles, low_pairs = _row_set_sums([
-        c._replace(values=list(c.ints(dropped)), floats=False,
-                   mask=bytes(map(c.mask.__getitem__, dropped)))
-        for c in series])
-    kept_matrix = _matrix(
-        names, [tuple(map(sub, full[:3], low)) for full, low in zip(singles, low_singles)],
-        {pair: tuple(map(sub, sums, low_pairs[pair])) for pair, sums in pairs.items()})
-    return _matrix(names, singles, pairs), summaries, kept_matrix
+    return (_matrix(names, singles, pairs), summaries,
+            None if upper is None else _matrix(names, *upper))
 
 
 def upper_quartile_rows(snapshots: Sequence[VideoStatsSnapshot]) -> list[int]:

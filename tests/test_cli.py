@@ -729,7 +729,8 @@ BAD_INPUT_CASES = [
     ("bundle-matrix-names-short", 4, "corr_full.cells must be 7 rows of 7 cells",
      lambda tmp, bundle: _report(tmp, _bundle_with(
          tmp, bundle, ["corr_full", "names"], list(CORR_NAMES[:-1])))),
-    # provenance and histogram fields are checked on load, naming the field
+    # the bundle's own fields, its provenance and histogram fields are checked on load,
+    # naming the field
     *((f"bundle-{case}", 4, named, lambda tmp, bundle, path=path, value=value: _report(
         tmp, _bundle_with(tmp, bundle, path, value)))
       for case, named, path, value in (
@@ -749,6 +750,14 @@ BAD_INPUT_CASES = [
            ["histograms", "CpkI", "rows", 0, 1], "3"),
           ("histogram-underflow-string", "histograms.CpkI.underflow",
            ["histograms", "CpkI", "underflow"], "0"),
+          *((f"{key.replace('_', '-')}-list", f"bundle.{key} must be an object", [key], [])
+            for key in ("histograms", "summary_basic", "summary_metrics", "rates", "corr_full")),
+          ("categories-int", "bundle.categories must be a list of [category, count] pairs",
+           ["categories"], 3),
+          ("category-count-string", "bundle.categories", ["categories"], [["a", "x"]]),
+          ("rate-series-int", "rate series 'CpkI' must be a list", ["rates", "CpkI"], 3),
+          ("matrix-names-int", "corr_full.names must be a list of strings",
+           ["corr_full", "names"], 3),
       )),
 ]
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -470,6 +470,44 @@ def test_correlation_matrix_cells_equal_pearson_exactly(columns):
                 assert _exact(m.cells[i][j]) == _exact(pearson(columns[a], columns[b]))
                 if diagonal.error is not None:
                     assert m.cells[i][j].error is not None
+
+
+@st.composite
+def summed_columns(draw):
+    """Columns of ints and floats with scattered None, the names to summarize
+    and the kept rows: none, every row, or drawn with repeats."""
+    length = draw(st.integers(0, 14))
+    columns = {f"c{k}": draw(st.lists(cell_values, min_size=length, max_size=length))
+               for k in range(draw(st.integers(1, 12)))}
+    summarized = draw(st.sets(st.sampled_from(sorted(columns))))
+    kept = draw(st.one_of(st.just([]), st.just(list(range(length))),
+                          st.lists(st.integers(0, length - 1), max_size=2 * length)
+                          if length else st.just([])))
+    return columns, summarized, kept
+
+
+def _matrix_bits(m):
+    return m.names, tuple(tuple(map(_exact, row)) for row in m.cells)
+
+
+@settings(derandomize=True, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=summed_columns())
+def test_sums_over_blocks_of_three_rows_equal_those_over_one_block(monkeypatch, drawn):
+    # every input here fits in one block of the default size; at 3 rows a block, the
+    # kept rows and the others are each cut across many, with absent values in most
+    columns, summarized, kept = drawn
+    rows = sorted(set(kept))
+    upper = correlation_matrix({name: [values[i] for i in rows]
+                                for name, values in columns.items()})
+    summaries = {name: summarize(columns[name]) for name in summarized}
+    full = correlation_matrix(columns)
+    with monkeypatch.context() as patch:
+        patch.setattr(stats, "_BLOCK", 3)
+        got_full, got_summaries, got_upper = stats._correlations(columns, summarized, kept)
+    assert _matrix_bits(got_full) == _matrix_bits(full)
+    assert _matrix_bits(got_upper) == _matrix_bits(upper)
+    assert got_summaries == summaries
 
 
 # huge, tiny and subnormal floats, and columns that mix them
