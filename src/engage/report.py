@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from json.encoder import encode_basestring
 from operator import gt, is_not
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .ingestion import _fields, format_rfc3339, read_json_object
+from .ingestion import MAX_COUNT, _fields, format_rfc3339, read_json_object
 from .stats import (
     BinSpec,
     CorrelationCell,
@@ -35,7 +35,6 @@ from .stats import (
 )
 
 BUNDLE_FORMAT = "engage-bundle/1"
-MATRIX_KEYS = ("corr_full", "corr_upper_quartiles")
 
 METRIC_NAMES = ("CpkI", "VpkI", "DisP")
 BASIC_NAMES = ("Views", "Comments", "Votes")
@@ -338,13 +337,6 @@ def _fmt_pct(x: float | None) -> str:
     return "" if x is None else f"{100 * x:.2f}%"
 
 
-def _ordered_names(mapping: Mapping[str, object], preferred: tuple[str, ...]) -> list[str]:
-    """Canonical presentation order, stable across JSON round-trips."""
-    return [n for n in preferred if n in mapping] + [
-        n for n in sorted(mapping) if n not in preferred
-    ]
-
-
 # --- markdown --------------------------------------------------------------
 
 def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -356,34 +348,31 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def _md_summary_basic(summaries: dict[str, SampleSummary]) -> list[str]:
-    names = _ordered_names(summaries, BASIC_NAMES)
     rows = [
-        ["N"] + [str(summaries[v].n) for v in names],
-        ["Mean"] + [_fmt_mean(summaries[v].mean) for v in names],
-        ["Std. dev."] + [_fmt_mean(summaries[v].std_dev) for v in names],
-        ["Minimum"] + [_fmt_int(summaries[v].min) for v in names],
-        ["Maximum"] + [_fmt_int(summaries[v].max) for v in names],
+        ["N"] + [str(summaries[v].n) for v in BASIC_NAMES],
+        ["Mean"] + [_fmt_mean(summaries[v].mean) for v in BASIC_NAMES],
+        ["Std. dev."] + [_fmt_mean(summaries[v].std_dev) for v in BASIC_NAMES],
+        ["Minimum"] + [_fmt_int(summaries[v].min) for v in BASIC_NAMES],
+        ["Maximum"] + [_fmt_int(summaries[v].max) for v in BASIC_NAMES],
     ]
-    return _md_table([""] + names, rows)
+    return _md_table(["", *BASIC_NAMES], rows)
 
 
 def _md_summary_metrics(summaries: dict[str, SampleSummary]) -> list[str]:
-    names = _ordered_names(summaries, METRIC_NAMES)
-
     def fmt(name: str, value: float | None) -> str:
         return _fmt_pct(value) if name == "DisP" else _fmt_metric(value)
 
     rows = [
-        ["N"] + [str(summaries[v].n) for v in names],
-        ["Mean"] + [fmt(v, summaries[v].mean) for v in names],
-        ["Std. dev."] + [fmt(v, summaries[v].std_dev) for v in names],
-        ["Bin mode"] + [summaries[v].bin_mode or "" for v in names],
-        ["Skewness"] + [_fmt_metric(summaries[v].skewness) for v in names],
-        ["Kurtosis"] + [_fmt_metric(summaries[v].kurtosis) for v in names],
-        ["Minimum"] + [fmt(v, summaries[v].min) for v in names],
-        ["Maximum"] + [fmt(v, summaries[v].max) for v in names],
+        ["N"] + [str(summaries[v].n) for v in METRIC_NAMES],
+        ["Mean"] + [fmt(v, summaries[v].mean) for v in METRIC_NAMES],
+        ["Std. dev."] + [fmt(v, summaries[v].std_dev) for v in METRIC_NAMES],
+        ["Bin mode"] + [summaries[v].bin_mode or "" for v in METRIC_NAMES],
+        ["Skewness"] + [_fmt_metric(summaries[v].skewness) for v in METRIC_NAMES],
+        ["Kurtosis"] + [_fmt_metric(summaries[v].kurtosis) for v in METRIC_NAMES],
+        ["Minimum"] + [fmt(v, summaries[v].min) for v in METRIC_NAMES],
+        ["Maximum"] + [fmt(v, summaries[v].max) for v in METRIC_NAMES],
     ]
-    return _md_table([""] + names, rows)
+    return _md_table(["", *METRIC_NAMES], rows)
 
 
 def _md_corr_table(matrix: CorrelationMatrix) -> list[str]:
@@ -452,7 +441,7 @@ def _markdown_report(bundle: ReportBundle) -> str:
     lines += _md_corr_table(bundle.corr_upper_quartiles)
 
     lines += ["", "## Rate distributions", ""]
-    for name in _ordered_names(bundle.histograms, METRIC_NAMES):
+    for name in METRIC_NAMES:
         lines += [f"### {name}", ""]
         lines += _md_histogram(bundle.histograms[name])
         lines.append("")
@@ -480,23 +469,18 @@ def _csv_rows(rows: list[list]) -> list[str]:
 
 
 def _csv_summaries(title: str, summaries: dict[str, SampleSummary],
-                   preferred: tuple[str, ...]) -> list[str]:
-    rows: list[list] = [["variable", "n", "mean", "std_dev", "min", "max",
-                         "skewness", "kurtosis", "bin_mode"]]
-    for name in _ordered_names(summaries, preferred):
-        s = summaries[name]
-        rows.append([name, s.n, s.mean, s.std_dev, s.min, s.max,
-                     s.skewness, s.kurtosis, s.bin_mode])
+                   names: tuple[str, ...]) -> list[str]:
+    rows: list[list] = [["variable", *_SUMMARY.fields]]
+    rows += [[name, *_dump(_SUMMARY, summaries[name]).values()] for name in names]
     return [f"# {title}"] + _csv_rows(rows)
 
 
 def _csv_corr(title: str, matrix: CorrelationMatrix) -> list[str]:
-    rows: list[list] = [["row", "col", "r", "p_value", "n", "error"]]
+    rows: list[list] = [["row", "col", *_CELL.fields]]
     for i in range(1, len(matrix.names)):
         for j in range(i + 1):
-            cell = matrix.cells[i][j]
             rows.append([matrix.names[i], matrix.names[j],
-                         cell.r, cell.p_value, cell.n, cell.error])
+                         *_dump(_CELL, matrix.cells[i][j]).values()])
     return [f"# {title}"] + _csv_rows(rows)
 
 
@@ -516,7 +500,7 @@ def _csv_report(bundle: ReportBundle) -> str:
     lines += _csv_summaries("summary_metrics", bundle.summary_metrics, METRIC_NAMES)
     lines += _csv_corr("correlations_full", bundle.corr_full)
     lines += _csv_corr("correlations_upper_quartiles", bundle.corr_upper_quartiles)
-    for name in _ordered_names(bundle.histograms, METRIC_NAMES):
+    for name in METRIC_NAMES:
         hist = bundle.histograms[name]
         lines.append(f"# histogram_{name.lower()}")
         rows: list[list] = [["bin", "count"]]
@@ -529,12 +513,10 @@ def _csv_report(bundle: ReportBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- json ------------------------------------------------------------------
+# --- the bundle's schema ---------------------------------------------------
 
-def _to_json(obj) -> dict:
-    """A dataclass's fields as a dict, one level deep (``dataclasses.asdict``
-    deep-copies every value, which is slow on large bundles)."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+def _same(value):
+    return value
 
 
 def _is_number(value) -> bool:
@@ -545,7 +527,7 @@ def _is_number(value) -> bool:
 
 
 def _is_count(value) -> bool:
-    return type(value) is int
+    return type(value) is int and 0 <= value <= MAX_COUNT
 
 
 def _is_optional_number(value) -> bool:
@@ -560,10 +542,6 @@ def _is_text(value) -> bool:
     return type(value) is str
 
 
-def _is_object(value) -> bool:
-    return type(value) is dict
-
-
 def _are_count_rows(rows) -> bool:
     """Whether ``rows`` is a list of ``[label, count]`` pairs."""
     return type(rows) is list and all(
@@ -571,145 +549,162 @@ def _are_count_rows(rows) -> bool:
         for row in rows)
 
 
-# each field of the bundle, its provenance, a summary, a correlation matrix and
-# cell, and a histogram: (test of its value, what it must be)
-_FIELD_RULES = {
-    ReportBundle: {
-        **{name: (_is_object, "an object")
-           for name in ("provenance", "summary_basic", "summary_metrics", *MATRIX_KEYS,
-                        "histograms", "rates")},
-        "categories": (_are_count_rows, "a list of [category, count] pairs"),
-    },
-    "provenance": {
-        "sample_n": (_is_count, "an int"),
-        **{name: (_is_text, "a string")
-           for name in ("selection_note", "fetched_from", "fetched_to")},
-        "upper_quartile_n": (_is_count, "an int"),
-        "coverage_notes": (lambda notes: type(notes) is list and all(map(_is_text, notes)),
-                           "a list of strings"),
-        "annotations": (lambda notes: type(notes) is dict and all(map(_is_text, notes.values())),
-                        "an object of strings"),
-    },
-    SampleSummary: {
-        "n": (_is_count, "an int"),
-        **{name: (_is_optional_number, "null or a finite number")
-           for name in ("mean", "std_dev", "min", "max", "skewness", "kurtosis")},
-        "bin_mode": (_is_optional_text, "null or a string"),
-    },
-    CorrelationMatrix: {
-        "names": (lambda names: type(names) is list and all(map(_is_text, names)),
-                  "a list of strings"),
-        "cells": (lambda rows: type(rows) is list and all(type(row) is list for row in rows),
-                  "a list of lists"),
-    },
-    CorrelationCell: {
-        "r": (lambda r: r is None or _is_number(r) and -1 <= r <= 1,
-              "null or a number in [-1, 1]"),
-        "p_value": (lambda p: p is None or _is_number(p) and 0 <= p <= 1,
-                    "null or a number in [0, 1]"),
-        "n": (_is_count, "an int"),
-        "error": (_is_optional_text, "null or a string"),
-    },
-    Histogram: {
-        "rows": (_are_count_rows, "a list of [label, count] pairs"),
-        "underflow": (_is_count, "an int"),
-        "overflow": (_is_count, "an int"),
-    },
-}
+def _are_rates(rates) -> bool:
+    """Whether ``rates`` is a list whose every rate is None or exactly an int
+    or a float, finite and within the float range."""
+    if type(rates) is not list:
+        return False
+    isfinite, largest = math.isfinite, sys.float_info.max  # looked up once, not per rate
+    for rate in rates:  # _is_optional_number, inline: a call per rate doubles the cost
+        if not (type(rate) is float and isfinite(rate) or rate is None
+                or type(rate) is int and abs(rate) <= largest):
+            return False
+    return True
 
 
-def _checked(kind, data, where: str) -> dict:
-    """The fields that ``_FIELD_RULES[kind]`` names, taken from the JSON object
-    ``data``. A value that is not an object, a missing field or a value that
-    breaks its field's rule raises ValueError naming it as ``where.field``."""
+def _lists(rows) -> list:
+    return [list(row) for row in rows]
+
+
+class _Rule(NamedTuple):
+    """A leaf of the schema: a JSON value that ``valid`` accepts, which an
+    error describes as ``text``; ``load`` converts it from JSON, ``dump`` back."""
+
+    valid: Callable[[object], bool]
+    text: str
+    load: Callable = _same
+    dump: Callable = _same
+
+
+class _Record(NamedTuple):
+    """A JSON object with exactly these fields, each by its own schema, loaded
+    as ``kind(**fields)``: a plain dict for the provenance and the tables."""
+
+    kind: type
+    fields: dict
+
+
+class _Grid(NamedTuple):
+    """A correlation matrix's cells: a row of cells per name in ``CORR_NAMES``,
+    each row with a cell per name."""
+
+    cell: _Record
+
+
+def _table(names: tuple[str, ...], schema) -> _Record:
+    """A table of exactly ``names``, each by ``schema``."""
+    return _Record(dict, dict.fromkeys(names, schema))
+
+
+_COUNT = _Rule(_is_count, f"an int in [0, {MAX_COUNT}]")
+_OPTIONAL_TEXT = _Rule(_is_optional_text, "null or a string")
+
+_SUMMARY = _Record(SampleSummary, {
+    "n": _COUNT,
+    **dict.fromkeys(("mean", "std_dev", "min", "max", "skewness", "kurtosis"),
+                    _Rule(_is_optional_number, "null or a finite number")),
+    "bin_mode": _OPTIONAL_TEXT,
+})
+_CELL = _Record(CorrelationCell, {
+    "r": _Rule(lambda r: r is None or _is_number(r) and -1 <= r <= 1,
+               "null or a number in [-1, 1]"),
+    "p_value": _Rule(lambda p: p is None or _is_number(p) and 0 <= p <= 1,
+                     "null or a number in [0, 1]"),
+    "n": _COUNT,
+    "error": _OPTIONAL_TEXT,
+})
+_MATRIX = _Record(CorrelationMatrix, {
+    "names": _Rule(lambda names: names == [*CORR_NAMES], f"the list {[*CORR_NAMES]}", tuple, list),
+    "cells": _Grid(_CELL),
+})
+_HISTOGRAM = _Record(Histogram, {
+    "rows": _Rule(_are_count_rows, "a list of [label, count] pairs",
+                  lambda rows: tuple(map(tuple, rows)), _lists),
+    "underflow": _COUNT,
+    "overflow": _COUNT,
+})
+
+# the one definition of a bundle: bundle_to_json and bundle_from_json walk it,
+# and each table holds exactly the names that the renders read
+_SCHEMA = _Record(ReportBundle, {
+    "provenance": _Record(dict, {
+        "sample_n": _COUNT,
+        **dict.fromkeys(("selection_note", "fetched_from", "fetched_to"),
+                        _Rule(_is_text, "a string")),
+        "upper_quartile_n": _COUNT,
+        "coverage_notes": _Rule(lambda notes: type(notes) is list and all(map(_is_text, notes)),
+                                "a list of strings"),
+        "annotations": _Rule(
+            lambda notes: type(notes) is dict and all(map(_is_text, notes.values())),
+            "an object of strings"),
+    }),
+    "summary_basic": _table(BASIC_NAMES, _SUMMARY),
+    "summary_metrics": _table(METRIC_NAMES, _SUMMARY),
+    "corr_full": _MATRIX,
+    "corr_upper_quartiles": _MATRIX,
+    "histograms": _table(METRIC_NAMES, _HISTOGRAM),
+    "categories": _Rule(_are_count_rows, "a list of [category, count] pairs",
+                        lambda rows: [tuple(row) for row in rows], _lists),
+    "rates": _table(METRIC_NAMES, _Rule(_are_rates, "a list of nulls and finite numbers",
+                                        list, list)),
+})
+
+
+def _dump(schema, value):
+    """``value`` as the JSON value that ``schema`` describes."""
+    if type(schema) is _Rule:
+        return schema.dump(value)
+    if type(schema) is _Grid:
+        return [[_dump(schema.cell, cell) for cell in row] for row in value]
+    field = value.__getitem__ if schema.kind is dict else value.__getattribute__
+    return {name: _dump(part, field(name)) for name, part in schema.fields.items()}
+
+
+def _load(schema, data, where: str):
+    """The value that ``schema`` describes, from the JSON value ``data``. A
+    value that breaks its rule, a record that is not an object or that lacks a
+    field or has one more, and cells that are not square over ``CORR_NAMES``,
+    raise ValueError naming the field by its path from ``where``."""
+    if type(schema) is _Rule:
+        if not schema.valid(data):
+            raise ValueError(f"{where} must be {schema.text}, not {data!r:.40}")
+        return schema.load(data)
+    if type(schema) is _Grid:
+        size = len(CORR_NAMES)
+        if type(data) is not list or len(data) != size \
+                or any(type(row) is not list or len(row) != size for row in data):
+            raise ValueError(f"{where} must be {size} rows of {size} cells, one per name")
+        return tuple(tuple(_load(schema.cell, cell, f"{where}[{i}][{j}]")
+                           for j, cell in enumerate(row)) for i, row in enumerate(data))
     if type(data) is not dict:
         raise ValueError(f"{where} must be an object, not {data!r:.40}")
-    values = {}
-    for name, (valid, rule) in _FIELD_RULES[kind].items():
-        if name not in data:
-            raise ValueError(f"{where}.{name} is missing")
-        value = values[name] = data[name]
-        if not valid(value):
-            raise ValueError(f"{where}.{name} must be {rule}, not {value!r:.40}")
-    return values
-
-
-def _from_json(cls, data, where: str):
-    """Rebuild a summary or a cell from its checked field dict."""
-    return cls(**_checked(cls, data, where))
-
-
-def _histogram_from_json(name: str, data) -> Histogram:
-    values = _checked(Histogram, data, f"histograms.{name}")
-    return Histogram(**{**values, "rows": tuple(map(tuple, values["rows"]))})
-
-
-def _matrix_from_json(key: str, data) -> CorrelationMatrix:
-    """A correlation matrix from its JSON; it must be square over its names."""
-    names, rows = _checked(CorrelationMatrix, data, key).values()
-    if len(rows) != len(names) or any(len(row) != len(names) for row in rows):
-        raise ValueError(f"{key}.cells must be {len(names)} rows of {len(names)} cells, "
-                         f"one per name")
-    return CorrelationMatrix(names=tuple(names), cells=tuple(
-        tuple(_from_json(CorrelationCell, c, f"{key}.cells[{i}][{j}]") for j, c in enumerate(row))
-        for i, row in enumerate(rows)
-    ))
+    if data.keys() != schema.fields.keys():
+        for name in schema.fields:
+            if name not in data:
+                raise ValueError(f"{where}.{name} is missing")
+        extra = next(name for name in data if name not in schema.fields)
+        raise ValueError(f"{where} has the unknown field {extra!r:.40}; "
+                         f"its fields are {', '.join(schema.fields)}")
+    return schema.kind(**{name: _load(part, data[name], f"{where}.{name}")
+                          for name, part in schema.fields.items()})
 
 
 def bundle_to_json(bundle: ReportBundle) -> dict:
-    data = {
-        "format": BUNDLE_FORMAT,
-        "provenance": bundle.provenance,
-        "summary_basic": {k: _to_json(v) for k, v in bundle.summary_basic.items()},
-        "summary_metrics": {k: _to_json(v) for k, v in bundle.summary_metrics.items()},
-        "histograms": {name: _to_json(hist) for name, hist in bundle.histograms.items()},
-        "categories": [[cat, count] for cat, count in bundle.categories],
-        "rates": {name: list(values) for name, values in bundle.rates.items()},
-    }
-    for key in MATRIX_KEYS:
-        m = getattr(bundle, key)
-        data[key] = {"names": list(m.names), "cells": [[_to_json(c) for c in row] for row in m.cells]}
-    return data
-
-
-def _rate_series(name: str, values) -> list:
-    """A bundle's rate series as a list. Raises ValueError naming the series
-    unless each rate is None or exactly an int or a float, finite and within
-    the float range."""
-    if type(values) is not list:
-        raise ValueError(f"rate series {name!r} must be a list, not {values!r:.40}")
-    rates = list(values)
-    for rate in rates:  # _is_optional_number, inline: a call per rate doubles the cost
-        if not (type(rate) is float and math.isfinite(rate) or rate is None
-                or type(rate) is int and abs(rate) <= sys.float_info.max):
-            raise ValueError(f"rate series {name!r} holds a value that is not a finite "
-                             f"number: {rate!r:.40}")
-    return rates
+    """The bundle as the JSON values that ``bundle_from_json`` reads back."""
+    return {"format": BUNDLE_FORMAT, **_dump(_SCHEMA, bundle)}
 
 
 def bundle_from_json(data: dict) -> ReportBundle:
-    """The bundle that ``bundle_to_json`` wrote as ``data``. A rate series
-    that is not a list of finite numbers raises ValueError naming it; a field
-    of the bundle, its provenance, a summary, a matrix, a correlation cell or
-    a histogram, or a matrix shape, that is missing or breaks its rule raises
-    ValueError naming the field."""
+    """The bundle that ``bundle_to_json`` wrote as ``data``. A field that is
+    missing, is not in the schema or breaks its rule raises ValueError naming
+    the field."""
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a report bundle (format={data.get('format')!r})")
-    _checked(ReportBundle, data, "bundle")
-    _checked("provenance", data["provenance"], "provenance")
-    summaries = {
-        key: {name: _from_json(SampleSummary, v, f"{key}.{name}") for name, v in data[key].items()}
-        for key in ("summary_basic", "summary_metrics")
-    }
-    return ReportBundle(
-        provenance=data["provenance"],
-        **summaries,
-        histograms={name: _histogram_from_json(name, h) for name, h in data["histograms"].items()},
-        categories=[(cat, count) for cat, count in data["categories"]],
-        rates={name: _rate_series(name, values) for name, values in data["rates"].items()},
-        **{key: _matrix_from_json(key, data[key]) for key in MATRIX_KEYS},
-    )
+    return _load(_SCHEMA, {key: value for key, value in data.items() if key != "format"},
+                 "bundle")
 
+
+# --- json ------------------------------------------------------------------
 
 # the value types of a list or dict that the C encoder may write whole
 _FLAT_TYPES = frozenset((str, int, float, bool, type(None)))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -684,19 +686,19 @@ BAD_INPUT_CASES = [
     ("bundle-category-surrogate", 4, "cannot write",
      lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["categories", 0, 0], "\ud800"))),
     # a valid bins file over a bundle whose rates cannot be binned blames the bundle
-    ("bundle-rate-past-float-range", 4, "rate series 'CpkI'",
+    ("bundle-rate-past-float-range", 4, "bundle.rates.CpkI must be a list of nulls and finite numbers",
      lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["rates", "CpkI", 0], 10**400),
                                  '{"cpki": {"edges": [0, 1, 2]}}')),
-    ("bundle-rate-not-a-number", 4, "rate series 'CpkI'",
+    ("bundle-rate-not-a-number", 4, "bundle.rates.CpkI must be a list of nulls and finite numbers",
      lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["rates", "CpkI", 0], "x"),
                                  '{"cpki": {"edges": [0, 1, 2]}}')),
     # a rate that is not a finite number is refused on load, with or without --bins
-    ("bundle-rate-numeric-string", 4, "rate series 'CpkI'",
+    ("bundle-rate-numeric-string", 4, "bundle.rates.CpkI must be a list of nulls and finite numbers",
      lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["rates", "CpkI", 0], "1.5"))),
-    ("bundle-rate-nan", 4, "rate series 'CpkI'",
+    ("bundle-rate-nan", 4, "bundle.rates.CpkI must be a list of nulls and finite numbers",
      lambda tmp, bundle: _report(tmp, _bundle_with(
          tmp, bundle, ["rates", "CpkI", 0], float("nan")))),
-    ("bundle-rate-true", 4, "rate series 'CpkI'",
+    ("bundle-rate-true", 4, "bundle.rates.CpkI must be a list of nulls and finite numbers",
      lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["rates", "CpkI", 0], True))),
     # summaries, cells and matrix shapes are checked on load, naming the field
     ("bundle-summary-mean-string", 4, "summary_metrics.CpkI.mean",
@@ -726,7 +728,7 @@ BAD_INPUT_CASES = [
     ("bundle-matrix-row-empty", 4, "corr_full.cells must be 8 rows of 8 cells",
      lambda tmp, bundle: _report(tmp, _bundle_with(
          tmp, bundle, ["corr_full", "cells", 1], []))),
-    ("bundle-matrix-names-short", 4, "corr_full.cells must be 7 rows of 7 cells",
+    ("bundle-matrix-names-short", 4, "bundle.corr_full.names must be the list",
      lambda tmp, bundle: _report(tmp, _bundle_with(
          tmp, bundle, ["corr_full", "names"], list(CORR_NAMES[:-1])))),
     # the bundle's own fields, its provenance and histogram fields are checked on load,
@@ -750,14 +752,29 @@ BAD_INPUT_CASES = [
            ["histograms", "CpkI", "rows", 0, 1], "3"),
           ("histogram-underflow-string", "histograms.CpkI.underflow",
            ["histograms", "CpkI", "underflow"], "0"),
+          # counts past the float range, which the text plot once scaled into a traceback
+          ("histogram-count-past-float-range", "bundle.histograms.CpkI.rows",
+           ["histograms", "CpkI", "rows", 0, 1], 10**400),
+          ("histogram-underflow-negative", "bundle.histograms.CpkI.underflow",
+           ["histograms", "CpkI", "underflow"], -(2**64)),
           *((f"{key.replace('_', '-')}-list", f"bundle.{key} must be an object", [key], [])
             for key in ("histograms", "summary_basic", "summary_metrics", "rates", "corr_full")),
           ("categories-int", "bundle.categories must be a list of [category, count] pairs",
            ["categories"], 3),
           ("category-count-string", "bundle.categories", ["categories"], [["a", "x"]]),
-          ("rate-series-int", "rate series 'CpkI' must be a list", ["rates", "CpkI"], 3),
-          ("matrix-names-int", "corr_full.names must be a list of strings",
+          ("rate-series-int", "bundle.rates.CpkI must be a list", ["rates", "CpkI"], 3),
+          ("matrix-names-int", "bundle.corr_full.names must be the list",
            ["corr_full", "names"], 3),
+          # each table holds exactly the names that the renders read
+          ("summary-missing", "bundle.summary_metrics.CpkI is missing",
+           ["summary_metrics", "CpkI"], MISSING),
+          ("histograms-empty", "bundle.histograms.CpkI is missing", ["histograms"], {}),
+          ("rates-empty", "bundle.rates.CpkI is missing", ["rates"], {}),
+          ("summary-extra", "bundle.summary_basic has the unknown field 'Zed'",
+           ["summary_basic", "Zed"], {"n": 0, **dict.fromkeys(
+               ("mean", "std_dev", "min", "max", "skewness", "kurtosis", "bin_mode"))}),
+          ("matrix-name-renamed", "bundle.corr_full.names must be the list",
+           ["corr_full", "names", 0], "Cpk"),
       )),
 ]
 
@@ -770,6 +787,79 @@ def test_bad_input_file_exits_with_its_code(pipeline, tmp_path, capsys, code, na
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
     assert "Traceback" not in err
     assert not (tmp_path / "rep" / "report.md").exists()
+
+
+def _value_paths(value, path=()):
+    """The path, as a tuple of keys, of ``value`` and of every value inside it, where
+    a list stands for its items by its first and its last: so each field of the bundle
+    is about as likely to be drawn, and not mostly a rate."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = [(0, value[0]), (-1, value[-1])] if isinstance(value, list) and value else []
+    for key, item in items:
+        yield from _value_paths(item, (*path, key))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+OTHER_TYPES = [None, True, 0, 2.5, "x", [], {}, [[]]]
+EXTREMES = [-1, 2**63, 2**64, -(2**64), 10**400, 1.7976931348623157e308, -1e308, 5e-324,
+            float("nan"), float("inf"), float("-inf")]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_report_on_a_mutated_bundle_exits_0_or_4(pipeline, tmp_path_factory, data):
+    # one mutation of the bundle: a value swapped for another type, an extreme number or
+    # a lone surrogate, a key deleted or added, or the file cut at any byte
+    text = pipeline["bundle"].read_text(encoding="utf-8")
+    bundle = json.loads(text)
+    mutation = data.draw(st.sampled_from(
+        ["type", "extreme", "surrogate", "delete", "add", "truncate"]))
+    if mutation == "truncate":
+        raw = text.encode("utf-8")
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        paths = list(_value_paths(bundle))
+        if mutation == "add":
+            paths = [path for path in paths if isinstance(_at(bundle, path), (dict, list))]
+        elif mutation == "delete":
+            paths = paths[1:]
+        path = data.draw(st.sampled_from(paths))
+        if mutation == "add":
+            container = _at(bundle, path)
+            value = data.draw(st.sampled_from(OTHER_TYPES))
+            if isinstance(container, dict):
+                container[data.draw(st.sampled_from(["extra", "\ud800", ""]))] = value
+            else:
+                container.append(value)
+        elif mutation == "delete":
+            del _at(bundle, path[:-1])[path[-1]]
+        else:
+            value = data.draw(st.sampled_from(
+                {"type": OTHER_TYPES, "extreme": EXTREMES, "surrogate": ["\ud800"]}[mutation]))
+            if path:
+                _at(bundle, path[:-1])[path[-1]] = value
+            else:
+                bundle = value
+        raw = json.dumps(bundle).encode("ascii")  # lone surrogates as JSON escapes
+    base = tmp_path_factory.getbasetemp()
+    (base / "fuzz.json").write_bytes(raw)
+    argv = ["report", "--bundle", str(base / "fuzz.json"), "--out", str(base / "fuzz-rep")]
+    if data.draw(st.booleans()):
+        argv += ["--bins", _write(base, "fuzz-bins.json", '{"cpki": {"edges": [0, 1, 2]}}')]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().startswith("error: ")
 
 
 def test_help_names_exit_codes_and_drift(capsys):
