@@ -35,6 +35,7 @@ from .ingestion import (
 )
 from .report import (
     RENDER_FORMATS,
+    _bundle_json,
     _report,
     bundle_from_json,
     load_binspec_file,
@@ -67,23 +68,27 @@ def _bundled_path(relative: str) -> Path:
     return Path(str(resources.files("engage").joinpath(relative)))
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to a temporary file beside ``path``, then move
-    it over ``path`` in one step, so a failed write leaves the old file as it
-    was and no temporary file behind. Text that cannot be encoded (a lone
-    surrogate from a hand-edited bundle) writes nothing, as it is encoded first."""
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text made of ``chunks`` as UTF-8, one chunk at a time, to a
+    temporary file beside ``path``, then move it over ``path`` in one step, so
+    a failed write leaves the old file as it was and no temporary file behind.
+    Text that cannot be encoded (a lone surrogate from a hand-edited bundle)
+    is such a failure, wherever it comes in the text."""
     tmp = path.parent / f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
-        data = text.encode("utf-8")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "xb") as f:  # created with the mode a plain write gives
-            f.write(data)
-        with contextlib.suppress(FileNotFoundError):  # an old file keeps its mode
-            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # created with the mode a plain write gives; each chunk is encoded as it goes
+            with open(tmp, "x", encoding="utf-8", newline="") as f:
+                f.writelines(chunks)
+            with contextlib.suppress(FileNotFoundError):  # an old file keeps its mode
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+            os.replace(tmp, path)
+        except BaseException:  # an error making a chunk, too, leaves no temporary file
+            with contextlib.suppress(OSError):  # nothing to remove when it was never made
+                tmp.unlink()
+            raise
     except (OSError, UnicodeEncodeError) as exc:
-        with contextlib.suppress(OSError):  # nothing to remove when it was never made
-            tmp.unlink()
         raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
@@ -224,7 +229,7 @@ def _analyze(store: Path, n: int, out: Path):
     if not chosen:
         raise EmptySampleError(f"no comment-enabled videos among {len(rows)} in {store}")
     bundle = _report(chosen, note)
-    _write_text(out, render(bundle, "json"))
+    _write_text(out, _bundle_json(bundle))
     return len(rows), chosen, bundle
 
 
@@ -271,16 +276,16 @@ def _write_report_files(bundle, out_dir: Path, formats: Sequence[str]) -> list[P
     written = []
     for fmt in formats:
         path = out_dir / f"report.{fmt}"
-        _write_text(path, render(bundle, fmt))
+        _write_text(path, _bundle_json(bundle) if fmt == "json" else [render(bundle, fmt)])
         written.append(path)
     # plot files accompany the human-readable render only
     if "md" in formats:
         for name in sorted(bundle.histograms):
             for style, suffix in (("text", "txt"), ("svg", "svg")):
                 path = out_dir / f"hist_{name.lower()}.{suffix}"
-                _write_text(path, render_histogram_plot(
+                _write_text(path, [render_histogram_plot(
                     bundle.histograms[name], style=style, title=name
-                ))
+                )])
                 written.append(path)
     return written
 

@@ -19,10 +19,11 @@ import heapq
 import json
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -547,6 +548,41 @@ def _record_line(values: _Values) -> str:
     )
 
 
+_COUNT = "0|[1-9][0-9]{0,18}"  # at most 19 digits, so below MAX_COUNT
+# _record_line's lines that _snapshot_values passes unchanged and without a warning:
+# a text holds no quote, backslash or control character, so it reads as written, and
+# a comment count with commenting disabled, which _snapshot_values drops, does not
+# match. Groups are the eight fields.
+_CANONICAL_LINE = (
+    r'\{"video_id": "([^"\\\x00-\x1f]+)", '
+    r'"fetched_at": "([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)", '
+    f'"views": ({_COUNT}), "likes": (null|{_COUNT}), "dislikes": (null|{_COUNT}), '
+    f'"comments": (null|{_COUNT}), '
+    r'"comments_enabled": (true|(?<=null, "comments_enabled": )false), '
+    r'"category": "([^"\\\x00-\x1f]*)"\}\n'
+)
+
+
+@cache  # compiled on the first load, not at import
+def _canonical_match():
+    """``fullmatch`` of a line against ``_CANONICAL_LINE``."""
+    return re.compile(_CANONICAL_LINE).fullmatch
+
+
+def _matched_values(groups: tuple[str, ...]) -> _Values:
+    """The fields of a line that ``_canonical_match`` matched, from its groups, as
+    ``_record_values(json.loads(line))`` gives them; a date that does not exist
+    raises ParseError as there."""
+    video_id, stamp, views, likes, dislikes, comments, enabled, category = groups
+    return (
+        video_id, _parse_utc(stamp), int(views),
+        None if likes == "null" else int(likes),
+        None if dislikes == "null" else int(dislikes),
+        None if comments == "null" else int(comments),
+        enabled == "true", _LABELS.get(category, category),
+    )
+
+
 # A snapshot's eight fields, in order, as _snapshot_values takes them.
 _fields = attrgetter(
     "video_id", "fetched_at", "views", "likes", "dislikes", "comments", "comments_enabled",
@@ -680,6 +716,10 @@ def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
     Every line is validated, but only the latest record of each id is held,
     as a tuple of its fields, so memory grows with the unique ids, not with
     the records; once the file is read, only those records become snapshots.
+    A line as ``store_snapshots`` writes it, with plain text fields and counts
+    of at most 19 digits, is checked by one compiled pattern; any other is
+    decoded as JSON and checked field by field, with the same result,
+    warnings and errors.
     A malformed line (not UTF-8, not JSON, or not a valid record) aborts
     with an error naming the line number; in lenient mode it is skipped with
     a warning instead, and the count of skipped lines lands in the selection
@@ -699,18 +739,26 @@ def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
 
 def _load_rows(path: Path, lenient: bool = False) -> tuple[list[_Values], str]:
     """``load_snapshots`` without the snapshots: the validated fields of each
-    id's latest record, in first-seen order of the ids, and the note."""
+    id's latest record, in first-seen order of the ids, and the note. A line
+    that ``_canonical_match`` matches is read from its groups; any other goes
+    through ``_decode_line`` and ``_record_values``, which give it the same
+    fields, warnings and errors."""
     records = skipped = 0
     torn = False
+    match = _canonical_match()
 
     def rows(lines: Iterable[bytes]) -> Iterator[_Values]:
         nonlocal records, skipped, torn
         for lineno, raw in enumerate(lines, start=1):
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
+                canonical = match(line)
+                if canonical is not None:
+                    values = _matched_values(canonical.groups())
+                elif not line.strip():
                     continue
-                values = _record_values(_decode_line(line))
+                else:
+                    values = _record_values(_decode_line(line))
             except (ValueError, RecursionError, ParseError) as exc:
                 if not raw.endswith(b"\n"):  # only the final line can lack one
                     logger.warning("%s line %d: torn final line skipped: %s",

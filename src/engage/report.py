@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from json.encoder import encode_basestring
 from operator import gt, is_not
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .ingestion import MAX_COUNT, _fields, format_rfc3339, read_json_object
 from .stats import (
@@ -711,10 +711,11 @@ _FLAT_TYPES = frozenset((str, int, float, bool, type(None)))
 _c_json = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
-def _json_text(obj, end: str = "") -> str:
+def _json_chunks(obj, newline: str) -> Iterator[str]:
     """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
-    allow_nan=False) + end``, with no copy of the text made to append ``end``:
-    a NaN or an infinity raises ValueError, as no JSON text may hold one.
+    allow_nan=False)`` in pieces, as ``json.encoder``'s ``_make_iterencode``
+    yields them, at the indent that ``newline`` ends with: a NaN or an
+    infinity raises ValueError, as no JSON text may hold one.
 
     ``json.dumps`` writes through its pure-Python encoder whenever ``indent``
     is set. Here each list or dict whose values are all plain strings,
@@ -723,32 +724,23 @@ def _json_text(obj, end: str = "") -> str:
     separator as its own; the containers around them take the Python
     encoder's recursion, so the text is the same.
     """
-    chunks: list[str] = []
-    _json_chunks(obj, "\n", chunks.append)
-    chunks.append(end)
-    return "".join(chunks)
-
-
-def _json_chunks(obj, newline: str, out) -> None:
-    """Write ``obj`` to ``out`` as ``json.encoder``'s ``_make_iterencode`` does,
-    at the indent that ``newline`` ends with."""
     if isinstance(obj, dict):
         values, opening, closing = obj.values(), "{", "}"
     elif isinstance(obj, (list, tuple)):
         values, opening, closing = obj, "[", "]"
     else:  # a string or a scalar; the C encoder rejects any other type as json.dumps does
-        out(_c_json(obj))
+        yield _c_json(obj)
         return
     if not obj:
-        out(opening + closing)
+        yield opening + closing
         return
     inner = newline + "  "
     if _FLAT_TYPES.issuperset(map(type, values)):
         text = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False,
                                 separators=("," + inner, ": ")).encode(obj)
-        out(opening + inner)
-        out(text[1:-1])
-        out(newline + closing)
+        yield opening + inner
+        yield text[1:-1]
+        yield newline + closing
         return
     separator = opening + inner
     if isinstance(obj, dict):
@@ -758,15 +750,21 @@ def _json_chunks(obj, newline: str, out) -> None:
             elif not isinstance(key, str):
                 raise TypeError("keys must be str, int, float, bool or None, "
                                 f"not {key.__class__.__name__}")
-            out(separator + encode_basestring(key) + ": ")
-            _json_chunks(value, inner, out)
+            yield separator + encode_basestring(key) + ": "
+            yield from _json_chunks(value, inner)
             separator = "," + inner
     else:
         for value in obj:
-            out(separator)
-            _json_chunks(value, inner, out)
+            yield separator
+            yield from _json_chunks(value, inner)
             separator = "," + inner
-    out(newline + closing)
+    yield newline + closing
+
+
+def _bundle_json(bundle: ReportBundle) -> Iterator[str]:
+    """``render(bundle, "json")`` in pieces, so that a writer need not hold it whole."""
+    yield from _json_chunks(bundle_to_json(bundle), "\n")
+    yield "\n"
 
 
 RENDER_FORMATS = ("md", "csv", "json")
@@ -779,7 +777,7 @@ def render(bundle: ReportBundle, format: str = "md") -> str:
     if format == "csv":
         return _csv_report(bundle)
     if format == "json":
-        return _json_text(bundle_to_json(bundle), end="\n")
+        return "".join(_bundle_json(bundle))
     raise ValueError(f"unknown format {format!r}; expected one of {RENDER_FORMATS}")
 
 

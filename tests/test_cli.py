@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engage
-from engage import ingestion
+from engage import cli, ingestion
 from engage.cli import main
 from engage.ingestion import load_snapshots, select_study_sample
 from engage.metrics import VideoStatsSnapshot
-from engage.report import CORR_NAMES, build_report, render
+from engage.report import CORR_NAMES, _bundle_json, build_report, bundle_from_json, render
 from engage.stats import StudySample
 
 BUNDLED_FIXTURES = Path(engage.__file__).parent / "fixtures" / "replication"
@@ -265,6 +266,36 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(pipeline, tmp_p
     assert f"cannot write {out}" in err and "Traceback" not in err
     assert out.read_text(encoding="utf-8") == "old bundle"
     assert [path.name for path in tmp_path.iterdir()] == ["b.json"]
+
+
+def test_a_lone_surrogate_deep_in_a_bundle_keeps_the_old_file(pipeline, tmp_path):
+    # the bundle is written chunk by chunk, so these fail the write part way
+    out = tmp_path / "bundle.json"
+    shutil.copy(pipeline["bundle"], out)
+    before = out.read_bytes()
+    bundle = bundle_from_json(json.loads(before))
+    bundle = replace(bundle, provenance={**bundle.provenance, "selection_note": "\ud800"})
+    passed = []
+
+    def chunks():
+        for chunk in _bundle_json(bundle):
+            passed.append(chunk)
+            yield chunk
+
+    with pytest.raises(ingestion.StorageError, match=f"cannot write {out}: 'utf-8' codec"):
+        cli._write_text(out, chunks())
+    assert "\ud800" in passed[-1] and len(passed) > 100
+    assert out.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == ["bundle.json"]
+
+    def failing_chunks():  # an error while the text is made is not a write error
+        yield from passed[:100]
+        raise ValueError("not JSON")
+
+    with pytest.raises(ValueError, match="not JSON"):
+        cli._write_text(out, failing_chunks())
+    assert out.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == ["bundle.json"]
 
 
 def test_rewritten_artifact_keeps_the_old_files_mode(pipeline, tmp_path):

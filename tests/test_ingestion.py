@@ -3,6 +3,7 @@ import json
 import logging
 import socket
 import tempfile
+import unittest.mock
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -871,6 +872,197 @@ def test_a_deeply_nested_torn_tail_is_skipped_then_cut(tmp_path, caplog):
 def test_load_missing_store_is_storage_error(tmp_path):
     with pytest.raises(StorageError):
         load_snapshots(tmp_path / "absent.jsonl")
+
+
+# what a store line's text may hold: quotes, backslashes and control characters are
+# escaped by the store, so they take the JSON path; no lone surrogates, which no line holds
+STORE_TEXT = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f é音 aZ'),
+                       st.sampled_from(["News", "Film", "Music", "Category 99"]))
+STORE_COUNTS = st.one_of(st.integers(0, 10**19 - 1), st.integers(10**19, MAX_COUNT),
+                         st.sampled_from([0, 1, 10**19 - 1, 10**19, MAX_COUNT]))
+STAMPS = st.datetimes(timezones=st.just(timezone.utc)).map(
+    lambda t: t.replace(microsecond=0, fold=0))  # as a store line gives it back
+
+
+@st.composite
+def stored_values(draw, ids=STORE_TEXT.filter(bool)):
+    """The fields ``_snapshot_values`` gives for values it accepts, as a store holds them."""
+    return ingestion._snapshot_values(
+        draw(ids), draw(STAMPS), draw(STORE_COUNTS),
+        *(draw(st.one_of(st.none(), STORE_COUNTS)) for _ in range(3)),
+        draw(st.booleans()), draw(STORE_TEXT))
+
+
+def _reads_as_written(text):
+    return not any(c in '"\\' or c < " " for c in text)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(stored_values())
+def test_canonical_pattern_reads_back_every_line_the_store_writes(values):
+    line = ingestion._record_line(values)
+    from_json = ingestion._record_values(json.loads(line))
+    assert repr(from_json) == repr(values)
+    matched = ingestion._canonical_match()(line)
+    counts = [c for c in values[2:6] if c is not None]
+    # a 20-digit count or an escaped character takes the JSON path
+    assert (matched is not None) == (
+        max(counts) < 10**19 and _reads_as_written(values[0]) and _reads_as_written(values[7]))
+    if matched is not None:
+        from_match = ingestion._matched_values(matched.groups())
+        assert repr(from_match) == repr(values)
+        if values[7] in ingestion._LABELS:  # a known label is its one str object
+            assert from_match[7] is ingestion._LABELS[values[7]]
+        warnings = _Messages()
+        logging.getLogger("engage").addHandler(warnings)
+        try:  # the fields pass the check unchanged and without a warning
+            assert ingestion._snapshot_values(*from_match) == from_match
+        finally:
+            logging.getLogger("engage").removeHandler(warnings)
+        assert warnings.messages == []
+
+
+# Values that a canonical line's field may be edited to: each fails the pattern or the
+# date check, or reads the same on both paths.
+FIELD_EDITS = {
+    "video_id": ['""', '"\\u00e9"', '"\\ud800"', '"a\\"b"', '"\\n"', '"a\tb"', '"\x7f"', "7",
+                 "null"],
+    "fetched_at": ['"2014-02-30T09:00:00Z"', '"2014-01-01T09:00:00+00:00"',
+                   '"9999-12-31T23:59:59Z"', '"0000-01-01T00:00:00Z"',
+                   '"２０１４-01-01T09:00:00Z"', '"2014-01-01 09:00:00Z"', '"2014-13-01T09:00:00Z"'],
+    "views": ["-1", "-0", "01", "1.0", "1e3", "null", "true", '"5"', str(MAX_COUNT),
+              str(MAX_COUNT + 1), "9" * 20, "0"],
+    "likes": ["-4", "null", str(MAX_COUNT), "9" * 20, "1.5"],
+    "comments": ["7", "0", "null", "-7", str(MAX_COUNT)],
+    "comments_enabled": ["false", "true", "null", "0", "1"],
+    "category": ['"\\n"', '"News"', '"\\u0000"', '"\x1f"', "7", '"\\ud800"', '""'],
+}
+FIELD_EDIT_PAIRS = [(name, value) for name, values in FIELD_EDITS.items() for value in values]
+EDIT_CHARACTERS = '"\\ ,:{}0123456789-.enultrfaTZ\n\r\t\x00é音 '
+
+
+def _json_edit(line, edit):
+    """``line`` rewritten by ``edit`` on its decoded object, or as it was when it is not
+    one JSON object."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return line
+    if not isinstance(record, dict):
+        return line
+    return edit(record).encode("utf-8", "surrogatepass") + b"\n"  # a lone surrogate: not UTF-8
+
+
+def _edit_field(line, name, value):
+    """``line`` with the value after ``"name": `` up to the next ``, `` (or the closing
+    brace) replaced by ``value``; as it was when the key is not there."""
+    key = f'"{name}": '.encode()
+    if key not in line:
+        return line
+    start = line.index(key) + len(key)
+    end = start + min(len(line[start:].split(b", ")[0]), len(line[start:]) - 2)
+    return line[:start] + value.encode("utf-8") + line[end:]
+
+
+@st.composite
+def edited_stores(draw):
+    """Canonical store lines with one to three drawn edits applied."""
+    ids = st.one_of(st.sampled_from(["a", "b", "é音"]), STORE_TEXT.filter(bool))
+    lines = [ingestion._record_line(values).encode("utf-8")
+             for values in draw(st.lists(stored_values(ids), min_size=1, max_size=4))]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        char = draw(st.sampled_from(EDIT_CHARACTERS)).encode("utf-8")
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "field", "field", "field",
+                                     "swap", "compact", "crlf", "blank", "bytes"]))
+        if edit == "insert":
+            line = line[:at] + char + line[at:]
+        elif edit == "delete":
+            line = line[:at] + line[at + 1:]
+        elif edit == "replace":
+            line = line[:at] + char + line[at + 1:]
+        elif edit == "field":
+            line = _edit_field(line, *draw(st.sampled_from(FIELD_EDIT_PAIRS)))
+        elif edit == "swap":
+            j, k = sorted(draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True)))
+
+            def swapped(record):
+                items = list(record.items())
+                if k < len(items):
+                    items[j], items[k] = items[k], items[j]
+                return json.dumps(dict(items), ensure_ascii=False)
+
+            line = _json_edit(line, swapped)
+        elif edit == "compact":
+            line = _json_edit(line, lambda record: json.dumps(
+                record, separators=(",", ":"), ensure_ascii=False))
+        elif edit == "crlf":
+            line = line.removesuffix(b"\n") + b"\r\n"
+        elif edit == "blank":
+            line = draw(st.sampled_from([b"\n", b"  \n", b"\r\n", b"\t\n"])) + line
+        else:  # bytes that are not UTF-8
+            line = line[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe9", b"\x80"])) + line[at:]
+        lines[i] = line
+    data = b"".join(lines)
+    if draw(st.booleans()):  # a torn tail: the end of the store cut away
+        data = data[:len(data) - draw(st.integers(1, max(1, len(lines[-1]))))]
+    return data
+
+
+def _load_outcome(store, lenient):
+    """What ``_load_rows`` gives, its rows by their repr, or its StorageError, and the
+    warnings logged on the way."""
+    warnings = _Messages()
+    logger = logging.getLogger("engage")
+    logger.addHandler(warnings)
+    try:
+        rows, note = ingestion._load_rows(store, lenient)
+        return repr(rows), note, warnings.messages
+    except StorageError as exc:
+        return "StorageError", str(exc), warnings.messages
+    finally:
+        logger.removeHandler(warnings)
+
+
+def _assert_loads_as_the_json_path(data):
+    with tempfile.TemporaryDirectory() as directory:
+        store = Path(directory) / "snaps.jsonl"
+        store.write_bytes(data)
+        for lenient in (False, True):
+            loaded = _load_outcome(store, lenient)
+            # the reference: every line decoded as JSON and checked field by field
+            with unittest.mock.patch.object(ingestion, "_canonical_match",
+                                            lambda: lambda line: None):
+                assert loaded == _load_outcome(store, lenient)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(edited_stores())
+def test_load_equals_the_json_path_on_edited_canonical_lines(data):
+    _assert_loads_as_the_json_path(data)
+
+
+@pytest.mark.parametrize("name, value", FIELD_EDIT_PAIRS)
+def test_load_equals_the_json_path_on_each_field_edit(name, value):
+    line = record_line(snap("a", category="Film")).encode("utf-8")
+    edited = _edit_field(line, name, value)
+    assert edited != line or value in ('"Film"', "true")
+    _assert_loads_as_the_json_path(record_line(snap("b")).encode("utf-8") + edited)
+
+
+def test_canonical_lines_are_not_decoded_as_json(tmp_path, monkeypatch):
+    store = tmp_path / "snaps.jsonl"
+    written = [snap("a"), snap("b", likes=None, comments_enabled=False, comments=None,
+                               category="Música"), snap("c", views=10**19 - 1)]
+    store_snapshots(store, written)
+
+    def refuse(line):
+        raise AssertionError(f"decoded as JSON: {line!r}")
+
+    monkeypatch.setattr(ingestion, "_decode_line", refuse)
+    assert load_snapshots(store).snapshots == tuple(written)
 
 
 class FakeResponse:

@@ -14,7 +14,7 @@ from engage.report import (
     CORR_NAMES,
     DEFAULT_BINS,
     METRIC_NAMES,
-    _json_text,
+    _json_chunks,
     _metric_columns,
     bundle_from_json,
     bundle_to_json,
@@ -358,9 +358,9 @@ def test_json_text_is_json_dumps_with_indent_2(tree):
                               allow_nan=False)
     except ValueError:
         with pytest.raises(ValueError):
-            _json_text(tree)
+            "".join(_json_chunks(tree, "\n"))
         return
-    assert _json_text(tree) == expected
+    assert "".join(_json_chunks(tree, "\n")) == expected
 
 
 def test_every_markdown_number_is_in_json(bundle):
