@@ -146,7 +146,7 @@ def _detect_sweeps(directory: Path) -> int:
 def _read_id_list(path: Path) -> list[str]:
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read id list {path}: {exc}") from exc
     ids = [line.strip() for line in lines]
     ids = [v for v in ids if v and not v.startswith("#")]

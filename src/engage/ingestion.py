@@ -685,29 +685,13 @@ def _end_last_line(f, name: str) -> None:
         chunks.append(chunk[cut:])
     start, tail = start + cut, b"".join(reversed(chunks))
     try:
-        _record_values(_decode_line(tail.decode("utf-8")))
+        _record_values(json.loads(tail.decode("utf-8")))
     except (ValueError, RecursionError, ParseError) as exc:
         f.truncate(start)
         logger.warning("%s: torn final line of %d bytes dropped before appending: %s",
                        name, len(tail), exc)
     else:
         f.write(b"\n")
-
-
-_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads itself runs
-_LINE_ENDS = ("", "\n", "\r\n")
-
-
-def _decode_line(line: str):
-    """``json.loads(line)``, in one scanner call when the line is one JSON value and
-    a line end; any other line goes to ``json.loads`` for its value or its error."""
-    try:
-        value, end = _scan_once(line, 0)
-    except (StopIteration, ValueError):
-        end = -1
-    if end < 0 or line[end:] not in _LINE_ENDS:
-        return json.loads(line)
-    return value
 
 
 def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
@@ -741,7 +725,7 @@ def _load_rows(path: Path, lenient: bool = False) -> tuple[list[_Values], str]:
     """``load_snapshots`` without the snapshots: the validated fields of each
     id's latest record, in first-seen order of the ids, and the note. A line
     that ``_canonical_match`` matches is read from its groups; any other goes
-    through ``_decode_line`` and ``_record_values``, which give it the same
+    through ``json.loads`` and ``_record_values``, which give it the same
     fields, warnings and errors."""
     records = skipped = 0
     torn = False
@@ -758,7 +742,7 @@ def _load_rows(path: Path, lenient: bool = False) -> tuple[list[_Values], str]:
                 elif not line.strip():
                     continue
                 else:
-                    values = _record_values(_decode_line(line))
+                    values = _record_values(json.loads(line))
             except (ValueError, RecursionError, ParseError) as exc:
                 if not raw.endswith(b"\n"):  # only the final line can lack one
                     logger.warning("%s line %d: torn final line skipped: %s",

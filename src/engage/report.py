@@ -159,10 +159,9 @@ def load_binspec_file(path) -> dict[str, BinSpec]:
                 or not isinstance(spec.get("labels"), (list, type(None))):
             raise ValueError(f"bins for {key!r} must be an object with an 'edges' list"
                              " and an optional 'labels' list")
-        try:
-            edges = tuple(map(float, spec["edges"]))
-        except (TypeError, OverflowError) as exc:  # a null or list edge, an int past float range
-            raise ValueError(f"bins for {key!r} has an edge that is not a number: {exc}") from None
+        if not all(map(_is_number, spec["edges"])):
+            raise ValueError(f"bins for {key!r} has an edge that is not a finite number")
+        edges = tuple(map(float, spec["edges"]))
         labels = spec.get("labels")
         if labels is not None:
             labels = tuple(map(str, labels))

@@ -652,6 +652,12 @@ def _fetch_page(tmp_path, text):
     return ["fetch", "--offline", str(fixture), "--store", str(tmp_path / "s.jsonl")]
 
 
+def _fetch_ids(tmp_path, data):
+    ids = tmp_path / "ids.txt"
+    ids.write_bytes(data)
+    return ["fetch", "--ids", str(ids), "--store", str(tmp_path / "s.jsonl")]
+
+
 def _replicate_manifest(tmp_path, text):
     fixture = tmp_path / "fixture"
     shutil.copytree(BUNDLED_FIXTURES, fixture)
@@ -711,9 +717,14 @@ BAD_INPUT_CASES = [
      lambda tmp, bundle: _report(tmp, bundle, '{"cpki": {"edges": [0, 1e400]}}')),
     ("bins-edge-nan", 2, "bad bins file",
      lambda tmp, bundle: _report(tmp, bundle, '{"cpki": {"edges": [NaN, 1]}}')),
+    ("bins-edge-string", 2, "bad bins file",
+     lambda tmp, bundle: _report(tmp, bundle, '{"CpkI": {"edges": ["0", "1", "2"]}}')),
+    ("bins-edge-bool", 2, "bad bins file",
+     lambda tmp, bundle: _report(tmp, bundle, '{"VpkI": {"edges": [false, true]}}')),
     ("bins-label-surrogate", 2, "bad bins file",
      lambda tmp, bundle: _report(
          tmp, bundle, '{"cpki": {"edges": [0, 1000], "labels": ["\\ud800"]}}')),
+    ("ids-not-utf8", 2, "cannot read id list", lambda tmp, _: _fetch_ids(tmp, b"abc\xff\n")),
     ("bundle-category-surrogate", 4, "cannot write",
      lambda tmp, bundle: _report(tmp, _bundle_with(tmp, bundle, ["categories", 0, 0], "\ud800"))),
     # a valid bins file over a bundle whose rates cannot be binned blames the bundle

@@ -539,31 +539,6 @@ def test_store_page_that_cannot_be_encoded_writes_nothing(tmp_path):
     assert store.read_bytes() == before
 
 
-def _loads_outcome(decode, line):
-    """The value decode(line) returns, or the type and text of its error."""
-    try:
-        return "value", repr(decode(line))  # repr: nan and -0.0 compare exactly
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-RECORD_LINE = json.dumps(snapshot_to_record(snap("vid00000001")), ensure_ascii=False)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=8,
-)
-LINE_PREFIXES = ["", "\ufeff", " ", "\t", "\n"]
-LINE_SUFFIXES = ["", "\n", "\r\n", "\r", " ", "\t", "\x0b", " \n", "\t\r\n", "\x0b\n",
-                 "x", "}\n", "{}\n", "\n\n"]
-
-
-@given(st.one_of(st.just(RECORD_LINE), JSON_VALUES.map(json.dumps), st.text(max_size=20)))
-def test_line_decoder_equals_json_loads(body):
-    for line in [prefix + body + suffix for prefix in LINE_PREFIXES for suffix in LINE_SUFFIXES]:
-        assert _loads_outcome(ingestion._decode_line, line) == _loads_outcome(json.loads, line)
-
-
 class _Messages(logging.Handler):
     """The messages logged while attached; caplog cannot be reset between examples."""
 
@@ -1058,10 +1033,10 @@ def test_canonical_lines_are_not_decoded_as_json(tmp_path, monkeypatch):
                                category="Música"), snap("c", views=10**19 - 1)]
     store_snapshots(store, written)
 
-    def refuse(line):
-        raise AssertionError(f"decoded as JSON: {line!r}")
+    def refuse(record):
+        raise AssertionError(f"decoded as JSON: {record!r}")
 
-    monkeypatch.setattr(ingestion, "_decode_line", refuse)
+    monkeypatch.setattr(ingestion, "_record_values", refuse)
     assert load_snapshots(store).snapshots == tuple(written)
 
 

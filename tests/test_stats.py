@@ -9,7 +9,6 @@ import mpmath
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
-from scipy import stats as scipy_stats
 
 from engage import stats
 from engage.metrics import VideoStatsSnapshot
@@ -67,21 +66,13 @@ def test_summarize_matches_frozen_oracle(values, expected):
     assert s.max == max(values)
 
 
-def test_summarize_matches_scipy_on_random_vectors():
+def test_summarize_matches_the_exact_oracle_on_random_vectors():
     rng = random.Random(23)
     for _ in range(50):
         xs = [rng.uniform(-50, 50) for _ in range(rng.randrange(5, 40))]
         s = summarize(xs)
-        n = len(xs)
-        assert s.std_dev == pytest.approx(
-            math.sqrt(sum((x - s.mean) ** 2 for x in xs) / (n - 1)), rel=1e-12
-        )
-        assert s.skewness == pytest.approx(
-            float(scipy_stats.skew(xs, bias=False)), rel=1e-9, abs=1e-12
-        )
-        assert s.kurtosis == pytest.approx(
-            float(scipy_stats.kurtosis(xs, bias=False)), rel=1e-9, abs=1e-12
-        )
+        got = (s.mean, s.std_dev, s.skewness, s.kurtosis)
+        assert tuple(map(_bits, got)) == tuple(map(_bits, _oracle_summary(xs)))
 
 
 def test_summarize_small_and_degenerate():
@@ -192,16 +183,16 @@ def test_pearson_perfect_and_anti():
     assert pearson(xs, [2 * x for x in xs]).p_value is None
 
 
-def test_pearson_matches_scipy():
+def test_pearson_matches_the_exact_and_mpmath_oracles():
     rng = random.Random(29)
     for _ in range(50):
         n = rng.randrange(5, 60)
         xs = [rng.gauss(0, 10) for _ in range(n)]
         ys = [0.7 * x + rng.gauss(0, 5) for x in xs]
+        _assert_exact(xs, ys)  # r bit for bit
         cell = pearson(xs, ys)
-        ref_r, ref_p = scipy_stats.pearsonr(xs, ys)
-        assert cell.r == pytest.approx(float(ref_r), rel=1e-12, abs=1e-12)
-        assert cell.p_value == pytest.approx(float(ref_p), rel=1e-9, abs=1e-12)
+        want = _mpmath_pearson_p(cell.r, n)
+        assert want and abs(cell.p_value - want) <= 1e-12 * want, (n, cell.r, cell.p_value)
 
 
 def _mpmath_pearson_p(r: float, n: int):
