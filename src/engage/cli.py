@@ -13,7 +13,6 @@ import contextlib
 import logging
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -65,7 +64,8 @@ logger = logging.getLogger(__name__)
 
 
 def _bundled_path(relative: str) -> Path:
-    return Path(str(resources.files("engage").joinpath(relative)))
+    """A file shipped inside the installed package, which is on disk."""
+    return Path(__file__).parent / relative
 
 
 def _write_text(path: Path, chunks: Iterable[str]) -> None:

@@ -21,15 +21,13 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache, lru_cache
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .metrics import VideoStatsSnapshot, _kept_comments
-from .stats import StudySample
+from .stats import StudySample, _Validated
 
 logger = logging.getLogger(__name__)
 
@@ -96,17 +94,22 @@ class EmptySampleError(EngageError):
     """The study sample holds no comment-enabled videos to analyze."""
 
 
-@dataclass(frozen=True)
-class FetchConfig:
-    """Fetch parameters; the API key comes from the environment, never flags."""
-
+class _FetchConfigFields(NamedTuple):
     api_key: str = ""
     region_code: str = "US"
     fixture_dir: Path | None = None
 
-    def __post_init__(self) -> None:
-        if len(self.region_code) != 2 or not self.region_code.isalpha():
-            raise ConfigError(f"region_code must be 2 letters, got {self.region_code!r}")
+
+class FetchConfig(_Validated, _FetchConfigFields):
+    """Fetch parameters; the API key comes from the environment, never flags."""
+
+    __slots__ = ()
+
+    def __new__(cls, api_key: str = "", region_code: str = "US",
+                fixture_dir: Path | None = None) -> FetchConfig:
+        if len(region_code) != 2 or not region_code.isalpha():
+            raise ConfigError(f"region_code must be 2 letters, got {region_code!r}")
+        return super().__new__(cls, api_key, region_code, fixture_dir)
 
 
 # Every record of a page shares one timestamp, so both conversions are memoized.
@@ -348,14 +351,15 @@ def _snapshot_values(
 
 
 def _api_count(value):
-    """An API count string as an int; a value int() refuses is left for
-    _snapshot_values to reject."""
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        return value
+    """An API count string as an int. Any other value, and a string int()
+    refuses, is left as it is: a JSON int passes, and _snapshot_values
+    rejects the rest (a float or a bool included)."""
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    return value
 
 
 def _item_values(item: dict, fetched_at: datetime) -> _Values:
@@ -483,10 +487,9 @@ def select_study_sample(candidates: StudySample, n: int) -> StudySample:
     candidates is a shortfall, not a fault: all eligible are returned and
     the selection note records the shortfall.
     """
-    # each snapshot's fields with the snapshot itself last, as _top_rows ranks them
-    rows = [(*_fields(s), s) for s in candidates.snapshots]
-    chosen, note = _top_rows(rows, n, candidates.selection_note)
-    return StudySample(snapshots=tuple(row[-1] for row in chosen), selection_note=note)
+    # a snapshot is a row of its fields, as _top_rows ranks them
+    chosen, note = _top_rows(candidates.snapshots, n, candidates.selection_note)
+    return StudySample(snapshots=tuple(chosen), selection_note=note)
 
 
 def _top_rows(rows: Sequence[tuple], n: int, note: str) -> tuple[list[tuple], str]:
@@ -506,7 +509,7 @@ def _top_rows(rows: Sequence[tuple], n: int, note: str) -> tuple[list[tuple], st
 
 
 def snapshot_to_record(snapshot: VideoStatsSnapshot) -> dict:
-    return {**vars(snapshot), "fetched_at": format_rfc3339(snapshot.fetched_at)}
+    return {**snapshot._asdict(), "fetched_at": format_rfc3339(snapshot.fetched_at)}
 
 
 def snapshot_from_record(record: dict) -> VideoStatsSnapshot:
@@ -583,17 +586,10 @@ def _matched_values(groups: tuple[str, ...]) -> _Values:
     )
 
 
-# A snapshot's eight fields, in order, as _snapshot_values takes them.
-_fields = attrgetter(
-    "video_id", "fetched_at", "views", "likes", "dislikes", "comments", "comments_enabled",
-    "category",
-)
-
-
 def _stored_values(snapshot: VideoStatsSnapshot) -> _Values:
     """A snapshot's fields validated as a store record's are on load, and its
     ``fetched_at`` a datetime with a UTC text; raises ParseError naming the field."""
-    values = _snapshot_values(*_fields(snapshot))
+    values = _snapshot_values(*snapshot)
     fetched_at = values[1]
     if isinstance(fetched_at, datetime):
         try:

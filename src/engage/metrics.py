@@ -18,15 +18,14 @@ rounds correctly, so each float is bit-identical to ``float`` of the exact
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class VideoStatsSnapshot:
+class VideoStatsSnapshot(NamedTuple):
     """One video's public counters at a fetch instant.
 
     ``likes``, ``dislikes`` and ``comments`` are ``None`` when the platform
@@ -44,8 +43,7 @@ class VideoStatsSnapshot:
     category: str = ""
 
 
-@dataclass(frozen=True)
-class EngagementMetrics:
+class EngagementMetrics(NamedTuple):
     """The three derived per-video rates; each ``None`` when undefined."""
 
     cpki: Fraction | None = None

@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
 from functools import partial
 from json.encoder import encode_basestring
 from operator import gt, is_not
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .ingestion import MAX_COUNT, _fields, format_rfc3339, read_json_object
+from .ingestion import MAX_COUNT, format_rfc3339, read_json_object
 from .stats import (
     BinSpec,
     CorrelationCell,
@@ -68,8 +67,7 @@ SIGNIFICANCE_WEAK = 0.05
 MODERATE_R = 0.4
 
 
-@dataclass(frozen=True)
-class ReportBundle:
+class ReportBundle(NamedTuple):
     """Everything one report needs, computed once from a sample.
 
     ``rates`` keeps the per-video metric series (full precision, in sample
@@ -94,7 +92,7 @@ def build_report(sample: StudySample) -> ReportBundle:
     Statistics that cannot be computed (too little data, constant or
     absent columns) become per-table annotations rather than failures.
     """
-    return _report(map(_fields, sample.snapshots), sample.selection_note)
+    return _report(sample.snapshots, sample.selection_note)
 
 
 def _report(rows: Iterable[tuple], note: str) -> ReportBundle:
@@ -185,8 +183,8 @@ def rebin_bundle(bundle: ReportBundle, bins: Mapping[str, BinSpec]) -> ReportBun
             raise ValueError(f"bundle has no rate series for {name!r}")
         histograms[name] = histogram(bundle.rates[name], spec)
         if name in summaries:
-            summaries[name] = replace(summaries[name], bin_mode=histograms[name].mode)
-    return replace(bundle, histograms=histograms, summary_metrics=summaries)
+            summaries[name] = summaries[name]._replace(bin_mode=histograms[name].mode)
+    return bundle._replace(histograms=histograms, summary_metrics=summaries)
 
 
 def _metric_columns(views: Sequence[int], likes: Sequence[int | None],

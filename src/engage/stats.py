@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress, filterfalse, islice, repeat
@@ -37,8 +36,7 @@ Number = int | float | Fraction
 OptionalNumber = Number | None
 
 
-@dataclass(frozen=True)
-class SampleSummary:
+class SampleSummary(NamedTuple):
     """Descriptive statistics of one variable over a sample.
 
     Statistics are ``None`` when too few defined observations exist to
@@ -56,28 +54,42 @@ class SampleSummary:
     bin_mode: str | None = None
 
 
-@dataclass(frozen=True)
-class BinSpec:
+class _Validated:
+    """Base of a record that checks its fields in ``__new__``: ``_make``, and
+    so ``_replace``, build through it too, where namedtuple's own ``_make``
+    calls ``tuple.__new__`` directly."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _BinSpecFields(NamedTuple):
+    edges: tuple[float, ...]
+    labels: tuple[str, ...] | None = None
+
+
+class BinSpec(_Validated, _BinSpecFields):
     """Histogram bins: left-closed right-open, the last bin closed on both ends.
 
     ``labels`` are display strings, one per bin; generated from the edges
     when not supplied.
     """
 
-    edges: tuple[float, ...]
-    labels: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.edges) < 2:
+    def __new__(cls, edges: tuple[float, ...], labels: tuple[str, ...] | None = None) -> BinSpec:
+        if len(edges) < 2:
             raise ValueError("BinSpec needs at least 2 edges")
-        if not all(map(math.isfinite, self.edges)):
-            raise ValueError(f"BinSpec edges must be finite, got {self.edges}")
-        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
+        if not all(map(math.isfinite, edges)):
+            raise ValueError(f"BinSpec edges must be finite, got {edges}")
+        if any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValueError("BinSpec edges must be strictly increasing")
-        if self.labels is not None and len(self.labels) != len(self.edges) - 1:
-            raise ValueError(
-                f"BinSpec has {len(self.edges) - 1} bins but {len(self.labels)} labels"
-            )
+        if labels is not None and len(labels) != len(edges) - 1:
+            raise ValueError(f"BinSpec has {len(edges) - 1} bins but {len(labels)} labels")
+        return super().__new__(cls, edges, labels)
 
     @property
     def bin_labels(self) -> tuple[str, ...]:
@@ -94,8 +106,7 @@ def _fmt_edge(x: float) -> str:
     return f"{x:g}"
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Bin counts plus explicit under/overflow buckets for out-of-range values."""
 
     rows: tuple[tuple[str, int], ...]
@@ -110,8 +121,7 @@ class Histogram:
         return best[0] if best is not None and best[1] > 0 else None
 
 
-@dataclass(frozen=True)
-class CorrelationCell:
+class CorrelationCell(NamedTuple):
     """Pearson r with its two-tailed p-value and the pair count used.
 
     ``r`` is ``None`` when the correlation is undefined (constant series or
@@ -125,8 +135,7 @@ class CorrelationCell:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     """Symmetric matrix of pairwise correlation cells."""
 
     names: tuple[str, ...]
@@ -136,19 +145,24 @@ class CorrelationMatrix:
         return self.cells[self.names.index(row)][self.names.index(col)]
 
 
-@dataclass(frozen=True)
-class StudySample:
-    """An ordered, deduplicated collection of snapshots plus provenance."""
-
+class _StudySampleFields(NamedTuple):
     snapshots: tuple[VideoStatsSnapshot, ...]
     selection_note: str = ""
 
-    def __post_init__(self) -> None:
+
+class StudySample(_Validated, _StudySampleFields):
+    """An ordered, deduplicated collection of snapshots plus provenance."""
+
+    __slots__ = ()
+
+    def __new__(cls, snapshots: tuple[VideoStatsSnapshot, ...],
+                selection_note: str = "") -> StudySample:
         # a set of the ids and no list of them, since a store load peaks here
-        if len({s.video_id for s in self.snapshots}) != len(self.snapshots):
-            counts = Counter(s.video_id for s in self.snapshots)
+        if len({s.video_id for s in snapshots}) != len(snapshots):
+            counts = Counter(s.video_id for s in snapshots)
             dupes = sorted({v for v, c in counts.items() if c > 1})
             raise ValueError(f"duplicate video ids in sample: {dupes[:5]}")
+        return super().__new__(cls, snapshots, selection_note)
 
 
 def summarize(values: Iterable[OptionalNumber]) -> SampleSummary:

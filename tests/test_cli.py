@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -63,9 +62,11 @@ def test_replicate_runs_as_module(tmp_path):
 
 
 def test_import_loads_no_dependency():
-    # -S: no site hooks, so only engage.cli's own imports are counted
+    # -S: no site hooks, so only engage.cli's own imports are counted; the last
+    # three are slow standard modules that the records and paths do without
     code = ("import sys, engage.cli; print(sorted(set(sys.modules)"
-            " & {'scipy', 'numpy', 'requests', 'urllib.request'}))")
+            " & {'scipy', 'numpy', 'requests', 'urllib.request',"
+            " 'dataclasses', 'inspect', 'importlib.resources'}))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -274,7 +275,7 @@ def test_a_lone_surrogate_deep_in_a_bundle_keeps_the_old_file(pipeline, tmp_path
     shutil.copy(pipeline["bundle"], out)
     before = out.read_bytes()
     bundle = bundle_from_json(json.loads(before))
-    bundle = replace(bundle, provenance={**bundle.provenance, "selection_note": "\ud800"})
+    bundle = bundle._replace(provenance={**bundle.provenance, "selection_note": "\ud800"})
     passed = []
 
     def chunks():
@@ -320,10 +321,10 @@ def test_analyze_shortfall_keeps_going(pipeline, tmp_path, capsys):
 def test_analyze_builds_no_snapshot_and_no_sample(pipeline, tmp_path, monkeypatch):
     built = []
     for cls in (VideoStatsSnapshot, StudySample):
-        def counting_init(self, *args, _init=cls.__init__, **kwargs):
-            built.append(type(self).__name__)
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting_init)
+        def counting_new(kind, *args, _new=cls.__new__, **kwargs):
+            built.append(kind.__name__)
+            return _new(kind, *args, **kwargs)
+        monkeypatch.setattr(cls, "__new__", counting_new)
     out = tmp_path / "b.json"
     assert main(["analyze", "--store", str(pipeline["store"]), "--out", str(out)]) == 0
     assert built == []
@@ -708,6 +709,10 @@ BAD_INPUT_CASES = [
     ("store-fetched-at-past-range", 4, "line 1: bad timestamp",
      lambda tmp, _: _analyze_store(
          tmp, json.dumps({**RECORD, "fetched_at": "9999-12-31T23:59:59-01:00"}) + "\n")),
+    ("page-count-float", 3, "views is not a 64-bit count: 3.7",
+     lambda tmp, _: _fetch_page(tmp, json.dumps({
+         "items": [{"id": "a", "statistics": {"viewCount": 3.7}}],
+         "recordedAt": "2013-12-10T09:00:00Z"}))),
     ("page-recorded-at-past-range", 3, "bad timestamp",
      lambda tmp, _: _fetch_page(
          tmp, json.dumps({"items": [], "recordedAt": "0001-01-01T00:00:00+01:00"}))),

@@ -7,7 +7,6 @@ import unittest.mock
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import astuple, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -90,7 +89,7 @@ def parsed(item, fetched_at):
 
 def record_line(snapshot):
     """The store line the line template writes for ``snapshot``."""
-    return ingestion._record_line(ingestion._fields(snapshot))
+    return ingestion._record_line(snapshot)
 
 
 def test_rfc3339_round_trip():
@@ -196,6 +195,25 @@ def test_parse_video_item_null_count_is_hidden():
     with pytest.raises(ParseError) as exc:
         parsed(no_views, T1)
     assert exc.value.field == "views"
+
+
+@pytest.mark.parametrize("key, field", [("viewCount", "views"), ("likeCount", "likes"),
+                                        ("dislikeCount", "dislikes"),
+                                        ("commentCount", "comments")])
+@pytest.mark.parametrize("value, count", [
+    ("7", 7), (7, 7),  # the API's decimal string, and a JSON int
+    (3.7, None), (1e3, None), (7.0, None), (True, None), (False, None),
+])
+def test_parse_video_item_takes_a_count_only_as_an_int_or_a_string(key, field, value, count):
+    # a float is never truncated and a bool never read as 0 or 1, as at the store boundary
+    api_item = item("vid00000001")
+    api_item["statistics"][key] = value
+    if count is not None:
+        assert getattr(parsed(api_item, T1), field) == count
+        return
+    with pytest.raises(ParseError, match=f"{field} is not a 64-bit count: {value!r}$") as exc:
+        parsed(api_item, T1)
+    assert exc.value.field == field
 
 
 def test_page_with_non_string_timestamp_is_parse_error(tmp_path):
@@ -455,7 +473,7 @@ def test_store_line_template_equals_json_dumps(s):
             return
         stored_at = parse_rfc3339(format_rfc3339(s.fetched_at))
         expected = VideoStatsSnapshot(
-            *ingestion._snapshot_values(*astuple(replace(s, fetched_at=stored_at))))
+            *ingestion._snapshot_values(*s._replace(fetched_at=stored_at)))
         line = json.dumps(snapshot_to_record(expected), ensure_ascii=False) + "\n"
         assert store.read_bytes() == before + line.encode("utf-8")
         # the seed is no later, so the drawn record is kept even when the ids agree
@@ -473,7 +491,7 @@ def test_store_refuses_an_invalid_snapshot_and_writes_none_of_its_page(tmp_path,
     store_snapshots(store, [snap("a")])
     before = store.read_bytes()
     with pytest.raises(ParseError) as exc:
-        store_snapshots(store, [snap("b"), replace(snap("c"), **{field: value})])
+        store_snapshots(store, [snap("b"), snap("c")._replace(**{field: value})])
     assert exc.value.field == field
     assert store.read_bytes() == before
 
@@ -521,7 +539,7 @@ def test_fetch_writes_json_dumps_of_each_parsed_item(items, split, recorded_at):
         assert main(["fetch", "--offline", directory, "--store", str(store)]) == 0
         assert store.read_bytes() == expected
         # a comment count that a disabled section contradicts is stored as null
-        stray = [replace(s, comments=7) for s in built if not s.comments_enabled]
+        stray = [s._replace(comments=7) for s in built if not s.comments_enabled]
         direct = fixture / "stored.jsonl"
         assert store_snapshots(direct, built + stray) == len(built) + len(stray)
         assert direct.read_bytes() == expected + "".join(

@@ -1,5 +1,4 @@
 import random
-from dataclasses import astuple
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -123,7 +122,7 @@ def test_compute_metrics_disabled_comments_has_no_cpki():
 
 def normalized(snapshot):
     """The snapshot as validation leaves it, through the store's validated fields."""
-    return VideoStatsSnapshot(*_snapshot_values(*astuple(snapshot)))
+    return VideoStatsSnapshot(*_snapshot_values(*snapshot))
 
 
 def test_normalize_drops_comment_count_when_disabled():

@@ -1,14 +1,13 @@
 import json
 import math
 import random
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engage.ingestion import MAX_COUNT, _fields
+from engage.ingestion import MAX_COUNT
 from engage.metrics import VideoStatsSnapshot, compute_cpki, compute_disp, compute_vpki
 from engage.report import (
     CORR_NAMES,
@@ -66,7 +65,7 @@ def make_sample(n=100, seed=47):
 
 def metric_columns(sample):
     """``_metric_columns`` of the sample's count and ``comments_enabled`` columns."""
-    return _metric_columns(*list(zip(*map(_fields, sample.snapshots)))[2:7])
+    return _metric_columns(*list(zip(*sample.snapshots))[2:7])
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +322,7 @@ def test_summaries_and_matrices_equal_the_public_functions(sample):
     summaries = {**bundle.summary_basic, **bundle.summary_metrics}
     assert summaries.keys() == summarized.keys()
     for name, column in summarized.items():
-        assert replace(summaries[name], bin_mode=None) == summarize(columns[column]), name
+        assert summaries[name]._replace(bin_mode=None) == summarize(columns[column]), name
     assert bundle.corr_full == correlation_matrix({name: columns[name] for name in CORR_NAMES})
     upper = upper_quartile_rows(sample.snapshots)
     assert bundle.corr_upper_quartiles == correlation_matrix(
