@@ -15,7 +15,6 @@ from .ingestion import (
     ConfigError,
     EmptySampleError,
     EngageError,
-    FetchConfig,
     FixtureTransport,
     LiveTransport,
     ParseError,
@@ -74,7 +73,6 @@ __all__ = [
     "EmptySampleError",
     "EngageError",
     "EngagementMetrics",
-    "FetchConfig",
     "FixtureTransport",
     "Histogram",
     "LiveTransport",

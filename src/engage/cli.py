@@ -20,16 +20,17 @@ from .ingestion import (
     API_KEY_ENV,
     ConfigError,
     EmptySampleError,
-    FetchConfig,
+    LiveTransport,
     ParseError,
     StorageError,
     StoreAppender,
     TransportError,
+    _check_region,
     _load_rows,
     _top_rows,
-    collect_by_ids,
     collect_sweeps,
-    default_transport,
+    fetch_by_ids,
+    fixture_sweeps,
     read_json_object,
 )
 from .report import (
@@ -59,9 +60,6 @@ DRIFT_NOTICE = (
     " live statistics have drifted since, so its table values are not"
     " reproducible from today's API."
 )
-
-logger = logging.getLogger(__name__)
-
 
 def _bundled_path(relative: str) -> Path:
     """A file shipped inside the installed package, which is on disk."""
@@ -134,15 +132,6 @@ def _as_int(value, key: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
-def _detect_sweeps(directory: Path) -> int:
-    count = 0
-    while (directory / f"sweep{count + 1}_page1.json").is_file():
-        count += 1
-    if count == 0:
-        raise ConfigError(f"no sweep fixtures (sweep1_page1.json) in {directory}")
-    return count
-
-
 def _read_id_list(path: Path) -> list[str]:
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -185,28 +174,29 @@ def run_fetch(args: argparse.Namespace) -> int:
     occasions = _resolve(args, cfg, "occasions")
     ids = _resolve(args, cfg, "ids")
 
+    if offline is None:
+        _check_region(region)  # first, before the API key, and with --ids too
+    if occasions is not None:
+        occasions = _as_int(occasions, "occasions")
+
     if offline is not None:
         fixture = Path(offline)
         if not fixture.is_dir():
             raise ConfigError(f"offline fixture directory not found: {fixture}")
-        config = FetchConfig(fixture_dir=fixture)
-        occasions = _as_int(occasions, "occasions") if occasions is not None \
-            else _detect_sweeps(fixture)
-    else:
-        config = FetchConfig(
-            api_key=os.environ.get(API_KEY_ENV, ""), region_code=region
-        )
-        occasions = _as_int(occasions, "occasions") if occasions is not None else 1
-
-    if ids is not None:
-        if offline is not None:
+        transports = fixture_sweeps(fixture, occasions)
+        if ids is not None:
             raise ConfigError("--ids re-queries the live API; drop --offline")
+        pages = collect_sweeps(transports)
+    elif ids is not None:
         ids_path = Path(ids) if ids else _bundled_path(
             "fixtures/sampled_video_ids.txt"
         )
-        pages = collect_by_ids(_read_id_list(ids_path), transport=default_transport(config))
+        video_ids = _read_id_list(ids_path)
+        pages = fetch_by_ids(video_ids, transport=LiveTransport(os.environ.get(API_KEY_ENV, "")))
     else:
-        pages = collect_sweeps(config, occasions)
+        # one transport for every sweep, so its wait between requests holds across them
+        transport = LiveTransport(os.environ.get(API_KEY_ENV, ""))
+        pages = collect_sweeps([transport] * (1 if occasions is None else occasions), region)
 
     n_pages, n_snapshots, n_unique = _store_pages(store_path, pages)
     print(f"fetched {n_pages} pages, {n_snapshots} snapshots, {n_unique} unique ids")
@@ -334,10 +324,9 @@ def run_replicate(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise StorageError(f"cannot prepare {out_dir}: {exc}") from exc
 
-    config = FetchConfig(fixture_dir=fixture)
-    occasions = _detect_sweeps(fixture)
-    n_pages, n_snapshots, _ = _store_pages(store, collect_sweeps(config, occasions))
-    print(f"fetched {n_pages} pages, {n_snapshots} snapshots ({occasions} sweeps)")
+    transports = fixture_sweeps(fixture)
+    n_pages, n_snapshots, _ = _store_pages(store, collect_sweeps(transports))
+    print(f"fetched {n_pages} pages, {n_snapshots} snapshots ({len(transports)} sweeps)")
 
     unique, chosen, bundle = _analyze(store, expected_n, out_dir / "bundle.json")
     _write_report_files(bundle, out_dir, RENDER_FORMATS)

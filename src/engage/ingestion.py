@@ -10,7 +10,9 @@ analysis can be re-run on frozen data.
 Transports are pluggable: :class:`LiveTransport` talks HTTPS with rate
 limiting, :class:`FixtureTransport` replays recorded pages from a
 directory (files named ``sweep<k>_page<j>.json``), so the whole pipeline
-runs hermetically offline.
+runs hermetically offline. ``collect_sweeps`` runs one chart sweep per
+transport it is given: the same ``LiveTransport`` once per live sweep, or
+the fixture transports that ``fixture_sweeps`` gives.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ import time
 from datetime import datetime, timezone
 from functools import cache, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
+from urllib.parse import urlencode  # loaded by pathlib already
 
 from .metrics import VideoStatsSnapshot, _kept_comments
-from .stats import StudySample, _Validated
+from .stats import StudySample
 
 logger = logging.getLogger(__name__)
 
@@ -94,24 +97,6 @@ class EmptySampleError(EngageError):
     """The study sample holds no comment-enabled videos to analyze."""
 
 
-class _FetchConfigFields(NamedTuple):
-    api_key: str = ""
-    region_code: str = "US"
-    fixture_dir: Path | None = None
-
-
-class FetchConfig(_Validated, _FetchConfigFields):
-    """Fetch parameters; the API key comes from the environment, never flags."""
-
-    __slots__ = ()
-
-    def __new__(cls, api_key: str = "", region_code: str = "US",
-                fixture_dir: Path | None = None) -> FetchConfig:
-        if len(region_code) != 2 or not region_code.isalpha():
-            raise ConfigError(f"region_code must be 2 letters, got {region_code!r}")
-        return super().__new__(cls, api_key, region_code, fixture_dir)
-
-
 # Every record of a page shares one timestamp, so both conversions are memoized.
 # Equal datetimes denote the same instant (naive ones are taken as UTC, and a
 # naive datetime never equals an aware one), so they format alike.
@@ -172,89 +157,68 @@ class Transport(Protocol):
     def get_page(self, params: dict[str, str]) -> dict: ...
 
 
-class _HttpResponse:
-    """Status code and body of one HTTP exchange."""
+def _http_get(url: str) -> tuple[int, bytes]:
+    """Status and body of one GET on the standard library; an error status is
+    an answer too, since its body can name a quota."""
+    # imported here, not at module level: only a live fetch pays for them
+    import http.client
+    import urllib.error
+    import urllib.request
 
-    def __init__(self, status_code: int, body: bytes):
-        self.status_code = status_code
-        self._body = body
-
-    def json(self):
-        """The body decoded as JSON; raises ValueError when it is not."""
-        return json.loads(self._body)
-
-
-class _UrllibSession:
-    """The one HTTP call LiveTransport needs, on the standard library."""
-
-    def get(self, url: str, params: dict[str, str], timeout: float) -> _HttpResponse:
-        # imported here, not at module level: only a live fetch pays for them
-        import http.client
-        import urllib.error
-        import urllib.parse
-        import urllib.request
-
-        request_url = f"{url}?{urllib.parse.urlencode(params)}"
-        try:  # the outer handler also covers reading an error body
-            try:
-                with urllib.request.urlopen(request_url, timeout=timeout) as resp:
-                    return _HttpResponse(resp.status, resp.read())
-            except urllib.error.HTTPError as exc:
-                # an error status is still an answer: its body can name a quota
-                with exc:
-                    return _HttpResponse(exc.code, exc.read())
-        except (OSError, http.client.HTTPException) as exc:
-            # the reason only: the request URL carries the API key
-            raise TransportError(f"request failed: {getattr(exc, 'reason', exc)}") from exc
+    try:  # the outer handler also covers reading an error body
+        try:
+            with urllib.request.urlopen(url, timeout=30) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read()
+    except (OSError, http.client.HTTPException) as exc:
+        # the reason only: the request URL carries the API key
+        raise TransportError(f"request failed: {getattr(exc, 'reason', exc)}") from exc
 
 
 class LiveTransport:
-    """HTTPS transport with a fixed inter-request delay.
+    """HTTPS transport that waits ``REQUEST_INTERVAL_MS`` between its requests.
 
-    ``session`` is anything with ``get(url, params, timeout)`` returning a
-    response with ``status_code`` and ``json()``; the default uses urllib.
+    One transport shared by several sweeps keeps that wait between them too.
     """
 
-    def __init__(
-        self,
-        api_key: str,
-        request_interval_ms: int = REQUEST_INTERVAL_MS,
-        session: _UrllibSession | None = None,
-    ):
+    def __init__(self, api_key: str):
         if not api_key:
             raise ConfigError(f"live fetching needs an API key in ${API_KEY_ENV}")
         self._api_key = api_key
-        self._interval = request_interval_ms / 1000.0
-        self._session = session or _UrllibSession()
         self._last_request = 0.0
 
     def _throttle(self) -> None:
-        wait = self._last_request + self._interval - time.monotonic()
+        wait = self._last_request + REQUEST_INTERVAL_MS / 1000 - time.monotonic()
         if wait > 0:
             time.sleep(wait)
         self._last_request = time.monotonic()
 
     def get_page(self, params: dict[str, str]) -> dict:
         self._throttle()
-        resp = self._session.get(API_URL, params={**params, "key": self._api_key}, timeout=30)
-        if resp.status_code == 403 and _is_quota_error(resp):
-            raise QuotaExceededError("API quota exceeded", status=403)
-        if not 200 <= resp.status_code < 300:
-            raise TransportError(f"HTTP {resp.status_code} from API", status=resp.status_code)
+        status, body = _http_get(f"{API_URL}?{urlencode({**params, 'key': self._api_key})}")
+        ok = 200 <= status < 300
         try:
-            payload = resp.json()
+            payload = json.loads(body)
         except (ValueError, RecursionError) as exc:
-            raise ParseError(f"response body is not JSON: {exc}") from exc
+            if ok:
+                raise ParseError(f"response body is not JSON: {exc}") from exc
+            payload = None  # an error page: its status is the answer
+        if status == 403 and _is_quota_error(payload):
+            raise QuotaExceededError("API quota exceeded", status=403)
+        if not ok:
+            raise TransportError(f"HTTP {status} from API", status=status)
         if not isinstance(payload, dict):
             raise ParseError("response body is not a JSON object")
         return payload
 
 
-def _is_quota_error(resp: _HttpResponse) -> bool:
+def _is_quota_error(payload) -> bool:
     try:
-        errors = resp.json()["error"]["errors"]
+        errors = payload["error"]["errors"]
         reasons = {e.get("reason") for e in errors if isinstance(e, dict)}
-    except (ValueError, RecursionError, LookupError, TypeError):
+    except (LookupError, TypeError):
         return False
     return bool(reasons & {"quotaExceeded", "dailyLimitExceeded", "rateLimitExceeded"})
 
@@ -280,11 +244,19 @@ class FixtureTransport:
         return read_json_object(path, ParseError, "fixture page")
 
 
-def default_transport(config: FetchConfig, sweep: int = 1) -> Transport:
-    """Fixture transport when a fixture directory is configured, else live."""
-    if config.fixture_dir is not None:
-        return FixtureTransport(config.fixture_dir, sweep=sweep)
-    return LiveTransport(config.api_key)
+def fixture_sweeps(directory: Path | str, occasions: int | None = None) -> list[FixtureTransport]:
+    """One ``FixtureTransport`` per sweep to replay from ``directory``: sweeps 1
+    to ``occasions``, or, when it is None, every recorded sweep, counted up from
+    ``sweep1_page1.json`` to the first missing one. A directory with no
+    recorded sweep raises ConfigError."""
+    directory = Path(directory)
+    if occasions is None:
+        occasions = 0
+        while (directory / f"sweep{occasions + 1}_page1.json").is_file():
+            occasions += 1
+        if not occasions:
+            raise ConfigError(f"no sweep fixtures (sweep1_page1.json) in {directory}")
+    return [FixtureTransport(directory, sweep) for sweep in range(1, occasions + 1)]
 
 
 # Largest count magnitude accepted from the API or a store, as for an unsigned
@@ -351,13 +323,15 @@ def _snapshot_values(
 
 
 def _api_count(value):
-    """An API count string as an int. Any other value, and a string int()
-    refuses, is left as it is: a JSON int passes, and _snapshot_values
-    rejects the rest (a float or a bool included)."""
-    if type(value) is str:
+    """An API count string of ASCII digits, with an optional leading minus, as
+    an int. Any other value is left as it is: a JSON int passes, and
+    _snapshot_values rejects the rest (a float, a bool and any other string
+    included)."""
+    if type(value) is str and value.isascii() and (
+            value.isdigit() or (value[:1] == "-" and value[1:].isdigit())):
         try:
             return int(value)
-        except ValueError:
+        except ValueError:  # past int()'s digit limit, so past any 64-bit count
             pass
     return value
 
@@ -400,40 +374,39 @@ def _parse_page(payload: dict) -> tuple[list[_Values], str | None]:
     return rows, next_token
 
 
-def _trending_page(
-    config: FetchConfig, page_token: str | None, transport: Transport
-) -> tuple[list[_Values], str | None]:
-    """One page of the trending chart: up to ``PAGE_SIZE`` rows of validated
-    snapshot fields and the token for the next page (``None`` on the last).
-    Rows are stamped with the page's recorded fetch time if it carries one,
-    else with the current UTC time."""
+def _check_region(region_code: str) -> None:
+    if len(region_code) != 2 or not region_code.isalpha():
+        raise ConfigError(f"region_code must be 2 letters, got {region_code!r}")
+
+
+def collect_sweeps(
+    transports: Sequence[Transport], region_code: str = "US"
+) -> Iterator[list[_Values]]:
+    """Run one sweep of the ``region_code`` trending chart per transport, in
+    order; yields each page as the page arrives, in fetch order, as the
+    validated fields of its snapshots (``VideoStatsSnapshot(*row)`` builds one).
+
+    A live sweep is a fresh pass over the current chart: pass the same
+    ``LiveTransport`` for each, so its wait between requests holds across
+    sweeps. Each sweep follows page tokens for at most MAX_PAGES. Rows are
+    stamped with the page's recorded fetch time if it carries one, else with
+    the current UTC time. Nothing is fetched, and no error raised, until the
+    first page is asked for.
+    """
+    _check_region(region_code)
+    if not transports:
+        raise ConfigError(f"occasions must be >= 1, got {len(transports)}")
     params = {
         "chart": "mostPopular",
         "part": "snippet,statistics",
         "maxResults": str(PAGE_SIZE),
-        "regionCode": config.region_code,
+        "regionCode": region_code,
     }
-    if page_token:
-        params["pageToken"] = page_token
-    return _parse_page(transport.get_page(params))
-
-
-def collect_sweeps(config: FetchConfig, occasions: int) -> Iterator[list[_Values]]:
-    """Run ``occasions`` sweeps, sweep k through ``default_transport(config, sweep=k)``;
-    yields each page as the page arrives, in fetch order, as the validated
-    fields of its snapshots (``VideoStatsSnapshot(*row)`` builds one).
-
-    A fixture sweep k replays recorded sweep k; a live sweep is a fresh pass
-    over the current chart. Each follows page tokens for at most MAX_PAGES.
-    Nothing is fetched, and no error raised, until the first page is asked for.
-    """
-    if occasions < 1:
-        raise ConfigError(f"occasions must be >= 1, got {occasions}")
-    for sweep in range(1, occasions + 1):
-        transport = default_transport(config, sweep=sweep)
+    for transport in transports:
         token: str | None = None
         for _ in range(MAX_PAGES):
-            page, token = _trending_page(config, token, transport)
+            page, token = _parse_page(
+                transport.get_page({**params, "pageToken": token} if token else params))
             yield page
             if token is None:
                 break
@@ -468,16 +441,10 @@ def fetch_by_ids(
     Statistics drift over time, so re-querying a historical id list yields
     present-day counters, not the ones originally studied.
     """
-    pages = collect_by_ids(video_ids, transport=transport)
-    return ([VideoStatsSnapshot(*row) for row in page] for page in pages)
-
-
-def collect_by_ids(video_ids: Sequence[str], *, transport: Transport) -> Iterator[list[_Values]]:
-    """``fetch_by_ids``'s pages as the validated fields of their snapshots."""
     for start in range(0, len(video_ids), PAGE_SIZE):
         batch = video_ids[start : start + PAGE_SIZE]
         params = {"part": "snippet,statistics", "id": ",".join(batch)}
-        yield _parse_page(transport.get_page(params))[0]
+        yield [VideoStatsSnapshot(*row) for row in _parse_page(transport.get_page(params))[0]]
 
 
 def select_study_sample(candidates: StudySample, n: int) -> StudySample:

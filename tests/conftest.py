@@ -1,9 +1,13 @@
+import io
 import os
+import types
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 import engage
+from engage import ingestion
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -20,3 +24,43 @@ def child_pythonpath():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join([root, existing]) if existing else root)
         yield
+
+
+class FakeHttpResponse(io.BytesIO):
+    status = 200
+
+
+@pytest.fixture
+def urlopen_calls(monkeypatch):
+    """Replace urllib's urlopen: each call records (url, timeout), then
+    raises ``outcome`` if it is an exception or returns it as the body."""
+    calls = []
+
+    def install(outcome):
+        def fake_urlopen(url, timeout=None):
+            calls.append((url, timeout))
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return FakeHttpResponse(outcome)
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Give engage.ingestion a clock that only its own sleeps move on; the
+    list of the seconds it was asked to sleep, in order."""
+    now = 1000.0
+    asked = []
+
+    def sleep(seconds):
+        nonlocal now
+        asked.append(seconds)
+        now += seconds
+
+    clock = types.SimpleNamespace(monotonic=lambda: now, sleep=sleep)
+    monkeypatch.setattr(ingestion, "time", clock)
+    return asked

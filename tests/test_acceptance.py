@@ -15,7 +15,7 @@ import pytest
 
 import engage
 from engage.cli import main
-from engage.ingestion import FetchConfig, collect_sweeps, dedup_latest, select_study_sample
+from engage.ingestion import collect_sweeps, dedup_latest, fixture_sweeps, select_study_sample
 from engage.metrics import (
     VideoStatsSnapshot,
     compute_cpki,
@@ -179,8 +179,7 @@ def test_criterion_5_quartile_rule_keeps_75_of_100():
 
 def test_criterion_6_bundled_category_table():
     with criterion(6, "bundled fixture reproduces the frozen category table summing to 100", 1.0):
-        config = FetchConfig(fixture_dir=BUNDLED_FIXTURES)
-        pages = collect_sweeps(config, 3)
+        pages = collect_sweeps(fixture_sweeps(BUNDLED_FIXTURES, 3))
         candidates = StudySample(tuple(dedup_latest(VideoStatsSnapshot(*row)
                                                    for page in pages for row in page)))
         sample = select_study_sample(candidates, n=100)

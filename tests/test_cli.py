@@ -108,6 +108,56 @@ def test_fetch_live_without_key_is_config_error(tmp_path):
     assert not (tmp_path / "s.jsonl").exists()
 
 
+LIVE_KEY = "live-key-0123456789"
+LIVE_PAGE = json.dumps({
+    "items": [{"id": "a000000000a", "snippet": {"categoryId": "25"},
+               "statistics": {"viewCount": "100", "likeCount": "5", "commentCount": "2"}}],
+    "recordedAt": "2013-12-10T09:00:00Z",
+}).encode()
+LIVE_LINE = ('{"video_id": "a000000000a", "fetched_at": "2013-12-10T09:00:00Z", "views": 100,'
+             ' "likes": 5, "dislikes": null, "comments": 2, "comments_enabled": true,'
+             ' "category": "News"}\n')
+
+
+@pytest.mark.parametrize("mode", ["sweeps", "ids"])
+def test_fetch_live_stores_the_pages_and_never_the_key(tmp_path, capsys, monkeypatch,
+                                                       urlopen_calls, sleeps, mode):
+    monkeypatch.setenv("ENGAGE_API_KEY", LIVE_KEY)
+    calls = urlopen_calls(LIVE_PAGE)
+    store = tmp_path / "s.jsonl"
+    if mode == "sweeps":
+        argv, pages, query = ["--region", "US", "--occasions", "2"], 2, "regionCode=US"
+    else:
+        ids = tmp_path / "ids.txt"
+        ids.write_text("a000000000a\n", encoding="utf-8")
+        argv, pages, query = ["--ids", str(ids)], 1, "id=a000000000a"
+    assert main(["fetch", *argv, "--store", str(store)]) == 0
+    out, err = capsys.readouterr()
+    assert f"fetched {pages} pages, {pages} snapshots, 1 unique ids" in out
+    assert len(calls) == pages and all(query in url and LIVE_KEY in url for url, _ in calls)
+    assert sleeps == [pytest.approx(0.2)] * (pages - 1)  # one wait, between the two sweeps
+    text = store.read_text(encoding="utf-8")
+    assert text == LIVE_LINE * pages
+    assert LIVE_KEY not in out + err + text
+
+
+@pytest.mark.parametrize("key", [LIVE_KEY, None], ids=["key", "no-key"])
+def test_fetch_live_bad_region_exit2_before_any_request(tmp_path, capsys, monkeypatch,
+                                                        urlopen_calls, key):
+    # the region is checked first: before the API key, and with --ids, which sends none
+    if key is None:
+        monkeypatch.delenv("ENGAGE_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("ENGAGE_API_KEY", key)
+    calls = urlopen_calls(LIVE_PAGE)
+    store = tmp_path / "s.jsonl"
+    for extra in ([], ["--ids"]):
+        assert main(["fetch", "--region", "USA", *extra, "--store", str(store)]) == 2
+        assert capsys.readouterr().err == "error: region_code must be 2 letters, got 'USA'\n"
+    assert calls == []
+    assert not store.exists()
+
+
 def test_fetch_ids_conflicts_with_offline(tmp_path, capsys):
     argv = ["fetch", "--offline", str(BUNDLED_FIXTURES), "--ids",
             "--store", str(tmp_path / "s.jsonl")]
@@ -712,6 +762,10 @@ BAD_INPUT_CASES = [
     ("page-count-float", 3, "views is not a 64-bit count: 3.7",
      lambda tmp, _: _fetch_page(tmp, json.dumps({
          "items": [{"id": "a", "statistics": {"viewCount": 3.7}}],
+         "recordedAt": "2013-12-10T09:00:00Z"}))),
+    ("page-count-underscore", 3, "views is not a 64-bit count: '1_000'",
+     lambda tmp, _: _fetch_page(tmp, json.dumps({
+         "items": [{"id": "a", "statistics": {"viewCount": "1_000"}}],
          "recordedAt": "2013-12-10T09:00:00Z"}))),
     ("page-recorded-at-past-range", 3, "bad timestamp",
      lambda tmp, _: _fetch_page(

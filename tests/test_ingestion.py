@@ -1,12 +1,12 @@
 import io
 import json
 import logging
+import re
 import socket
 import tempfile
 import unittest.mock
 import urllib.error
 import urllib.parse
-import urllib.request
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -18,7 +18,6 @@ from engage import ingestion
 from engage.cli import main
 from engage.ingestion import (
     ConfigError,
-    FetchConfig,
     FixtureTransport,
     LiveTransport,
     MAX_COUNT,
@@ -30,6 +29,7 @@ from engage.ingestion import (
     collect_sweeps,
     dedup_latest,
     fetch_by_ids,
+    fixture_sweeps,
     format_rfc3339,
     load_snapshots,
     parse_rfc3339,
@@ -77,9 +77,9 @@ def write_page(directory, name, items, next_token=None, recorded_at="2013-12-10T
     (directory / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
 
 
-def swept(config, occasions):
+def swept(transports):
     """Every snapshot of ``collect_sweeps``, its pages flattened in fetch order."""
-    return [VideoStatsSnapshot(*row) for page in collect_sweeps(config, occasions) for row in page]
+    return [VideoStatsSnapshot(*row) for page in collect_sweeps(transports) for row in page]
 
 
 def parsed(item, fetched_at):
@@ -203,6 +203,9 @@ def test_parse_video_item_null_count_is_hidden():
 @pytest.mark.parametrize("value, count", [
     ("7", 7), (7, 7),  # the API's decimal string, and a JSON int
     (3.7, None), (1e3, None), (7.0, None), (True, None), (False, None),
+    # only ASCII digits, with a leading minus at most: int() takes more than that
+    ("1_000", None), (" 12 ", None), ("+5", None), ("\u0663\u0663", None), ("", None),
+    ("-", None), ("-5", -5),  # a negative count is stored, with a warning
 ])
 def test_parse_video_item_takes_a_count_only_as_an_int_or_a_string(key, field, value, count):
     # a float is never truncated and a bool never read as 0 or 1, as at the store boundary
@@ -211,15 +214,24 @@ def test_parse_video_item_takes_a_count_only_as_an_int_or_a_string(key, field, v
     if count is not None:
         assert getattr(parsed(api_item, T1), field) == count
         return
-    with pytest.raises(ParseError, match=f"{field} is not a 64-bit count: {value!r}$") as exc:
+    message = f"{field} is not a 64-bit count: {re.escape(repr(value))}$"
+    with pytest.raises(ParseError, match=message) as exc:
         parsed(api_item, T1)
     assert exc.value.field == field
+
+
+def test_parse_video_item_refuses_a_count_past_the_digit_limit():
+    # int() refuses a string of more than 4300 digits; so does the 64-bit check
+    api_item = item("vid00000001", views="1" * 5000)
+    with pytest.raises(ParseError, match="views is not a 64-bit count: '1111") as exc:
+        parsed(api_item, T1)
+    assert exc.value.field == "views"
 
 
 def test_page_with_non_string_timestamp_is_parse_error(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], recorded_at=12)
     with pytest.raises(ParseError) as exc:
-        list(collect_sweeps(FetchConfig(fixture_dir=tmp_path), 1))
+        list(collect_sweeps(fixture_sweeps(tmp_path, 1)))
     assert exc.value.field == "fetched_at"
 
 
@@ -229,7 +241,7 @@ def test_page_with_falsy_timestamp_is_parse_error(tmp_path, recorded_at):
     payload = {"items": [item("a000000000a")], "recordedAt": recorded_at}
     (tmp_path / "sweep1_page1.json").write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ParseError) as exc:
-        list(collect_sweeps(FetchConfig(fixture_dir=tmp_path), 1))
+        list(collect_sweeps(fixture_sweeps(tmp_path, 1)))
     assert exc.value.field == "fetched_at"
 
 
@@ -237,22 +249,20 @@ def test_page_with_null_timestamp_is_stamped_now(tmp_path):
     payload = {"items": [item("a000000000a")], "recordedAt": None}
     (tmp_path / "sweep1_page1.json").write_text(json.dumps(payload), encoding="utf-8")
     before = datetime.now(timezone.utc).replace(microsecond=0)
-    [snapshot] = swept(FetchConfig(fixture_dir=tmp_path), 1)
+    [snapshot] = swept(fixture_sweeps(tmp_path, 1))
     assert before <= snapshot.fetched_at <= datetime.now(timezone.utc)
 
 
 def test_fixture_transport_pages(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
-    config = FetchConfig(fixture_dir=tmp_path)
     transport = FixtureTransport(tmp_path, sweep=1)
 
-    page1, token = ingestion._trending_page(config, None, transport)
+    assert transport.get_page({})["nextPageToken"] == "sweep1_page2"
+    assert "nextPageToken" not in transport.get_page({"pageToken": "sweep1_page2"})
+    page1, page2 = collect_sweeps([transport])
     assert [VideoStatsSnapshot(*row).video_id for row in page1] == ["a000000000a"]
-    assert token == "sweep1_page2"
-    page2, token = ingestion._trending_page(config, token, transport)
     assert [VideoStatsSnapshot(*row).video_id for row in page2] == ["b000000000b"]
-    assert token is None
 
 
 def test_fixture_transport_missing_page(tmp_path):
@@ -279,8 +289,7 @@ def test_read_json_object_raises_the_callers_error(tmp_path, data, message):
 def test_collect_sweeps_follows_tokens(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
-    config = FetchConfig(fixture_dir=tmp_path)
-    snaps = swept(config, 1)
+    snaps = swept(fixture_sweeps(tmp_path, 1))
     assert [s.video_id for s in snaps] == ["a000000000a", "b000000000b"]
 
 
@@ -289,16 +298,14 @@ def test_collect_sweeps_respects_max_pages(tmp_path, monkeypatch):
     monkeypatch.setattr(ingestion, "MAX_PAGES", 1)
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
-    config = FetchConfig(fixture_dir=tmp_path)
-    snaps = swept(config, 1)
+    snaps = swept(fixture_sweeps(tmp_path, 1))
     assert len(snaps) == 1
 
 
 def test_fixture_pages_keep_recorded_timestamps(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")],
                recorded_at="2013-12-13T09:00:00Z")
-    config = FetchConfig(fixture_dir=tmp_path)
-    snaps = swept(config, 1)
+    snaps = swept(fixture_sweeps(tmp_path, 1))
     assert snaps[0].fetched_at == T2
 
 
@@ -342,8 +349,7 @@ def test_collect_sweeps_union_dedups_in_first_seen_order(tmp_path):
     write_page(tmp_path, "sweep1_page1", [item("a000000000a"), item("b000000000b")])
     write_page(tmp_path, "sweep2_page1", [item("b000000000b"), item("c000000000c")],
                recorded_at="2013-12-13T09:00:00Z")
-    config = FetchConfig(fixture_dir=tmp_path)
-    unique = dedup_latest(swept(config, 2))
+    unique = dedup_latest(swept(fixture_sweeps(tmp_path, 2)))
     assert [s.video_id for s in unique] == [
         "a000000000a", "b000000000b", "c000000000c"
     ]
@@ -1058,26 +1064,10 @@ def test_canonical_lines_are_not_decoded_as_json(tmp_path, monkeypatch):
     assert load_snapshots(store).snapshots == tuple(written)
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def get(self, url, params=None, timeout=None):
-        self.calls.append((url, dict(params or {})))
-        return self.responses.pop(0)
+def http_error(code, body):
+    return urllib.error.HTTPError(
+        ingestion.API_URL, code, "error", {}, io.BytesIO(json.dumps(body).encode())
+    )
 
 
 def test_live_transport_requires_key():
@@ -1086,70 +1076,62 @@ def test_live_transport_requires_key():
     assert "ENGAGE_API_KEY" in str(exc.value)
 
 
-def test_live_transport_sends_key_and_parses(tmp_path):
-    session = FakeSession([FakeResponse(payload={"items": []})])
-    transport = LiveTransport("secret", request_interval_ms=0, session=session)
-    payload = transport.get_page({"chart": "mostPopular"})
+def test_live_transport_sends_key_and_parses(urlopen_calls):
+    calls = urlopen_calls(b'{"items": []}')
+    payload = LiveTransport("secret").get_page({"chart": "mostPopular"})
     assert payload == {"items": []}
-    url, params = session.calls[0]
-    assert params["key"] == "secret"
+    [(url, _)] = calls
+    query = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
+    assert query == {"chart": ["mostPopular"], "key": ["secret"]}
 
 
-def test_live_transport_quota_error():
-    quota_body = {"error": {"errors": [{"reason": "quotaExceeded"}]}}
-    session = FakeSession([FakeResponse(status_code=403, payload=quota_body)])
-    transport = LiveTransport("secret", request_interval_ms=0, session=session)
-    with pytest.raises(QuotaExceededError):
-        transport.get_page({})
+def test_live_transport_quota_error(urlopen_calls):
+    for reason in ("dailyLimitExceeded", "rateLimitExceeded"):  # besides quotaExceeded
+        urlopen_calls(http_error(403, {"error": {"errors": [{"reason": reason}]}}))
+        with pytest.raises(QuotaExceededError):
+            LiveTransport("secret").get_page({})
 
 
-def test_live_transport_http_error_status():
-    session = FakeSession([FakeResponse(status_code=500, payload={})])
-    transport = LiveTransport("secret", request_interval_ms=0, session=session)
+def test_live_transport_http_error_status(urlopen_calls):
+    # an error page that is not JSON is still an HTTP error, not a parse error
+    urlopen_calls(urllib.error.HTTPError(ingestion.API_URL, 404, "not found", {},
+                                         io.BytesIO(b"<html>not found</html>")))
     with pytest.raises(TransportError) as exc:
-        transport.get_page({})
-    assert exc.value.status == 500
+        LiveTransport("secret").get_page({})
+    assert type(exc.value) is TransportError and exc.value.status == 404
 
 
-def test_live_transport_bad_body():
-    session = FakeSession([FakeResponse(payload=None)])
-    transport = LiveTransport("secret", request_interval_ms=0, session=session)
-    with pytest.raises(ParseError):
-        transport.get_page({})
+def test_live_transport_bad_body(urlopen_calls):
+    urlopen_calls(b"[1, 2]")  # JSON, but not an object
+    with pytest.raises(ParseError, match="^response body is not a JSON object$"):
+        LiveTransport("secret").get_page({})
 
 
-class FakeHttpResponse(io.BytesIO):
-    status = 200
+def test_live_sweeps_share_the_wait_between_requests(urlopen_calls, sleeps):
+    # one transport for both sweeps: the second sweep's first request waits its 200 ms
+    calls = urlopen_calls(json.dumps({"items": [item("a000000000a")]}).encode())
+    transport = LiveTransport("secret")
+    pages = list(collect_sweeps([transport, transport]))
+    assert len(pages) == len(calls) == 2
+    assert sleeps == [pytest.approx(ingestion.REQUEST_INTERVAL_MS / 1000)]
 
 
-@pytest.fixture
-def urlopen_calls(monkeypatch):
-    """Replace urllib's urlopen: each call records (url, timeout), then
-    raises ``outcome`` if it is an exception or returns it as the body."""
-    calls = []
-
-    def install(outcome):
-        def fake_urlopen(url, timeout=None):
-            calls.append((url, timeout))
-            if isinstance(outcome, BaseException):
-                raise outcome
-            return FakeHttpResponse(outcome)
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        return calls
-
-    return install
-
-
-def http_error(code, body):
-    return urllib.error.HTTPError(
-        ingestion.API_URL, code, "error", {}, io.BytesIO(json.dumps(body).encode())
-    )
+def test_live_sweep_sends_the_chart_query(urlopen_calls, sleeps):
+    # every page names a next one, so the sweep stops at MAX_PAGES
+    calls = urlopen_calls(json.dumps({"items": [], "nextPageToken": "tok2"}).encode())
+    pages = list(collect_sweeps([LiveTransport("secret")], "GB"))
+    assert len(pages) == len(calls) == ingestion.MAX_PAGES
+    first, second = (urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
+                     for url, _ in calls[:2])
+    chart = {"chart": ["mostPopular"], "part": ["snippet,statistics"],
+             "maxResults": [str(ingestion.PAGE_SIZE)], "regionCode": ["GB"], "key": ["secret"]}
+    assert first == chart and second == {**chart, "pageToken": ["tok2"]}
+    assert sleeps == [pytest.approx(ingestion.REQUEST_INTERVAL_MS / 1000)] * (len(calls) - 1)
 
 
 def test_urllib_session_sends_urlencoded_params(urlopen_calls):
     calls = urlopen_calls(b'{"items": []}')
-    transport = LiveTransport("secret", request_interval_ms=0)
+    transport = LiveTransport("secret")
     assert transport.get_page({"part": "snippet,statistics", "id": "a b"}) == {"items": []}
     query = urllib.parse.urlencode({"part": "snippet,statistics", "id": "a b", "key": "secret"})
     assert calls == [(f"{ingestion.API_URL}?{query}", 30)]
@@ -1161,7 +1143,7 @@ def test_urllib_session_sends_urlencoded_params(urlopen_calls):
 ])
 def test_urllib_session_failure_never_shows_key(urlopen_calls, failure):
     urlopen_calls(failure)
-    transport = LiveTransport("secret-key-123", request_interval_ms=0)
+    transport = LiveTransport("secret-key-123")
     with pytest.raises(TransportError) as exc:
         transport.get_page({"chart": "mostPopular"})
     assert "secret-key-123" not in str(exc.value)
@@ -1171,34 +1153,34 @@ def test_urllib_session_failure_never_shows_key(urlopen_calls, failure):
 def test_urllib_session_http_403_quota(urlopen_calls):
     urlopen_calls(http_error(403, {"error": {"errors": [{"reason": "quotaExceeded"}]}}))
     with pytest.raises(QuotaExceededError):
-        LiveTransport("secret", request_interval_ms=0).get_page({})
+        LiveTransport("secret").get_page({})
 
 
 @pytest.mark.parametrize("code, body", [(500, {}), (403, ["not", "an", "object"])])
 def test_urllib_session_http_error_status(urlopen_calls, code, body):
     urlopen_calls(http_error(code, body))
     with pytest.raises(TransportError) as exc:
-        LiveTransport("secret", request_interval_ms=0).get_page({})
+        LiveTransport("secret").get_page({})
     assert type(exc.value) is TransportError and exc.value.status == code
 
 
 def test_urllib_session_non_json_body(urlopen_calls):
     urlopen_calls(b"<html>not json</html>")
     with pytest.raises(ParseError):
-        LiveTransport("secret", request_interval_ms=0).get_page({})
+        LiveTransport("secret").get_page({})
 
 
 def test_urllib_session_deeply_nested_body(urlopen_calls):
     urlopen_calls(DEEP.encode())
     with pytest.raises(ParseError):
-        LiveTransport("secret", request_interval_ms=0).get_page({})
+        LiveTransport("secret").get_page({})
 
 
 def test_urllib_session_http_403_deeply_nested_body_is_no_quota(urlopen_calls):
     urlopen_calls(urllib.error.HTTPError(ingestion.API_URL, 403, "error", {},
                                          io.BytesIO(DEEP.encode())))
     with pytest.raises(TransportError) as exc:
-        LiveTransport("secret", request_interval_ms=0).get_page({})
+        LiveTransport("secret").get_page({})
     assert type(exc.value) is TransportError and exc.value.status == 403
 
 
@@ -1222,6 +1204,20 @@ def test_fetch_by_ids_batches(monkeypatch):
     assert transport.batches == [ids[:2], ids[2:]]
 
 
-def test_fetch_config_validation():
-    with pytest.raises(ConfigError):
-        FetchConfig(region_code="USA")
+def test_fetch_config_validation(tmp_path):
+    # the region is checked before any page is asked for
+    write_page(tmp_path, "sweep1_page1", [item("a000000000a")])
+    for region in ("USA", "U1"):
+        with pytest.raises(ConfigError, match=f"^region_code must be 2 letters, got '{region}'$"):
+            next(collect_sweeps(fixture_sweeps(tmp_path), region))
+    with pytest.raises(ConfigError, match="^occasions must be >= 1, got 0$"):
+        next(collect_sweeps([]))
+
+
+def test_fixture_sweeps_counts_the_recorded_sweeps(tmp_path):
+    with pytest.raises(ConfigError, match="no sweep fixtures"):
+        fixture_sweeps(tmp_path)
+    for sweep in (1, 2, 4):  # sweep 3 is missing, so sweep 4 is not replayed
+        write_page(tmp_path, f"sweep{sweep}_page1", [item(f"{sweep:011d}")])
+    assert [s.video_id for s in swept(fixture_sweeps(tmp_path))] == ["00000000001", "00000000002"]
+    assert [s.video_id for s in swept(fixture_sweeps(tmp_path, 1))] == ["00000000001"]

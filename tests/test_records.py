@@ -1,5 +1,5 @@
 """The public records are immutable NamedTuples: fields, defaults, construction,
-repr, equality, hashing and validation, for each of the ten."""
+repr, equality, hashing and validation, for each of the nine."""
 
 import re
 from datetime import datetime, timezone
@@ -9,11 +9,9 @@ import pytest
 
 from engage import (
     BinSpec,
-    ConfigError,
     CorrelationCell,
     CorrelationMatrix,
     EngagementMetrics,
-    FetchConfig,
     Histogram,
     ReportBundle,
     SampleSummary,
@@ -67,9 +65,6 @@ RECORDS = [
      " corr_full=CorrelationMatrix(names=(), cells=()),"
      " corr_upper_quartiles=CorrelationMatrix(names=(), cells=()), histograms={},"
      " categories=[], rates={})"),
-    (FetchConfig, ("api_key", "region_code", "fixture_dir"), (),
-     {"api_key": "", "region_code": "US", "fixture_dir": None},
-     "FetchConfig(api_key='', region_code='US', fixture_dir=None)"),
 ]
 IDS = [record[0].__name__ for record in RECORDS]
 
@@ -134,10 +129,6 @@ INVALID = [
      "BinSpec has 1 bins but 2 labels"),
     (StudySample((SNAPSHOT,)), {"snapshots": (SNAPSHOT, DUPLICATE)}, ValueError,
      "duplicate video ids in sample: ['a']"),
-    (FetchConfig(), {"region_code": "USA"}, ConfigError,
-     "region_code must be 2 letters, got 'USA'"),
-    (FetchConfig(), {"region_code": "U1"}, ConfigError,
-     "region_code must be 2 letters, got 'U1'"),
 ]
 
 
