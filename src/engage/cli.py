@@ -24,9 +24,11 @@ from .ingestion import (
     ParseError,
     StorageError,
     StoreAppender,
+    StorePage,
     TransportError,
     _check_region,
     _load_rows,
+    _rows_page,
     _top_rows,
     collect_sweeps,
     fetch_by_ids,
@@ -144,11 +146,10 @@ def _read_id_list(path: Path) -> list[str]:
     return ids
 
 
-def _store_pages(store: Path, pages: Iterable[Sequence[tuple]]) -> tuple[int, int, int]:
-    """Append each page of validated snapshot fields to the store as it
-    arrives, through one open store; returns the numbers of pages, snapshots
-    and unique ids. A failed fetch keeps the pages already stored, and its
-    error says how many there are."""
+def _store_pages(store: Path, pages: Iterable[StorePage]) -> tuple[int, int, int]:
+    """Append each page to the store as it arrives, through one open store;
+    returns the numbers of pages, snapshots and unique ids. A failed fetch
+    keeps the pages already stored, and its error says how many there are."""
     n_pages = n_snapshots = 0
     ids: set[str] = set()
     try:
@@ -156,7 +157,7 @@ def _store_pages(store: Path, pages: Iterable[Sequence[tuple]]) -> tuple[int, in
             for page in pages:
                 n_snapshots += appender.append(page)
                 n_pages += 1
-                ids.update([row[0] for row in page])
+                ids.update(page.ids)
     except (TransportError, ParseError) as exc:
         # the same type, so the exit code stays the same
         raise type(exc)(f"{exc} ({n_snapshots} snapshots from {n_pages} pages"
@@ -192,7 +193,8 @@ def run_fetch(args: argparse.Namespace) -> int:
             "fixtures/sampled_video_ids.txt"
         )
         video_ids = _read_id_list(ids_path)
-        pages = fetch_by_ids(video_ids, transport=LiveTransport(os.environ.get(API_KEY_ENV, "")))
+        transport = LiveTransport(os.environ.get(API_KEY_ENV, ""))
+        pages = map(_rows_page, fetch_by_ids(video_ids, transport=transport))
     else:
         # one transport for every sweep, so its wait between requests holds across them
         transport = LiveTransport(os.environ.get(API_KEY_ENV, ""))
@@ -416,8 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="replay recorded sweeps from this fixture directory")
     mode.add_argument("--region", metavar="CC",
                       help="two-letter region code for the live chart (default US)")
-    fetch.add_argument("--occasions", type=int, metavar="K",
-                       help="number of sweeps (default: all recorded sweeps, live 1)")
+    fetch.add_argument(
+        "--occasions", type=int, metavar="K",
+        help="number of sweeps (default: all recorded sweeps, live 1); K live sweeps go out"
+             " 200 ms apart and so store the same chart: take separate occasions with"
+             " separate fetch runs",
+    )
     fetch.add_argument("--store", metavar="PATH",
                        help="snapshot store to append to (default snapshots.jsonl)")
     fetch.add_argument(

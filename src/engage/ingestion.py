@@ -12,7 +12,8 @@ limiting, :class:`FixtureTransport` replays recorded pages from a
 directory (files named ``sweep<k>_page<j>.json``), so the whole pipeline
 runs hermetically offline. ``collect_sweeps`` runs one chart sweep per
 transport it is given: the same ``LiveTransport`` once per live sweep, or
-the fixture transports that ``fixture_sweeps`` gives.
+the fixture transports that ``fixture_sweeps`` gives. It yields each page
+as the store lines of its snapshots, which ``StoreAppender`` appends.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from datetime import datetime, timezone
 from functools import cache, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import urlencode  # loaded by pathlib already
 
 from .metrics import VideoStatsSnapshot, _kept_comments
@@ -361,17 +362,24 @@ def _item_values(item: dict, fetched_at: datetime) -> _Values:
     )
 
 
-def _parse_page(payload: dict) -> tuple[list[_Values], str | None]:
+_Page = TypeVar("_Page")
+
+
+def _parse_page(
+    payload: dict, encode: Callable[[list, datetime], _Page]
+) -> tuple[_Page, str | None]:
+    """A page's ``encode(items, fetched_at)`` and its next page token, which is
+    absent, null or a non-empty str; raises ParseError naming the first bad field."""
     items = payload.get("items")
     if not isinstance(items, list):
         raise ParseError("page has no items list", field="items")
     recorded = payload.get("recordedAt")
     fetched_at = _utc_now_seconds() if recorded is None else parse_rfc3339(recorded)
-    rows = [_item_values(item, fetched_at) for item in items]
+    page = encode(items, fetched_at)
     next_token = payload.get("nextPageToken")
-    if next_token is not None and not isinstance(next_token, str):
+    if next_token is not None and not (isinstance(next_token, str) and next_token):
         raise ParseError(f"bad nextPageToken: {next_token!r}", field="nextPageToken")
-    return rows, next_token
+    return page, next_token
 
 
 def _check_region(region_code: str) -> None:
@@ -381,10 +389,11 @@ def _check_region(region_code: str) -> None:
 
 def collect_sweeps(
     transports: Sequence[Transport], region_code: str = "US"
-) -> Iterator[list[_Values]]:
+) -> Iterator[StorePage]:
     """Run one sweep of the ``region_code`` trending chart per transport, in
-    order; yields each page as the page arrives, in fetch order, as the
-    validated fields of its snapshots (``VideoStatsSnapshot(*row)`` builds one).
+    order; yields each page as the page arrives, in fetch order, as a
+    ``StorePage``: the ids of its snapshots and their store lines, each the
+    line ``store_snapshots`` writes for the item's validated snapshot.
 
     A live sweep is a fresh pass over the current chart: pass the same
     ``LiveTransport`` for each, so its wait between requests holds across
@@ -406,7 +415,8 @@ def collect_sweeps(
         token: str | None = None
         for _ in range(MAX_PAGES):
             page, token = _parse_page(
-                transport.get_page({**params, "pageToken": token} if token else params))
+                transport.get_page({**params, "pageToken": token} if token else params),
+                _api_page)
             yield page
             if token is None:
                 break
@@ -444,7 +454,11 @@ def fetch_by_ids(
     for start in range(0, len(video_ids), PAGE_SIZE):
         batch = video_ids[start : start + PAGE_SIZE]
         params = {"part": "snippet,statistics", "id": ",".join(batch)}
-        yield [VideoStatsSnapshot(*row) for row in _parse_page(transport.get_page(params))[0]]
+        yield _parse_page(transport.get_page(params), _item_snapshots)[0]
+
+
+def _item_snapshots(items: list, fetched_at: datetime) -> list[VideoStatsSnapshot]:
+    return [VideoStatsSnapshot(*_item_values(item, fetched_at)) for item in items]
 
 
 def select_study_sample(candidates: StudySample, n: int) -> StudySample:
@@ -518,6 +532,79 @@ def _record_line(values: _Values) -> str:
     )
 
 
+class StorePage(NamedTuple):
+    """One page as the store takes it: the video ids of its snapshots, in
+    order, and their store lines as one text."""
+
+    ids: list[str]
+    lines: str
+
+
+def _rows_page(rows: Sequence[_Values]) -> StorePage:
+    """The store page of rows of validated snapshot fields."""
+    return StorePage([row[0] for row in rows], "".join(map(_record_line, rows)))
+
+
+# categoryId -> the end of a store line whose category is the id's label
+_CATEGORY_TAILS = {
+    key: f', "category": {_quote(label)}}}\n' for key, label in CATEGORY_LABELS.items()
+}
+
+
+def _plain_line(item, head: str) -> str | None:
+    """The store line of a plain API item, written straight from its strings, or
+    None for any other item; ``head`` is the line's text from the comma after the
+    video id up to the view count.
+
+    An item is plain when its ``statistics`` is an object, its ``id`` a non-empty
+    ASCII str and its ``snippet.categoryId`` a key of CATEGORY_LABELS, and when
+    its view count, and each other count that is not hidden (absent or null), is
+    a str of 1 to 19 ASCII digits with no leading zero unless it is ``"0"``. Such
+    a str is already the text of its count, which is at most MAX_COUNT, so the
+    line is the one ``_record_line(_item_values(item, fetched_at))`` writes, and
+    those two would log no warning for the item.
+    """
+    try:
+        stats = item["statistics"]
+        video_id = item["id"]
+        tail = _CATEGORY_TAILS[item["snippet"]["categoryId"]]
+    except (TypeError, KeyError):  # not an object, a field missing, or an unknown category
+        return None
+    if not (type(stats) is dict and type(video_id) is str and video_id and video_id.isascii()):
+        return None
+    views = stats.get("viewCount")
+    likes = stats.get("likeCount")
+    dislikes = stats.get("dislikeCount")
+    comments = stats.get("commentCount")
+    if views is None:  # the one count that may not be hidden
+        return None
+    for count in (views, likes, dislikes, comments):
+        if count is not None and not (
+                type(count) is str and count.isascii() and count.isdigit()
+                and (count[0] != "0" and len(count) < 20 or count == "0")):
+            return None
+    return (
+        f'{{"video_id": {_quote(video_id)}{head}{views}, '
+        f'"likes": {"null" if likes is None else likes}, '
+        f'"dislikes": {"null" if dislikes is None else dislikes}, '
+        f'"comments": {"null" if comments is None else comments}, '
+        # the API omits the comment count when commenting is disabled
+        f'"comments_enabled": {"true" if "commentCount" in stats else "false"}{tail}'
+    )
+
+
+def _api_page(items: list, fetched_at: datetime) -> StorePage:
+    """The store page of a page's API items, each line the one that
+    ``_record_line(_item_values(item, fetched_at))`` writes: a plain item's
+    straight from its strings, any other's through those two, which give its
+    warnings and errors."""
+    head = f', "fetched_at": "{format_rfc3339(fetched_at)}", "views": '
+    lines = [_plain_line(item, head) or _record_line(_item_values(item, fetched_at))
+             for item in items]
+    # each item is an object with a valid id by now, which its snapshot keeps as it is
+    return StorePage([item["id"] for item in items], "".join(lines))
+
+
 _COUNT = "0|[1-9][0-9]{0,18}"  # at most 19 digits, so below MAX_COUNT
 # _record_line's lines that _snapshot_values passes unchanged and without a warning:
 # a text holds no quote, backslash or control character, so it reads as written, and
@@ -576,23 +663,27 @@ def store_snapshots(path: Path, snapshots: Sequence[VideoStatsSnapshot]) -> int:
     disabled is dropped, as on load. An invalid snapshot raises ParseError
     naming its bad field, and nothing of the page is written. Each line is
     ``json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\\n"`` of the
-    validated snapshot. A store whose last line lacks its line end gets
+    validated snapshot, the same bytes that a fetch writes for an API item
+    with that snapshot. A store whose last line lacks its line end gets
     one when that line is a valid record; otherwise that torn tail of an
     interrupted append is cut away, with a warning, before the page goes on.
     """
-    rows = list(map(_stored_values, snapshots))
+    page = _rows_page(list(map(_stored_values, snapshots)))
     with StoreAppender(path) as store:
-        return store.append(rows)
+        return store.append(page)
 
 
 class StoreAppender:
-    """Appends pages of validated snapshot fields to one store, opened once.
+    """Appends ``StorePage``s to one store, opened once.
 
-    The store is opened on the first non-empty page, so a run that stores
-    nothing creates no file, and its tail is repaired then, as
-    ``store_snapshots`` describes. Each page is encoded whole, written in one
-    call and flushed before ``append`` returns. Use it as a context manager:
-    the file is closed on every path.
+    A page's lines are written as they stand: ``collect_sweeps`` makes them
+    from API items, and ``_rows_page`` from validated snapshot fields, which
+    is how ``store_snapshots`` and ``fetch --ids`` make theirs. The store is
+    opened on the first non-empty page, so a run that stores nothing creates
+    no file, and its tail is repaired then, as ``store_snapshots`` describes.
+    Each page is encoded whole, written in one call and flushed before
+    ``append`` returns. Use it as a context manager: the file is closed on
+    every path.
     """
 
     def __init__(self, path: Path):
@@ -613,11 +704,11 @@ class StoreAppender:
             except OSError as exc:
                 raise StorageError(f"cannot write {self._path}: {exc}") from exc
 
-    def append(self, page: Sequence[_Values]) -> int:
-        """Append one record per row of validated fields; returns the number written."""
-        if not page:
+    def append(self, page: StorePage) -> int:
+        """Append the page's lines; returns the number of snapshots written."""
+        if not page.ids:
             return 0
-        data = "".join(map(_record_line, page)).encode("utf-8")
+        data = page.lines.encode("utf-8")
         try:
             if self._file is None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -627,7 +718,7 @@ class StoreAppender:
             self._file.flush()
         except OSError as exc:
             raise StorageError(f"cannot write {self._path}: {exc}") from exc
-        return len(page)
+        return len(page.ids)
 
 
 def _end_last_line(f, name: str) -> None:

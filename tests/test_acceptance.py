@@ -15,7 +15,13 @@ import pytest
 
 import engage
 from engage.cli import main
-from engage.ingestion import collect_sweeps, dedup_latest, fixture_sweeps, select_study_sample
+from engage.ingestion import (
+    collect_sweeps,
+    dedup_latest,
+    fixture_sweeps,
+    select_study_sample,
+    snapshot_from_record,
+)
 from engage.metrics import (
     VideoStatsSnapshot,
     compute_cpki,
@@ -180,8 +186,9 @@ def test_criterion_5_quartile_rule_keeps_75_of_100():
 def test_criterion_6_bundled_category_table():
     with criterion(6, "bundled fixture reproduces the frozen category table summing to 100", 1.0):
         pages = collect_sweeps(fixture_sweeps(BUNDLED_FIXTURES, 3))
-        candidates = StudySample(tuple(dedup_latest(VideoStatsSnapshot(*row)
-                                                   for page in pages for row in page)))
+        candidates = StudySample(tuple(dedup_latest(
+            snapshot_from_record(json.loads(line))
+            for page in pages for line in page.lines.splitlines())))
         sample = select_study_sample(candidates, n=100)
         table = category_counts(sample)
         assert table == [

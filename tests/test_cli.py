@@ -767,6 +767,11 @@ BAD_INPUT_CASES = [
      lambda tmp, _: _fetch_page(tmp, json.dumps({
          "items": [{"id": "a", "statistics": {"viewCount": "1_000"}}],
          "recordedAt": "2013-12-10T09:00:00Z"}))),
+    # an empty token would ask for the first page again, up to MAX_PAGES times
+    ("page-token-empty", 3, "bad nextPageToken: ''",
+     lambda tmp, _: _fetch_page(tmp, json.dumps({
+         "items": [{"id": "a", "statistics": {"viewCount": "1"}}], "nextPageToken": "",
+         "recordedAt": "2013-12-10T09:00:00Z"}))),
     ("page-recorded-at-past-range", 3, "bad timestamp",
      lambda tmp, _: _fetch_page(
          tmp, json.dumps({"items": [], "recordedAt": "0001-01-01T00:00:00+01:00"}))),

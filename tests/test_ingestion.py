@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import logging
@@ -77,9 +78,18 @@ def write_page(directory, name, items, next_token=None, recorded_at="2013-12-10T
     (directory / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
 
 
+def page_snapshots(page):
+    """The snapshots of a ``collect_sweeps`` page, read back from its store lines."""
+    lines = page.lines.split("\n")[:-1]
+    assert len(lines) == len(page.ids)
+    snapshots = [snapshot_from_record(json.loads(line)) for line in lines]
+    assert [s.video_id for s in snapshots] == page.ids
+    return snapshots
+
+
 def swept(transports):
     """Every snapshot of ``collect_sweeps``, its pages flattened in fetch order."""
-    return [VideoStatsSnapshot(*row) for page in collect_sweeps(transports) for row in page]
+    return [s for page in collect_sweeps(transports) for s in page_snapshots(page)]
 
 
 def parsed(item, fetched_at):
@@ -261,8 +271,8 @@ def test_fixture_transport_pages(tmp_path):
     assert transport.get_page({})["nextPageToken"] == "sweep1_page2"
     assert "nextPageToken" not in transport.get_page({"pageToken": "sweep1_page2"})
     page1, page2 = collect_sweeps([transport])
-    assert [VideoStatsSnapshot(*row).video_id for row in page1] == ["a000000000a"]
-    assert [VideoStatsSnapshot(*row).video_id for row in page2] == ["b000000000b"]
+    assert [s.video_id for s in page_snapshots(page1)] == ["a000000000a"]
+    assert [s.video_id for s in page_snapshots(page2)] == ["b000000000b"]
 
 
 def test_fixture_transport_missing_page(tmp_path):
@@ -552,6 +562,131 @@ def test_fetch_writes_json_dumps_of_each_parsed_item(items, split, recorded_at):
             json.dumps({**snapshot_to_record(s), "comments": None}, ensure_ascii=False) + "\n"
             for s in stray
         ).encode("utf-8")
+
+
+# what a plain item's count may be: the text of a count of 1 to 19 digits
+PLAIN_COUNTS = st.one_of(st.integers(0, 10**19 - 1), st.sampled_from([0, 9, 10**19 - 1])).map(str)
+
+
+@st.composite
+def plain_items(draw):
+    """API items that the fetch writes straight from their strings: ASCII ids (quotes,
+    backslashes and control characters included), known category ids, and counts as
+    digit strings, hidden (null or absent) but for the view count."""
+    stats = {"viewCount": draw(PLAIN_COUNTS)}
+    for key in ("likeCount", "dislikeCount", "commentCount"):
+        value = draw(st.one_of(PLAIN_COUNTS, st.sampled_from([None, ABSENT])))
+        if value is not ABSENT:
+            stats[key] = value
+    return {"kind": "youtube#video",
+            "id": draw(st.one_of(st.text(st.characters(max_codepoint=127), min_size=1),
+                                 st.sampled_from(["a000000000a", '"', "\\", "a\x00b"]))),
+            "snippet": {"categoryId": draw(st.sampled_from(sorted(ingestion.CATEGORY_LABELS)))},
+            "statistics": stats}
+
+
+# (path, value) edits of a plain item; ABSENT deletes the key at the path
+COUNT_KEYS = ("viewCount", "likeCount", "dislikeCount", "commentCount")
+ITEM_EDITS = [
+    *((("statistics", key), value) for key in COUNT_KEYS for value in [
+        7, 0, 7.0, 1.5, True, False, None, ABSENT, "007", "00", "0", "-5", "-0", "", "1_000",
+        " 12 ", "+5", "\u0663\u0663", "\u00b2", "9" * 19, "1" + "0" * 19, str(MAX_COUNT),
+        str(MAX_COUNT + 1), "1" * 5000, [], {}]),
+    (("statistics",), ABSENT), (("statistics",), None), (("statistics",), []),
+    (("statistics",), "x"), (("statistics",), 5),
+    (("snippet",), ABSENT), (("snippet",), None), (("snippet",), ["25"]), (("snippet",), "25"),
+    (("snippet", "categoryId"), ABSENT), (("snippet", "categoryId"), 25),
+    (("snippet", "categoryId"), "77"), (("snippet", "categoryId"), ""),
+    (("snippet", "categoryId"), None), (("snippet", "categoryId"), []),
+    (("snippet", "categoryId"), "News"),
+    *((("id",), value) for value in [
+        '"', "\\", "a\"b", "\x00", "a\nb", "\x7f", "é", "音", "\u2028", "\ud800", "",
+        7, None, ABSENT, ["a"]]),
+    ((), 1), ((), None), ((), []), ((), "item"),
+]
+
+
+def _edited(item, path, value):
+    """A copy of ``item`` with the value at ``path`` replaced, or deleted for ABSENT."""
+    if not path:
+        return value
+    item = copy.deepcopy(item)
+    parent = item
+    for key in path[:-1]:
+        if not isinstance(parent, dict):
+            return item
+        parent = parent.get(key)
+    if not isinstance(parent, dict):
+        return item
+    if value is ABSENT:
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = value
+    return item
+
+
+def _page_outcome(encode, items, fetched_at):
+    """The page that ``encode`` gives, or its ParseError's message and field, and
+    the warnings logged on the way."""
+    warnings = _Messages()
+    logger = logging.getLogger("engage")
+    logger.addHandler(warnings)
+    try:
+        return encode(items, fetched_at), warnings.messages
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.field), warnings.messages
+    finally:
+        logger.removeHandler(warnings)
+
+
+def _general_page(items, fetched_at):
+    """The page through the field checks alone: ``_record_line(_item_values(item))``."""
+    return ingestion._rows_page([ingestion._item_values(item, fetched_at) for item in items])
+
+
+def _assert_fetch_writes_as_the_general_path(items, fetched_at=T1):
+    fetched = _page_outcome(ingestion._api_page, items, fetched_at)
+    assert fetched == _page_outcome(_general_page, items, fetched_at)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(items=st.lists(plain_items(), min_size=1, max_size=4),
+       fetched_at=st.sampled_from([T1, T2, datetime(2013, 12, 10, 10, 30, 5, 123456,
+                                                    tzinfo=timezone(timedelta(hours=1)))]))
+def test_a_plain_item_is_written_straight_from_its_strings(items, fetched_at):
+    head = f', "fetched_at": "{format_rfc3339(fetched_at)}", "views": '
+    assert all(ingestion._plain_line(item, head) is not None for item in items)
+    _assert_fetch_writes_as_the_general_path(items, fetched_at)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(items=st.lists(plain_items(), min_size=1, max_size=3),
+       edits=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(ITEM_EDITS)),
+                      min_size=1, max_size=3))
+def test_an_edited_item_is_written_as_the_general_path_writes_it(items, edits):
+    # the same line bytes, or the same ParseError, and the same warnings
+    for at, (path, value) in edits:
+        items[at % len(items)] = _edited(items[at % len(items)], path, value)
+    _assert_fetch_writes_as_the_general_path(items)
+
+
+@pytest.mark.parametrize("path, value", ITEM_EDITS)
+def test_each_item_edit_is_written_as_the_general_path_writes_it(path, value):
+    plain = item("a000000000a", views=123, likes=0, dislikes=10**18, comments=7)
+    _assert_fetch_writes_as_the_general_path([plain, _edited(plain, path, value)])
+
+
+def test_plain_items_are_not_sent_through_the_field_checks(monkeypatch):
+    items = [item("a000000000a", views=0, comments=None),
+             item("b000000000b", views=10**19 - 1, likes=None, category_id="1")]
+    del items[1]["statistics"]["likeCount"]
+    expected = _general_page(items, T1)
+
+    def refuse(item, fetched_at):
+        raise AssertionError(f"sent through the field checks: {item!r}")
+
+    monkeypatch.setattr(ingestion, "_item_values", refuse)
+    assert ingestion._api_page(items, T1) == expected
 
 
 def test_store_page_that_cannot_be_encoded_writes_nothing(tmp_path):
