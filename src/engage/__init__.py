@@ -15,6 +15,7 @@ from .ingestion import (
     ConfigError,
     EmptySampleError,
     EngageError,
+    EngageWarning,
     FixtureTransport,
     LiveTransport,
     ParseError,
@@ -72,6 +73,7 @@ __all__ = [
     "DEFAULT_BINS",
     "EmptySampleError",
     "EngageError",
+    "EngageWarning",
     "EngagementMetrics",
     "FixtureTransport",
     "Histogram",

@@ -3,16 +3,16 @@
 Exit codes: 0 success, 2 configuration error, 3 transport or quota
 failure, 4 storage or I/O failure, 5 empty eligible sample, 6 replication
 check failure. Expected failures print a one-line error to standard
-error, never a stack trace.
+error, never a stack trace, and warnings print there as ``warning: `` lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,6 +20,7 @@ from .ingestion import (
     API_KEY_ENV,
     ConfigError,
     EmptySampleError,
+    EngageWarning,
     LiveTransport,
     ParseError,
     StorageError,
@@ -233,7 +234,7 @@ def run_analyze(args: argparse.Namespace) -> int:
 
     _, chosen, bundle = _analyze(store_path, n, out)
     for note in bundle.provenance["coverage_notes"]:
-        print(f"warning: {note}", file=sys.stderr)
+        warnings.warn(note, EngageWarning)
     print(f"analyzed {len(chosen)} videos ({bundle.provenance['selection_note']})")
     print(f"bundle: {out}")
     return EXIT_OK
@@ -491,18 +492,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s: %(message)s")
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        return _fail(exc, EXIT_CONFIG)
-    except (TransportError, ParseError) as exc:
-        return _fail(exc, EXIT_TRANSPORT)
-    except StorageError as exc:
-        return _fail(exc, EXIT_STORAGE)
-    except EmptySampleError as exc:
-        return _fail(exc, EXIT_EMPTY)
+    # each warning, every time it is given, as one line on the stderr of that
+    # moment; the caller's filters and showwarning come back on return
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", EngageWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            return _fail(exc, EXIT_CONFIG)
+        except (TransportError, ParseError) as exc:
+            return _fail(exc, EXIT_TRANSPORT)
+        except StorageError as exc:
+            return _fail(exc, EXIT_STORAGE)
+        except EmptySampleError as exc:
+            return _fail(exc, EXIT_EMPTY)
 
 
 def _fail(exc: Exception, code: int) -> int:

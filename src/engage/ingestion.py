@@ -20,20 +20,18 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 import os
 import re
 import time
+import warnings
 from datetime import datetime, timezone
 from functools import cache, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import urlencode  # loaded by pathlib already
 
-from .metrics import VideoStatsSnapshot, _kept_comments
+from .metrics import VideoStatsSnapshot
 from .stats import StudySample
-
-logger = logging.getLogger(__name__)
 
 API_URL = "https://www.googleapis.com/youtube/v3/videos"
 API_KEY_ENV = "ENGAGE_API_KEY"
@@ -96,6 +94,10 @@ class StorageError(EngageError):
 
 class EmptySampleError(EngageError):
     """The study sample holds no comment-enabled videos to analyze."""
+
+
+class EngageWarning(UserWarning):
+    """A data condition worked around: a count kept, dropped or cut off, a line skipped."""
 
 
 # Every record of a page shares one timestamp, so both conversions are memoized.
@@ -229,8 +231,10 @@ class FixtureTransport:
 
     The first request of sweep k serves ``sweep<k>_page1.json``; pagination
     follows the recorded ``nextPageToken`` values, which name the next
-    page file. A recorded page may carry ``recordedAt`` so replays keep
-    their original fetch timestamps.
+    page file; a token that is not a plain file stem (one holding ``/``,
+    ``\\`` or NUL, or ``.`` or ``..``) raises ParseError before any file is
+    opened. A recorded page may carry ``recordedAt`` so replays keep their
+    original fetch timestamps.
     """
 
     def __init__(self, directory: Path | str, sweep: int = 1):
@@ -239,6 +243,9 @@ class FixtureTransport:
 
     def get_page(self, params: dict[str, str]) -> dict:
         token = params.get("pageToken") or f"sweep{self._sweep}_page1"
+        if token in (".", "..") or any(c in token for c in "/\\\0"):
+            raise ParseError(f"bad nextPageToken for a fixture page: {token!r}",
+                             field="nextPageToken")
         path = self._directory / f"{token}.json"
         if not path.is_file():
             raise TransportError(f"fixture page not found: {path}")
@@ -283,7 +290,7 @@ def _check_count(video_id: str, field: str, value) -> None:
         raise ParseError(f"video {video_id}: {field} is not a 64-bit count: {value!r}", field=field)
     if value < 0:
         # kept as-is: the analysis-side range checks are the guard for bad feeds
-        logger.warning("video %s: negative %s count %d", video_id, field, value)
+        warnings.warn(f"video {video_id}: negative {field} count {value}", EngageWarning)
 
 
 # A snapshot's eight fields in VideoStatsSnapshot's order, validated but not built.
@@ -316,8 +323,11 @@ def _snapshot_values(
         raise ParseError(f"bad comments_enabled: {comments_enabled!r}", field="comments_enabled")
     if not (type(category) is str and category.isascii()):
         _check_text(category, "category")
-    if not comments_enabled:
-        comments = _kept_comments(video_id, comments, comments_enabled)
+    if not comments_enabled and comments is not None:
+        if comments:  # the live API now and then reports one; it is not to be trusted
+            warnings.warn(f"video {video_id}: comment count {comments} with commenting"
+                          " disabled; dropping count", EngageWarning)
+        comments = None
     # a known label is held once, not once per record
     category = _LABELS.get(category, category)
     return video_id, fetched_at, views, likes, dislikes, comments, comments_enabled, category
@@ -397,7 +407,9 @@ def collect_sweeps(
 
     A live sweep is a fresh pass over the current chart: pass the same
     ``LiveTransport`` for each, so its wait between requests holds across
-    sweeps. Each sweep follows page tokens for at most MAX_PAGES. Rows are
+    sweeps. Each sweep follows page tokens for at most MAX_PAGES pages, and
+    gives an EngageWarning when a token is left after the last of them; a page
+    whose token the sweep has already followed raises ParseError. Rows are
     stamped with the page's recorded fetch time if it carries one, else with
     the current UTC time. Nothing is fetched, and no error raised, until the
     first page is asked for.
@@ -411,15 +423,23 @@ def collect_sweeps(
         "maxResults": str(PAGE_SIZE),
         "regionCode": region_code,
     }
-    for transport in transports:
+    for sweep, transport in enumerate(transports, start=1):
         token: str | None = None
+        followed: set[str] = set()
         for _ in range(MAX_PAGES):
             page, token = _parse_page(
                 transport.get_page({**params, "pageToken": token} if token else params),
                 _api_page)
+            if token in followed:  # a page graph with a cycle
+                raise ParseError(f"repeated nextPageToken: {token!r}", field="nextPageToken")
             yield page
             if token is None:
                 break
+            followed.add(token)
+        if token is not None:
+            warnings.warn(f"sweep {sweep}: stopped after MAX_PAGES = {MAX_PAGES} pages with"
+                          " a nextPageToken left; the later pages are not fetched",
+                          EngageWarning)
 
 
 def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnapshot]:
@@ -484,7 +504,7 @@ def _top_rows(rows: Sequence[tuple], n: int, note: str) -> tuple[list[tuple], st
 
     note = f"{note}; top {len(chosen)} of {len(eligible)} comment-enabled by views".lstrip("; ")
     if len(eligible) < n:
-        logger.warning("only %d eligible videos for requested n=%d", len(eligible), n)
+        warnings.warn(f"only {len(eligible)} eligible videos for requested n={n}", EngageWarning)
         note += f" (shortfall: requested {n})"
     return chosen, note
 
@@ -562,7 +582,7 @@ def _plain_line(item, head: str) -> str | None:
     a str of 1 to 19 ASCII digits with no leading zero unless it is ``"0"``. Such
     a str is already the text of its count, which is at most MAX_COUNT, so the
     line is the one ``_record_line(_item_values(item, fetched_at))`` writes, and
-    those two would log no warning for the item.
+    those two would give no warning for the item.
     """
     try:
         stats = item["statistics"]
@@ -742,8 +762,8 @@ def _end_last_line(f, name: str) -> None:
         _record_values(json.loads(tail.decode("utf-8")))
     except (ValueError, RecursionError, ParseError) as exc:
         f.truncate(start)
-        logger.warning("%s: torn final line of %d bytes dropped before appending: %s",
-                       name, len(tail), exc)
+        warnings.warn(f"{name}: torn final line of {len(tail)} bytes dropped before"
+                      f" appending: {exc}", EngageWarning)
     else:
         f.write(b"\n")
 
@@ -799,13 +819,13 @@ def _load_rows(path: Path, lenient: bool = False) -> tuple[list[_Values], str]:
                     values = _record_values(json.loads(line))
             except (ValueError, RecursionError, ParseError) as exc:
                 if not raw.endswith(b"\n"):  # only the final line can lack one
-                    logger.warning("%s line %d: torn final line skipped: %s",
-                                   path.name, lineno, exc)
+                    warnings.warn(f"{path.name} line {lineno}: torn final line skipped: {exc}",
+                                  EngageWarning)
                     torn = True
                     continue
                 if not lenient:
                     raise StorageError(f"{path.name} line {lineno}: {exc}") from exc
-                logger.warning("%s line %d skipped: %s", path.name, lineno, exc)
+                warnings.warn(f"{path.name} line {lineno} skipped: {exc}", EngageWarning)
                 skipped += 1
                 continue
             records += 1

@@ -17,12 +17,9 @@ rounds correctly, so each float is bit-identical to ``float`` of the exact
 
 from __future__ import annotations
 
-import logging
 from datetime import datetime
 from fractions import Fraction
 from typing import NamedTuple
-
-logger = logging.getLogger(__name__)
 
 
 class VideoStatsSnapshot(NamedTuple):
@@ -84,22 +81,6 @@ def compute_disp(likes: int | None, dislikes: int | None) -> Fraction | None:
     if total == 0:
         return None
     return Fraction(dislikes, total)
-
-
-def _kept_comments(video_id: str, comments: int | None, comments_enabled: bool) -> int | None:
-    """The comment count a snapshot keeps: none when commenting is disabled,
-    with a warning when the dropped count is not zero. The live API
-    occasionally reports a count for a video with commenting turned off, and
-    that count is not to be trusted."""
-    if comments_enabled or comments is None:
-        return comments
-    if comments:
-        logger.warning(
-            "video %s: comment count %d with commenting disabled; dropping count",
-            video_id,
-            comments,
-        )
-    return None
 
 
 def compute_metrics(snapshot: VideoStatsSnapshot) -> EngagementMetrics:

@@ -33,7 +33,8 @@ class FakeHttpResponse(io.BytesIO):
 @pytest.fixture
 def urlopen_calls(monkeypatch):
     """Replace urllib's urlopen: each call records (url, timeout), then
-    raises ``outcome`` if it is an exception or returns it as the body."""
+    raises ``outcome`` if it is an exception, returns ``outcome(k)`` as the
+    body of the k-th call if it is a function, or else returns it as the body."""
     calls = []
 
     def install(outcome):
@@ -41,7 +42,7 @@ def urlopen_calls(monkeypatch):
             calls.append((url, timeout))
             if isinstance(outcome, BaseException):
                 raise outcome
-            return FakeHttpResponse(outcome)
+            return FakeHttpResponse(outcome(len(calls)) if callable(outcome) else outcome)
 
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         return calls

@@ -16,6 +16,7 @@ import pytest
 import engage
 from engage.cli import main
 from engage.ingestion import (
+    EngageWarning,
     collect_sweeps,
     dedup_latest,
     fixture_sweeps,
@@ -269,4 +270,5 @@ def test_criterion_10_degenerate_inputs_never_crash():
         assert empty.n == 0 and empty.mean is None and empty.std_dev is None
         with pytest.raises(ValueError):
             build_report(StudySample(snapshots=()))
-        assert select_study_sample(StudySample(snapshots=()), n=100).snapshots == ()
+        with pytest.warns(EngageWarning, match="only 0 eligible videos for requested n=100"):
+            assert select_study_sample(StudySample(snapshots=()), n=100).snapshots == ()

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -63,10 +64,11 @@ def test_replicate_runs_as_module(tmp_path):
 
 def test_import_loads_no_dependency():
     # -S: no site hooks, so only engage.cli's own imports are counted; the last
-    # three are slow standard modules that the records and paths do without
+    # seven are slow standard modules that the records, paths and warnings do without
     code = ("import sys, engage.cli; print(sorted(set(sys.modules)"
             " & {'scipy', 'numpy', 'requests', 'urllib.request',"
-            " 'dataclasses', 'inspect', 'importlib.resources'}))")
+            " 'dataclasses', 'inspect', 'importlib.resources',"
+            " 'logging', 'traceback', 'threading', 'tokenize'}))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -241,20 +243,67 @@ def test_fetch_of_only_empty_pages_creates_no_store(tmp_path, capsys):
     assert not store.parent.exists()
 
 
-def test_fetch_cuts_a_torn_tail_once(tmp_path, capsys, caplog):
+def test_fetch_cuts_a_torn_tail_once(tmp_path, capsys):
     fresh = tmp_path / "fresh.jsonl"
     assert main(["fetch", "--offline", str(BUNDLED_FIXTURES), "--store", str(fresh)]) == 0
     first_line = fresh.read_bytes().split(b"\n")[0] + b"\n"
     store = tmp_path / "s.jsonl"
     store.write_bytes(first_line + b'{"video_id": "torn')
-    with caplog.at_level("WARNING"):
-        assert main(["fetch", "--offline", str(BUNDLED_FIXTURES), "--store", str(store)]) == 0
-    assert "fetched 6 pages, 180 snapshots, 106 unique ids" in capsys.readouterr().out
+    capsys.readouterr()
+    assert main(["fetch", "--offline", str(BUNDLED_FIXTURES), "--store", str(store)]) == 0
+    printed = capsys.readouterr()
+    assert "fetched 6 pages, 180 snapshots, 106 unique ids" in printed.out
     assert store.read_bytes() == first_line + fresh.read_bytes()
-    assert [r.getMessage() for r in caplog.records if "torn" in r.getMessage()] == [
-        "s.jsonl: torn final line of 18 bytes dropped before appending:"
-        " Unterminated string starting at: line 1 column 14 (char 13)"]
+    assert printed.err == (
+        "warning: s.jsonl: torn final line of 18 bytes dropped before appending:"
+        " Unterminated string starting at: line 1 column 14 (char 13)\n")
     assert len(load_snapshots(store).snapshots) == 106  # strict: every line is whole
+
+
+def _page_chain(directory: Path, tokens: list) -> list[str]:
+    """Sweep-1 fixture pages ``sweep1_page<j>``, one per token, each holding one
+    item ``v<j>`` and naming its token as the next page; the fetch's argv."""
+    directory.mkdir()
+    for j, token in enumerate(tokens, start=1):
+        page = {"items": [{"id": f"v{j}", "statistics": {"viewCount": str(j)}}],
+                "recordedAt": "2013-12-10T09:00:00Z", "nextPageToken": token}
+        _write(directory, f"sweep1_page{j}.json", json.dumps(page))
+    return ["fetch", "--offline", str(directory), "--store", str(directory.parent / "s.jsonl")]
+
+
+def _stored_ids(store: Path) -> list[str]:
+    lines = store.read_text(encoding="utf-8").splitlines()
+    return [json.loads(line)["video_id"] for line in lines]
+
+
+def test_fetch_of_a_chain_past_max_pages_warns_once(tmp_path, capsys):
+    tokens = [f"sweep1_page{j + 1}" for j in range(1, 12)] + [None]  # 12 pages
+    assert main(_page_chain(tmp_path / "fixture", tokens)) == 0
+    printed = capsys.readouterr()
+    assert "fetched 10 pages, 10 snapshots, 10 unique ids" in printed.out
+    assert printed.err == (
+        f"warning: sweep 1: stopped after MAX_PAGES = {ingestion.MAX_PAGES} pages with a"
+        " nextPageToken left; the later pages are not fetched\n")
+    assert _stored_ids(tmp_path / "s.jsonl") == [f"v{j}" for j in range(1, 11)]
+
+
+def test_fetch_refuses_a_two_page_cycle(tmp_path, capsys):
+    # page 1 -> page 2 -> page 1: the third request repeats a token already followed
+    assert main(_page_chain(tmp_path / "fixture", ["sweep1_page2", "sweep1_page1"])) == 3
+    assert capsys.readouterr().err == (
+        "error: repeated nextPageToken: 'sweep1_page2' (2 snapshots from 2 pages were stored"
+        f" in {tmp_path / 's.jsonl'})\n")
+    assert _stored_ids(tmp_path / "s.jsonl") == ["v1", "v2"]  # the pages before the fault
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+def test_fetch_never_stores_a_page_outside_the_fixture_directory(tmp_path, capsys, absolute):
+    token = str(tmp_path / "x") if absolute else "../x"
+    assert main(_fetch_token(tmp_path, token)) == 3
+    assert capsys.readouterr().err == (
+        f"error: bad nextPageToken for a fixture page: {token!r} (1 snapshots from 1 pages"
+        f" were stored in {tmp_path / 's.jsonl'})\n")
+    assert _stored_ids(tmp_path / "s.jsonl") == ["a"]  # never the planted page's "x"
 
 
 def test_fetch_write_error_on_page_two_keeps_page_one_and_closes_the_store(
@@ -404,13 +453,46 @@ def test_analyze_writes_what_the_public_functions_give(records, n):
     with tempfile.TemporaryDirectory() as tmp:
         store, out = Path(tmp) / "s.jsonl", Path(tmp) / "b.json"
         store.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        code = main(["analyze", "--store", str(store), "--n", str(n), "--out", str(out)])
-        sample = select_study_sample(load_snapshots(store), n)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["analyze", "--store", str(store), "--n", str(n), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sample = select_study_sample(load_snapshots(store), n)
+        # the command warns as the public functions do, one line each time
+        given = "".join(f"warning: {w.message}\n" for w in caught)
         if not sample.snapshots:
             assert code == 5 and not out.exists()
+            assert err.getvalue().startswith(given + "error: ")
             return
         assert code == 0
-        assert out.read_text(encoding="utf-8") == render(build_report(sample), "json")
+        bundle = build_report(sample)
+        assert out.read_text(encoding="utf-8") == render(bundle, "json")
+        assert err.getvalue() == given + "".join(
+            f"warning: {note}\n" for note in bundle.provenance["coverage_notes"])
+
+
+def test_analyze_prints_each_data_warning_as_one_line(tmp_path, capsys):
+    records = [{**RECORD, "video_id": "neg", "likes": -4},
+               {**RECORD, "video_id": "off", "comments": 7, "comments_enabled": False},
+               {**RECORD, "video_id": "nodis", "views": 900, "dislikes": None}]
+    store = _write(tmp_path, "s.jsonl", "".join(json.dumps(r) + "\n" for r in records))
+    assert main(["analyze", "--store", store, "--n", "5", "--out", str(tmp_path / "b.json")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: video neg: negative likes count -4",
+        "warning: video off: comment count 7 with commenting disabled; dropping count",
+        "warning: only 2 eligible videos for requested n=5",
+        "warning: dislike counts absent for 1 of 2 snapshots; VpkI and DisP are undefined there",
+    ]
+
+
+@pytest.mark.parametrize("n", ["150", "0"], ids=["warns", "fails"])
+def test_main_gives_back_the_warning_filters_and_showwarning(pipeline, tmp_path, capsys, n):
+    filters, show = list(warnings.filters), warnings.showwarning
+    argv = ["analyze", "--store", str(pipeline["store"]), "--n", n, "--out", str(tmp_path / "b")]
+    assert main(argv) == (0 if n == "150" else 2)
+    assert capsys.readouterr().err.startswith("warning: only 100" if n == "150" else "error: ")
+    assert warnings.filters == filters and warnings.showwarning is show
 
 
 def test_analyze_annotates_values_out_of_range(tmp_path, capsys):
@@ -703,6 +785,16 @@ def _fetch_page(tmp_path, text):
     return ["fetch", "--offline", str(fixture), "--store", str(tmp_path / "s.jsonl")]
 
 
+def _fetch_token(tmp_path, token):
+    """A one-page fetch whose page names ``token`` as the next, beside a valid page
+    planted outside the fixture directory at ``<tmp_path>/x.json``."""
+    planted = {"items": [{"id": "x", "statistics": {"viewCount": "1"}}]}
+    _write(tmp_path, "x.json", json.dumps(planted))
+    return _fetch_page(tmp_path, json.dumps({
+        "items": [{"id": "a", "statistics": {"viewCount": "1"}}], "nextPageToken": token,
+        "recordedAt": "2013-12-10T09:00:00Z"}))
+
+
 def _fetch_ids(tmp_path, data):
     ids = tmp_path / "ids.txt"
     ids.write_bytes(data)
@@ -772,6 +864,14 @@ BAD_INPUT_CASES = [
      lambda tmp, _: _fetch_page(tmp, json.dumps({
          "items": [{"id": "a", "statistics": {"viewCount": "1"}}], "nextPageToken": "",
          "recordedAt": "2013-12-10T09:00:00Z"}))),
+    # a page whose token names itself would be read again, up to MAX_PAGES times
+    ("page-token-cycle", 3, "repeated nextPageToken: 'sweep1_page1'",
+     lambda tmp, _: _fetch_token(tmp, "sweep1_page1")),
+    # a token is a file stem in the fixture directory, never a path out of it
+    ("page-token-path", 3, "bad nextPageToken for a fixture page: '../x'",
+     lambda tmp, _: _fetch_token(tmp, "../x")),
+    ("page-token-path-absolute", 3, "bad nextPageToken for a fixture page: '/",
+     lambda tmp, _: _fetch_token(tmp, str(tmp / "x"))),
     ("page-recorded-at-past-range", 3, "bad timestamp",
      lambda tmp, _: _fetch_page(
          tmp, json.dumps({"items": [], "recordedAt": "0001-01-01T00:00:00+01:00"}))),

@@ -1,13 +1,14 @@
+import contextlib
 import copy
 import io
 import json
-import logging
 import re
 import socket
 import tempfile
 import unittest.mock
 import urllib.error
 import urllib.parse
+import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from engage import ingestion
 from engage.cli import main
 from engage.ingestion import (
     ConfigError,
+    EngageWarning,
     FixtureTransport,
     LiveTransport,
     MAX_COUNT,
@@ -45,6 +47,22 @@ from engage.metrics import VideoStatsSnapshot
 T1 = datetime(2013, 12, 10, 9, 0, 0, tzinfo=timezone.utc)
 T2 = datetime(2013, 12, 13, 9, 0, 0, tzinfo=timezone.utc)
 DEEP = "[" * 100_000  # nested past the JSON decoder's recursion limit
+
+
+@contextlib.contextmanager
+def warned():
+    """The warnings given while open, recorded as they are given, repeats
+    included: a fresh list for each use, so one hypothesis example's warnings
+    never count toward the next."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
+
+
+def texts(caught):
+    """The texts of recorded warnings, in order; each one must be an EngageWarning."""
+    assert [w.category for w in caught] == [EngageWarning] * len(caught)
+    return [str(w.message) for w in caught]
 
 
 def snap(video_id, views=1000, fetched_at=T1, **kwargs):
@@ -175,13 +193,12 @@ def test_parse_video_item_rejects_non_object():
         parsed(1, T1)
 
 
-def test_parse_video_item_negative_count_passes_with_warning(caplog):
+def test_parse_video_item_negative_count_passes_with_warning():
     bad = item("vid00000001")
     bad["statistics"]["likeCount"] = "-4"
-    with caplog.at_level("WARNING"):
+    with pytest.warns(EngageWarning, match="negative"):
         s = parsed(bad, T1)
     assert s.likes == -4
-    assert any("negative" in rec.message for rec in caplog.records)
 
 
 def test_parse_video_item_count_bound():
@@ -222,7 +239,10 @@ def test_parse_video_item_takes_a_count_only_as_an_int_or_a_string(key, field, v
     api_item = item("vid00000001")
     api_item["statistics"][key] = value
     if count is not None:
-        assert getattr(parsed(api_item, T1), field) == count
+        with warned() as caught:
+            assert getattr(parsed(api_item, T1), field) == count
+        assert texts(caught) == (
+            [f"video vid00000001: negative {field} count {count}"] if count < 0 else [])
         return
     message = f"{field} is not a 64-bit count: {re.escape(repr(value))}$"
     with pytest.raises(ParseError, match=message) as exc:
@@ -275,6 +295,21 @@ def test_fixture_transport_pages(tmp_path):
     assert [s.video_id for s in page_snapshots(page2)] == ["b000000000b"]
 
 
+@pytest.mark.parametrize("token", [".", "..", "../x", "/x", "a/b", "a\\b", "a\0b"])
+def test_fixture_transport_takes_only_a_plain_file_stem(tmp_path, token, monkeypatch):
+    opened = []
+    monkeypatch.setattr(ingestion, "open", lambda *a, **k: opened.append(a), raising=False)
+    with pytest.raises(ParseError, match="bad nextPageToken for a fixture page") as exc:
+        FixtureTransport(tmp_path).get_page({"pageToken": token})
+    assert exc.value.field == "nextPageToken" and opened == []
+
+
+def test_fixture_transport_takes_a_stem_with_dots(tmp_path):
+    write_page(tmp_path, "...", [item("a000000000a")])
+    page = FixtureTransport(tmp_path).get_page({"pageToken": "..."})
+    assert page["items"][0]["id"] == "a000000000a"
+
+
 def test_fixture_transport_missing_page(tmp_path):
     with pytest.raises(TransportError):
         FixtureTransport(tmp_path).get_page({})
@@ -304,12 +339,15 @@ def test_collect_sweeps_follows_tokens(tmp_path):
 
 
 def test_collect_sweeps_respects_max_pages(tmp_path, monkeypatch):
-    # page 1 points to page 2, but MAX_PAGES=1 stops the walk first
+    # page 1 points to page 2, but MAX_PAGES=1 stops the walk first, and says so
     monkeypatch.setattr(ingestion, "MAX_PAGES", 1)
     write_page(tmp_path, "sweep1_page1", [item("a000000000a")], next_token="sweep1_page2")
     write_page(tmp_path, "sweep1_page2", [item("b000000000b")])
-    snaps = swept(fixture_sweeps(tmp_path, 1))
+    with warned() as caught:
+        snaps = swept(fixture_sweeps(tmp_path, 1))
     assert len(snaps) == 1
+    assert texts(caught) == ["sweep 1: stopped after MAX_PAGES = 1 pages with a nextPageToken"
+                             " left; the later pages are not fetched"]
 
 
 def test_fixture_pages_keep_recorded_timestamps(tmp_path):
@@ -389,18 +427,20 @@ def test_select_study_sample_equals_full_sort(drawn, n):
     # few view values force ties, which the video id must break
     snaps = tuple(snap(vid, views=views, comments_enabled=enabled)
                   for vid, views, enabled in drawn)
-    chosen = select_study_sample(StudySample(snapshots=snaps), n=n).snapshots
+    with warned() as caught:
+        chosen = select_study_sample(StudySample(snapshots=snaps), n=n).snapshots
     eligible = [s for s in snaps if s.comments_enabled]
     assert chosen == tuple(sorted(eligible, key=lambda s: (-s.views, s.video_id))[:n])
+    assert texts(caught) == (
+        [f"only {len(eligible)} eligible videos for requested n={n}"] if len(eligible) < n else [])
 
 
-def test_select_study_sample_shortfall_noted(caplog):
+def test_select_study_sample_shortfall_noted():
     candidates = StudySample(snapshots=(snap("a", views=1), snap("b", views=2)))
-    with caplog.at_level("WARNING"):
+    with pytest.warns(EngageWarning, match="eligible"):
         chosen = select_study_sample(candidates, n=10)
     assert len(chosen.snapshots) == 2
     assert "shortfall: requested 10" in chosen.selection_note
-    assert any("eligible" in rec.message for rec in caplog.records)
 
 
 def test_select_study_sample_rejects_bad_n():
@@ -478,7 +518,7 @@ def hand_built_snapshots(draw):
 @given(hand_built_snapshots())
 def test_store_line_template_equals_json_dumps(s):
     # a hand-built snapshot is either refused whole or stored as a record a strict load reads
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, warned() as caught:
         store = Path(directory) / "snaps.jsonl"
         store_snapshots(store, [snap("seed", fetched_at=EPOCH)])
         before = store.read_bytes()
@@ -487,6 +527,7 @@ def test_store_line_template_equals_json_dumps(s):
         except ParseError:
             assert store.read_bytes() == before
             return
+        stored = texts(caught)
         stored_at = parse_rfc3339(format_rfc3339(s.fetched_at))
         expected = VideoStatsSnapshot(
             *ingestion._snapshot_values(*s._replace(fetched_at=stored_at)))
@@ -494,6 +535,8 @@ def test_store_line_template_equals_json_dumps(s):
         assert store.read_bytes() == before + line.encode("utf-8")
         # the seed is no later, so the drawn record is kept even when the ids agree
         assert load_snapshots(store).snapshots[-1] == expected
+        # the store and the load give no warning that the check alone does not
+        assert set(texts(caught)) == set(stored)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -543,7 +586,10 @@ def api_items(draw):
 def test_fetch_writes_json_dumps_of_each_parsed_item(items, split, recorded_at):
     # two pages through one open store; each line is the record of the item's snapshot
     fetched_at = parse_rfc3339(recorded_at)
-    built = [parsed(i, fetched_at) for i in items]
+    with warned() as caught:
+        built = [parsed(i, fetched_at) for i in items]
+    # the fetch gives the same warnings, one stderr line each
+    printed = "".join(f"warning: {text}\n" for text in texts(caught))
     expected = "".join(json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
                        for s in built).encode("utf-8")
     with tempfile.TemporaryDirectory() as directory:
@@ -552,12 +598,19 @@ def test_fetch_writes_json_dumps_of_each_parsed_item(items, split, recorded_at):
                    recorded_at=recorded_at)
         write_page(fixture, "sweep1_page2", items[split:], recorded_at=recorded_at)
         store = fixture / "fetched.jsonl"
-        assert main(["fetch", "--offline", directory, "--store", str(store)]) == 0
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["fetch", "--offline", directory, "--store", str(store)]) == 0
         assert store.read_bytes() == expected
+        assert err.getvalue() == printed
         # a comment count that a disabled section contradicts is stored as null
         stray = [s._replace(comments=7) for s in built if not s.comments_enabled]
         direct = fixture / "stored.jsonl"
-        assert store_snapshots(direct, built + stray) == len(built) + len(stray)
+        with warned() as caught:
+            assert store_snapshots(direct, built + stray) == len(built) + len(stray)
+        assert [text for text in texts(caught) if "commenting disabled" in text] == [
+            f"video {s.video_id}: comment count 7 with commenting disabled; dropping count"
+            for s in stray]
         assert direct.read_bytes() == expected + "".join(
             json.dumps({**snapshot_to_record(s), "comments": None}, ensure_ascii=False) + "\n"
             for s in stray
@@ -627,16 +680,12 @@ def _edited(item, path, value):
 
 def _page_outcome(encode, items, fetched_at):
     """The page that ``encode`` gives, or its ParseError's message and field, and
-    the warnings logged on the way."""
-    warnings = _Messages()
-    logger = logging.getLogger("engage")
-    logger.addHandler(warnings)
-    try:
-        return encode(items, fetched_at), warnings.messages
-    except ParseError as exc:
-        return ("ParseError", str(exc), exc.field), warnings.messages
-    finally:
-        logger.removeHandler(warnings)
+    the warnings given on the way."""
+    with warned() as caught:
+        try:
+            return encode(items, fetched_at), texts(caught)
+        except ParseError as exc:
+            return ("ParseError", str(exc), exc.field), texts(caught)
 
 
 def _general_page(items, fetched_at):
@@ -698,17 +747,6 @@ def test_store_page_that_cannot_be_encoded_writes_nothing(tmp_path):
     assert store.read_bytes() == before
 
 
-class _Messages(logging.Handler):
-    """The messages logged while attached; caplog cannot be reset between examples."""
-
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
 def _old_count_check(record):
     """The per-count validation before the one-test fast path, as a reference."""
     for field in ("views", "likes", "dislikes", "comments"):
@@ -734,18 +772,14 @@ def test_count_check_accepts_rejects_and_warns_as_before(counts):
     record = snapshot_to_record(snap("vid00000001"))
     record.update(zip(("views", "likes", "dislikes", "comments"), counts))
     expected = _old_count_check(record)
-    warnings = _Messages()
-    logger = logging.getLogger("engage.ingestion")
-    logger.addHandler(warnings)
-    try:
-        restored = snapshot_from_record(record)
-    except ParseError as exc:
-        assert expected == ("error", exc.field, str(exc))
-        return
-    finally:
-        logger.removeHandler(warnings)
+    with warned() as caught:
+        try:
+            restored = snapshot_from_record(record)
+        except ParseError as exc:
+            assert expected == ("error", exc.field, str(exc))
+            return
     assert expected[0] == "ok"
-    assert warnings.messages == [
+    assert texts(caught) == [
         f"video vid00000001: negative {field} count {record[field]}" for field in expected[1]]
     assert (restored.views, restored.likes, restored.dislikes, restored.comments) == tuple(counts)
 
@@ -783,7 +817,8 @@ def test_record_validation_errors():
 
 def test_record_count_bound():
     edge = snapshot_to_record(snap("vid00000001", views=2**64 - 1, likes=-(2**64 - 1)))
-    restored = snapshot_from_record(edge)
+    with pytest.warns(EngageWarning, match=f"negative likes count {-(2**64 - 1)}"):
+        restored = snapshot_from_record(edge)
     assert (restored.views, restored.likes) == (2**64 - 1, -(2**64 - 1))
     for field in ("views", "likes", "dislikes", "comments"):
         for bad in (2**64, -(2**64), 10**200):
@@ -794,22 +829,21 @@ def test_record_count_bound():
             assert exc.value.field == field
 
 
-def test_record_negative_count_loads_with_warning(caplog):
+def test_record_negative_count_loads_with_warning():
     record = snapshot_to_record(snap("vid00000001"))
     record["likes"] = -4
-    with caplog.at_level("WARNING"):
+    with pytest.warns(EngageWarning, match="negative"):
         restored = snapshot_from_record(record)
     assert restored.likes == -4
-    assert any("negative" in rec.message for rec in caplog.records)
 
 
-def test_record_zero_comments_with_commenting_disabled_loads_as_null(caplog):
+def test_record_zero_comments_with_commenting_disabled_loads_as_null():
     record = snapshot_to_record(snap("vid00000001", comments=0, comments_enabled=False))
     assert record["comments"] == 0
-    with caplog.at_level("WARNING"):
+    with warned() as caught:
         restored = snapshot_from_record(record)
     assert restored.comments is None
-    assert not caplog.records
+    assert not caught
 
 
 def test_store_appends_and_dedups_on_read(tmp_path):
@@ -833,13 +867,13 @@ def test_load_strict_names_the_bad_line(tmp_path):
     assert "line 2" in str(exc.value)
 
 
-def test_load_lenient_skips_and_counts(tmp_path, caplog):
+def test_load_lenient_skips_and_counts(tmp_path):
     store = tmp_path / "snaps.jsonl"
     store_snapshots(store, [snap("a")])
     with open(store, "a", encoding="utf-8") as f:
         f.write("{broken\n")
     store_snapshots(store, [snap("b")])
-    with caplog.at_level("WARNING"):
+    with pytest.warns(EngageWarning, match="line 2 skipped"):
         loaded = load_snapshots(store, lenient=True)
     assert len(loaded.snapshots) == 2
     assert "1 malformed line(s) skipped" in loaded.selection_note
@@ -860,12 +894,11 @@ def test_load_strict_names_a_non_utf8_line(tmp_path):
     assert "utf-8" in str(exc.value)
 
 
-def test_load_lenient_skips_a_non_utf8_line(tmp_path, caplog):
-    with caplog.at_level("WARNING"):
+def test_load_lenient_skips_a_non_utf8_line(tmp_path):
+    with pytest.warns(EngageWarning, match="line 3"):
         loaded = load_snapshots(_store_with_non_utf8_line(tmp_path), lenient=True)
     assert [s.video_id for s in loaded.snapshots] == ["a", "b"]
     assert "1 malformed line(s) skipped" in loaded.selection_note
-    assert any("line 3" in rec.message for rec in caplog.records)
 
 
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "é"]), st.sampled_from([T1, T2]),
@@ -894,7 +927,7 @@ def test_load_equals_dedup_of_every_non_blank_line(drawn, tie, unterminated):
         f"loaded {len(lines)} records from snaps.jsonl, {len(expected)} unique ids")
 
 
-def test_load_warns_once_for_each_record_a_later_one_supersedes(tmp_path, caplog):
+def test_load_warns_once_for_each_record_a_later_one_supersedes(tmp_path):
     store = tmp_path / "snaps.jsonl"
     # written by hand: store_snapshots would drop b's comment count, and warn, before the load
     store.write_text("".join(
@@ -902,16 +935,16 @@ def test_load_warns_once_for_each_record_a_later_one_supersedes(tmp_path, caplog
         for s in [snap("a", likes=-4), snap("b", comments=7, comments_enabled=False), snap("c")]
     ), encoding="utf-8")
     store_snapshots(store, [snap(v, views=2, fetched_at=T2) for v in "abc"])
-    with caplog.at_level("WARNING"):
+    with warned() as caught:
         loaded = load_snapshots(store)
     assert [(s.video_id, s.views) for s in loaded.snapshots] == [("a", 2), ("b", 2), ("c", 2)]
-    assert [(rec.name, rec.getMessage()) for rec in caplog.records] == [
-        ("engage.ingestion", "video a: negative likes count -4"),
-        ("engage.metrics", "video b: comment count 7 with commenting disabled; dropping count"),
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (EngageWarning, "video a: negative likes count -4"),
+        (EngageWarning, "video b: comment count 7 with commenting disabled; dropping count"),
     ]
 
 
-def test_load_skips_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
+def test_load_skips_a_torn_tail_cut_at_any_byte(tmp_path):
     earlier = [snap("a", views=1), snap("b", views=2)]
     last = snap("c", views=3, category="Música ✓ 音楽")  # multi-byte UTF-8
     full = "".join(json.dumps(snapshot_to_record(s), ensure_ascii=False) + "\n"
@@ -921,7 +954,7 @@ def test_load_skips_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
     store = tmp_path / "snaps.jsonl"
     for cut in range(start, len(full)):
         store.write_bytes(full[:cut])
-        with caplog.at_level("WARNING"):
+        with warned() as caught:
             loaded = load_snapshots(store)
         if cut == len(full) - 1:  # a whole record without its line end is kept
             assert loaded.snapshots == (*earlier, last)
@@ -929,14 +962,15 @@ def test_load_skips_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
             assert loaded.snapshots == tuple(earlier)
         torn = start < cut < len(full) - 1
         assert loaded.selection_note.endswith(", 1 torn final line skipped") == torn
-        assert any("torn final line" in rec.message for rec in caplog.records) == torn
-        caplog.clear()
+        assert any("torn final line" in text for text in texts(caught)) == torn
     store.write_bytes(full[:-5])
-    assert load_snapshots(store, lenient=True).selection_note == (
+    with pytest.warns(EngageWarning, match="snaps.jsonl line 3: torn final line skipped"):
+        loaded = load_snapshots(store, lenient=True)
+    assert loaded.selection_note == (
         "loaded 2 records from snaps.jsonl, 2 unique ids, 1 torn final line skipped")
 
 
-def test_append_repairs_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
+def test_append_repairs_a_torn_tail_cut_at_any_byte(tmp_path):
     earlier = [snap("a", views=1), snap("b", views=2)]
     last = snap("c", views=3, category="Música ✓ 音楽")  # multi-byte UTF-8
     page = [snap("d", views=4), snap("a", views=5, fetched_at=T2)]
@@ -945,19 +979,19 @@ def test_append_repairs_a_torn_tail_cut_at_any_byte(tmp_path, caplog):
     store = tmp_path / "snaps.jsonl"
     for cut in range(start, len(full) + 1):
         store.write_bytes(full[:cut])
-        with caplog.at_level("WARNING"):
+        with warned() as caught:
             store_snapshots(store, page)
         loaded = load_snapshots(store)  # strict: every line is a whole record
         kept = [last] if cut >= len(full) - 1 else []
         assert loaded.snapshots == (page[1], earlier[1], *kept, page[0])
         dropped = start < cut < len(full) - 1
-        warned = f"snaps.jsonl: torn final line of {cut - start} bytes dropped before appending: "
-        assert [r.message.startswith(warned) for r in caplog.records] == ([True] if dropped else [])
-        caplog.clear()
+        warning = f"snaps.jsonl: torn final line of {cut - start} bytes dropped before appending: "
+        assert [text.startswith(warning) for text in texts(caught)] == (
+            [True] if dropped else [])
 
 
 @pytest.mark.parametrize("tail_length", [4095, 4096, 4097])
-def test_append_finds_a_line_end_on_a_read_back_chunk_boundary(tmp_path, caplog, tail_length):
+def test_append_finds_a_line_end_on_a_read_back_chunk_boundary(tmp_path, tail_length):
     # the tail is read back in 4096-byte chunks; at 4096 the last line end is
     # the final byte of the second chunk, at 4095 the first byte of the first
     first = record_line(snap("a")).encode("utf-8")
@@ -967,15 +1001,14 @@ def test_append_finds_a_line_end_on_a_read_back_chunk_boundary(tmp_path, caplog,
     store = tmp_path / "snaps.jsonl"
     for tail, kept in ((whole, ["a", "b", "c"]), (b"y" * tail_length, ["a", "c"])):
         store.write_bytes(first + tail)
-        with caplog.at_level("WARNING"):
+        with warned() as caught:
             store_snapshots(store, [snap("c")])
         assert [s.video_id for s in load_snapshots(store).snapshots] == kept
-        warned = f"torn final line of {tail_length} bytes dropped"
-        assert [warned in r.message for r in caplog.records] == ([] if len(kept) == 3 else [True])
-        caplog.clear()
+        warning = f"torn final line of {tail_length} bytes dropped"
+        assert [warning in text for text in texts(caught)] == ([] if len(kept) == 3 else [True])
 
 
-def test_load_treats_a_deeply_nested_line_as_malformed(tmp_path, caplog):
+def test_load_treats_a_deeply_nested_line_as_malformed(tmp_path):
     store = tmp_path / "snaps.jsonl"
     store_snapshots(store, [snap("a")])
     with open(store, "a", encoding="utf-8") as f:
@@ -984,23 +1017,23 @@ def test_load_treats_a_deeply_nested_line_as_malformed(tmp_path, caplog):
     with pytest.raises(StorageError) as exc:
         load_snapshots(store)
     assert "line 2" in str(exc.value)
-    with caplog.at_level("WARNING"):
+    with pytest.warns(EngageWarning, match="line 2 skipped"):
         loaded = load_snapshots(store, lenient=True)
     assert [s.video_id for s in loaded.snapshots] == ["a", "b"]
     assert "1 malformed line(s) skipped" in loaded.selection_note
 
 
-def test_a_deeply_nested_torn_tail_is_skipped_then_cut(tmp_path, caplog):
+def test_a_deeply_nested_torn_tail_is_skipped_then_cut(tmp_path):
     store = tmp_path / "snaps.jsonl"
     store_snapshots(store, [snap("a")])
     with open(store, "a", encoding="utf-8") as f:
         f.write(DEEP)
-    with caplog.at_level("WARNING"):
+    with warned() as caught:
         assert load_snapshots(store).selection_note.endswith(", 1 torn final line skipped")
         store_snapshots(store, [snap("b")])
     assert [s.video_id for s in load_snapshots(store).snapshots] == ["a", "b"]
-    assert any(f"torn final line of {len(DEEP)} bytes dropped" in r.message
-               for r in caplog.records)
+    assert any(f"torn final line of {len(DEEP)} bytes dropped" in text
+               for text in texts(caught))
 
 
 def test_load_missing_store_is_storage_error(tmp_path):
@@ -1021,10 +1054,11 @@ STAMPS = st.datetimes(timezones=st.just(timezone.utc)).map(
 @st.composite
 def stored_values(draw, ids=STORE_TEXT.filter(bool)):
     """The fields ``_snapshot_values`` gives for values it accepts, as a store holds them."""
-    return ingestion._snapshot_values(
-        draw(ids), draw(STAMPS), draw(STORE_COUNTS),
-        *(draw(st.one_of(st.none(), STORE_COUNTS)) for _ in range(3)),
-        draw(st.booleans()), draw(STORE_TEXT))
+    values = (draw(ids), draw(STAMPS), draw(STORE_COUNTS),
+              *(draw(st.one_of(st.none(), STORE_COUNTS)) for _ in range(3)),
+              draw(st.booleans()), draw(STORE_TEXT))
+    with warned():  # a negative or dropped count: the warning is not what is drawn
+        return ingestion._snapshot_values(*values)
 
 
 def _reads_as_written(text):
@@ -1035,8 +1069,14 @@ def _reads_as_written(text):
 @given(stored_values())
 def test_canonical_pattern_reads_back_every_line_the_store_writes(values):
     line = ingestion._record_line(values)
-    from_json = ingestion._record_values(json.loads(line))
+    with warned() as caught:
+        from_json = ingestion._record_values(json.loads(line))
     assert repr(from_json) == repr(values)
+    # only a negative count warns: the comment count a disabled section held is gone
+    assert texts(caught) == [f"video {values[0]}: negative {field} count {count}"
+                             for field, count in zip(("views", "likes", "dislikes", "comments"),
+                                                     values[2:6])
+                             if count is not None and count < 0]
     matched = ingestion._canonical_match()(line)
     counts = [c for c in values[2:6] if c is not None]
     # a 20-digit count or an escaped character takes the JSON path
@@ -1047,13 +1087,9 @@ def test_canonical_pattern_reads_back_every_line_the_store_writes(values):
         assert repr(from_match) == repr(values)
         if values[7] in ingestion._LABELS:  # a known label is its one str object
             assert from_match[7] is ingestion._LABELS[values[7]]
-        warnings = _Messages()
-        logging.getLogger("engage").addHandler(warnings)
-        try:  # the fields pass the check unchanged and without a warning
+        with warned() as caught:  # the fields pass the check unchanged and without a warning
             assert ingestion._snapshot_values(*from_match) == from_match
-        finally:
-            logging.getLogger("engage").removeHandler(warnings)
-        assert warnings.messages == []
+        assert caught == []
 
 
 # Values that a canonical line's field may be edited to: each fails the pattern or the
@@ -1147,17 +1183,13 @@ def edited_stores(draw):
 
 def _load_outcome(store, lenient):
     """What ``_load_rows`` gives, its rows by their repr, or its StorageError, and the
-    warnings logged on the way."""
-    warnings = _Messages()
-    logger = logging.getLogger("engage")
-    logger.addHandler(warnings)
-    try:
-        rows, note = ingestion._load_rows(store, lenient)
-        return repr(rows), note, warnings.messages
-    except StorageError as exc:
-        return "StorageError", str(exc), warnings.messages
-    finally:
-        logger.removeHandler(warnings)
+    warnings given on the way."""
+    with warned() as caught:
+        try:
+            rows, note = ingestion._load_rows(store, lenient)
+            return repr(rows), note, texts(caught)
+        except StorageError as exc:
+            return "StorageError", str(exc), texts(caught)
 
 
 def _assert_loads_as_the_json_path(data):
@@ -1252,16 +1284,30 @@ def test_live_sweeps_share_the_wait_between_requests(urlopen_calls, sleeps):
 
 
 def test_live_sweep_sends_the_chart_query(urlopen_calls, sleeps):
-    # every page names a next one, so the sweep stops at MAX_PAGES
-    calls = urlopen_calls(json.dumps({"items": [], "nextPageToken": "tok2"}).encode())
-    pages = list(collect_sweeps([LiveTransport("secret")], "GB"))
+    # every page names a next one, so the sweep stops at MAX_PAGES, and says so
+    calls = urlopen_calls(
+        lambda k: json.dumps({"items": [], "nextPageToken": f"tok{k + 1}"}).encode())
+    with pytest.warns(EngageWarning) as caught:
+        pages = list(collect_sweeps([LiveTransport("secret")], "GB"))
     assert len(pages) == len(calls) == ingestion.MAX_PAGES
+    assert texts(caught) == [
+        f"sweep 1: stopped after MAX_PAGES = {ingestion.MAX_PAGES} pages with a"
+        " nextPageToken left; the later pages are not fetched"]
     first, second = (urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
                      for url, _ in calls[:2])
     chart = {"chart": ["mostPopular"], "part": ["snippet,statistics"],
              "maxResults": [str(ingestion.PAGE_SIZE)], "regionCode": ["GB"], "key": ["secret"]}
     assert first == chart and second == {**chart, "pageToken": ["tok2"]}
     assert sleeps == [pytest.approx(ingestion.REQUEST_INTERVAL_MS / 1000)] * (len(calls) - 1)
+
+
+def test_live_sweep_refuses_a_token_it_has_followed(urlopen_calls, sleeps):
+    calls = urlopen_calls(json.dumps({"items": [], "nextPageToken": "tok2"}).encode())
+    pages = []
+    with pytest.raises(ParseError, match="repeated nextPageToken: 'tok2'") as exc:
+        pages.extend(collect_sweeps([LiveTransport("secret")], "GB"))
+    assert exc.value.field == "nextPageToken"
+    assert len(pages) == 1 and len(calls) == 2
 
 
 def test_urllib_session_sends_urlencoded_params(urlopen_calls):

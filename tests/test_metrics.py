@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from engage.ingestion import _snapshot_values
+from engage.ingestion import EngageWarning, _snapshot_values
 from engage.metrics import (
     VideoStatsSnapshot,
     compute_cpki,
@@ -126,7 +126,8 @@ def normalized(snapshot):
 
 
 def test_normalize_drops_comment_count_when_disabled():
-    dropped = normalized(snap(comments=12, comments_enabled=False))
+    with pytest.warns(EngageWarning, match="comment count 12 with commenting disabled"):
+        dropped = normalized(snap(comments=12, comments_enabled=False))
     assert dropped.comments is None
     assert dropped.comments_enabled is False
     untouched = normalized(snap(comments=12))
