@@ -14,7 +14,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Sequence
 
 from .ingestion import (
     API_KEY_ENV,
@@ -29,6 +29,7 @@ from .ingestion import (
     TransportError,
     _check_region,
     _load_rows,
+    _replay_sweeps,
     _rows_page,
     _top_rows,
     collect_sweeps,
@@ -147,14 +148,15 @@ def _read_id_list(path: Path) -> list[str]:
     return ids
 
 
-def _store_pages(store: Path, pages: Iterable[StorePage]) -> tuple[int, int, int]:
+def _store_pages(store: Path, pages: Generator[StorePage, None, None]) -> tuple[int, int, int]:
     """Append each page to the store as it arrives, through one open store;
     returns the numbers of pages, snapshots and unique ids. A failed fetch
-    keeps the pages already stored, and its error says how many there are."""
+    keeps the pages already stored, and its error says how many there are.
+    ``pages`` is closed on every path, so a replay's worker never outlives it."""
     n_pages = n_snapshots = 0
     ids: set[str] = set()
     try:
-        with StoreAppender(store) as appender:
+        with contextlib.closing(pages), StoreAppender(store) as appender:
             for page in pages:
                 n_snapshots += appender.append(page)
                 n_pages += 1
@@ -188,14 +190,14 @@ def run_fetch(args: argparse.Namespace) -> int:
         transports = fixture_sweeps(fixture, occasions)
         if ids is not None:
             raise ConfigError("--ids re-queries the live API; drop --offline")
-        pages = collect_sweeps(transports)
+        pages = _replay_sweeps(transports)
     elif ids is not None:
         ids_path = Path(ids) if ids else _bundled_path(
             "fixtures/sampled_video_ids.txt"
         )
         video_ids = _read_id_list(ids_path)
         transport = LiveTransport(os.environ.get(API_KEY_ENV, ""))
-        pages = map(_rows_page, fetch_by_ids(video_ids, transport=transport))
+        pages = (_rows_page(rows) for rows in fetch_by_ids(video_ids, transport=transport))
     else:
         # one transport for every sweep, so its wait between requests holds across them
         transport = LiveTransport(os.environ.get(API_KEY_ENV, ""))
@@ -328,7 +330,7 @@ def run_replicate(args: argparse.Namespace) -> int:
         raise StorageError(f"cannot prepare {out_dir}: {exc}") from exc
 
     transports = fixture_sweeps(fixture)
-    n_pages, n_snapshots, _ = _store_pages(store, collect_sweeps(transports))
+    n_pages, n_snapshots, _ = _store_pages(store, _replay_sweeps(transports))
     print(f"fetched {n_pages} pages, {n_snapshots} snapshots ({len(transports)} sweeps)")
 
     unique, chosen, bundle = _analyze(store, expected_n, out_dir / "bundle.json")

@@ -19,7 +19,9 @@ as the store lines of its snapshots, which ``StoreAppender`` appends.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
+import marshal
 import os
 import re
 import time
@@ -27,7 +29,8 @@ import warnings
 from datetime import datetime, timezone
 from functools import cache, lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
+from typing import (Callable, Iterable, Iterator, NamedTuple, NoReturn, Protocol, Sequence,
+                    TypeVar)
 from urllib.parse import urlencode  # loaded by pathlib already
 
 from .metrics import VideoStatsSnapshot
@@ -417,13 +420,20 @@ def collect_sweeps(
     _check_region(region_code)
     if not transports:
         raise ConfigError(f"occasions must be >= 1, got {len(transports)}")
+    yield from _sweep_pages(transports, region_code)
+
+
+def _sweep_pages(
+    transports: Sequence[Transport], region_code: str = "US", first: int = 1
+) -> Iterator[StorePage]:
+    """``collect_sweeps`` without its checks, the sweeps numbered from ``first``."""
     params = {
         "chart": "mostPopular",
         "part": "snippet,statistics",
         "maxResults": str(PAGE_SIZE),
         "regionCode": region_code,
     }
-    for sweep, transport in enumerate(transports, start=1):
+    for sweep, transport in enumerate(transports, start=first):
         token: str | None = None
         followed: set[str] = set()
         for _ in range(MAX_PAGES):
@@ -440,6 +450,152 @@ def collect_sweeps(
             warnings.warn(f"sweep {sweep}: stopped after MAX_PAGES = {MAX_PAGES} pages with"
                           " a nextPageToken left; the later pages are not fetched",
                           EngageWarning)
+
+
+# A worker costs a few ms to fork, spool and reap, about what four sweeps of full
+# pages take to replay, so a replay of fewer sweeps than this stays in one process.
+_SPLIT_MIN_SWEEPS = 8
+
+
+def _fork_allowed() -> bool:
+    """Whether a forked worker can run beside this process: ``os.fork`` exists,
+    this process may run on two CPUs or more, and it runs no other thread."""
+    try:
+        return (hasattr(os, "fork") and len(os.sched_getaffinity(0)) >= 2
+                and len(os.listdir("/proc/self/task")) == 1)
+    except (AttributeError, OSError):  # no affinity call or no /proc, as off Linux
+        return False
+
+
+def _replay_sweeps(transports: Sequence[FixtureTransport]) -> Iterator[StorePage]:
+    """``collect_sweeps(transports)`` for recorded sweeps, with the second half of
+    them replayed in a forked worker while this process replays the first.
+
+    The pages, warnings and error are those of ``collect_sweeps``, in the same
+    order. With fewer than ``_SPLIT_MIN_SWEEPS`` sweeps, where ``_fork_allowed``
+    is false, or where no temporary file or process can be had, this is
+    ``collect_sweeps`` itself. Otherwise this process yields its own half's
+    pages as they come, reaps the worker, then gives the worker's half from the
+    unnamed temporary file the worker wrote it to, one record at a time. Where
+    that file ends before the worker's last record (the worker died) or cannot
+    be read, this process replays the rest of that half itself. On every way
+    out, an error, a consumer that stops early or an interrupt included, the
+    worker is killed if it still runs and reaped, and the file is closed.
+    """
+    if len(transports) < _SPLIT_MIN_SWEEPS or not _fork_allowed():
+        yield from collect_sweeps(transports)
+        return
+    # imported here, not at module level: only a split replay pays for them
+    import signal
+    import tempfile
+
+    split = len(transports) // 2
+    spool = pid = None
+    # SIGINT is held while the worker is made, so that an interrupt lands in the
+    # worker only inside its try, and here only inside this try, which reaps it
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        try:
+            spool = tempfile.TemporaryFile()
+            pid = os.fork()
+        except OSError:  # no temporary file or no process to be had
+            pass
+        if pid == 0:
+            _worker(spool, transports[split:], split + 1, mask)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if pid is None:
+            yield from collect_sweeps(transports)
+            return
+        yield from _sweep_pages(transports[:split])
+        os.waitpid(pid, 0)
+        pid = None
+        for kind, value in _worker_events(spool, transports[split:], split + 1):
+            if kind == "warning":
+                warnings.warn(value)  # a Warning instance keeps its class
+            elif kind == "page":
+                yield value
+            elif kind == "error":
+                raise value
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # also after an error before it
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if spool is not None:
+            spool.close()
+
+
+def _events(pages: Iterator[StorePage]) -> Iterator[tuple[str, object]]:
+    """What ``pages`` gives, as ``(kind, value)`` events in the order it gives
+    them: ``("warning", Warning)``, ``("page", StorePage)``, and last either
+    ``("error", EngageError)`` or ``("end", None)``."""
+    while True:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", EngageWarning)
+            try:
+                event = "page", next(pages)
+            except StopIteration:
+                event = "end", None
+            except EngageError as exc:
+                event = "error", exc
+        for caught_warning in caught:
+            yield "warning", caught_warning.message
+        yield event
+        if event[0] != "page":
+            return
+
+
+# The classes whose instances a worker writes as their class name, args and attributes.
+_SPOOLED = {cls.__name__: cls for cls in (EngageWarning, ParseError, TransportError)}
+
+
+def _worker(spool, transports: Sequence[Transport], first: int, mask) -> NoReturn:
+    """The forked worker: writes the events of the sweeps, numbered from ``first``,
+    to ``spool`` as one marshal record each, then exits. It leaves only through
+    ``os._exit``, so it never returns into the caller's stack and never flushes
+    the buffers it inherited; ``mask`` is the signal mask to restore once inside."""
+    import signal
+
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for kind, value in _events(_sweep_pages(transports, first=first)):
+            if kind == "page":
+                value = tuple(value)
+            elif kind != "end":
+                cls = type(value)
+                if _SPOOLED.get(cls.__name__) is not cls:
+                    # not written, so that the parent replays this half itself
+                    raise TypeError(f"cannot spool a {cls.__name__}")
+                value = cls.__name__, value.args, vars(value)
+            marshal.dump((kind, value), spool)
+        spool.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _worker_events(spool, transports: Sequence[Transport], first: int) -> Iterator[tuple]:
+    """The worker's events, read back from ``spool`` one at a time; from the first
+    one that cannot be read, the rest of them from a replay of its sweeps here."""
+    spool.seek(0)
+    read = 0
+    while True:
+        try:
+            kind, value = marshal.load(spool)
+            if kind == "page":
+                value = StorePage(*value)
+            elif kind != "end":
+                name, args, attributes = value
+                value = _SPOOLED[name](*args)
+                vars(value).update(attributes)
+        except (OSError, EOFError, ValueError, TypeError, KeyError):
+            yield from itertools.islice(_events(_sweep_pages(transports, first=first)), read, None)
+            return
+        read += 1
+        yield kind, value
+        if kind in ("error", "end"):
+            return
 
 
 def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnapshot]:
@@ -504,7 +660,9 @@ def _top_rows(rows: Sequence[tuple], n: int, note: str) -> tuple[list[tuple], st
 
     note = f"{note}; top {len(chosen)} of {len(eligible)} comment-enabled by views".lstrip("; ")
     if len(eligible) < n:
-        warnings.warn(f"only {len(eligible)} eligible videos for requested n={n}", EngageWarning)
+        if chosen:  # with none, the caller's error says so
+            warnings.warn(f"only {len(eligible)} eligible videos for requested n={n}",
+                          EngageWarning)
         note += f" (shortfall: requested {n})"
     return chosen, note
 

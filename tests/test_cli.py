@@ -64,11 +64,13 @@ def test_replicate_runs_as_module(tmp_path):
 
 def test_import_loads_no_dependency():
     # -S: no site hooks, so only engage.cli's own imports are counted; the last
-    # seven are slow standard modules that the records, paths and warnings do without
+    # ten are slow standard modules that the records, paths, warnings and a
+    # replay's worker do without, or import only when they run
     code = ("import sys, engage.cli; print(sorted(set(sys.modules)"
             " & {'scipy', 'numpy', 'requests', 'urllib.request',"
             " 'dataclasses', 'inspect', 'importlib.resources',"
-            " 'logging', 'traceback', 'threading', 'tokenize'}))")
+            " 'logging', 'traceback', 'threading', 'tokenize',"
+            " 'tempfile', 'multiprocessing', 'concurrent.futures'}))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -514,6 +516,15 @@ def test_analyze_empty_store_exit5(tmp_path, capsys):
     store.write_text("", encoding="utf-8")
     assert main(["analyze", "--store", str(store)]) == 5
     assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_without_comment_enabled_videos_prints_only_the_error(tmp_path, capsys):
+    # the shortfall warning would repeat the error, so none is given when nothing is chosen
+    store = tmp_path / "off.jsonl"
+    store.write_text(json.dumps({**RECORD, "comments": None, "comments_enabled": False}) + "\n",
+                     encoding="utf-8")
+    assert main(["analyze", "--store", str(store), "--out", str(tmp_path / "b.json")]) == 5
+    assert capsys.readouterr().err == f"error: no comment-enabled videos among 1 in {store}\n"
 
 
 def test_analyze_missing_store_exit4(tmp_path, capsys):
