@@ -28,6 +28,7 @@ from .ingestion import (
     StorePage,
     TransportError,
     _check_region,
+    _check_sample_size,
     _load_rows,
     _replay_sweeps,
     _rows_page,
@@ -232,6 +233,7 @@ def run_analyze(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args, "analyze")
     store_path = Path(_require(_resolve(args, cfg, "store"), "analyze", "--store"))
     n = _as_int(_resolve(args, cfg, "n", 100), "n")
+    _check_sample_size(n)  # before the store is read
     out = Path(_resolve(args, cfg, "out", "bundle.json"))
 
     _, chosen, bundle = _analyze(store_path, n, out)

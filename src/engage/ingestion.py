@@ -18,7 +18,9 @@ as the store lines of its snapshots, which ``StoreAppender`` appends.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import io
 import itertools
 import json
 import marshal
@@ -29,7 +31,7 @@ import warnings
 from datetime import datetime, timezone
 from functools import cache, lru_cache
 from pathlib import Path
-from typing import (Callable, Iterable, Iterator, NamedTuple, NoReturn, Protocol, Sequence,
+from typing import (BinaryIO, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence,
                     TypeVar)
 from urllib.parse import urlencode  # loaded by pathlib already
 
@@ -459,12 +461,72 @@ _SPLIT_MIN_SWEEPS = 8
 
 def _fork_allowed() -> bool:
     """Whether a forked worker can run beside this process: ``os.fork`` exists,
-    this process may run on two CPUs or more, and it runs no other thread."""
+    this process may run on two CPUs or more, it runs no other thread, and it
+    does not ignore SIGCHLD, which would leave no worker to wait for."""
+    import signal
+
     try:
         return (hasattr(os, "fork") and len(os.sched_getaffinity(0)) >= 2
-                and len(os.listdir("/proc/self/task")) == 1)
+                and len(os.listdir("/proc/self/task")) == 1
+                and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
     except (AttributeError, OSError):  # no affinity call or no /proc, as off Linux
         return False
+
+
+@contextlib.contextmanager
+def _forked(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO | None] | None]:
+    """Runs ``work(spool)`` in a forked worker beside the ``with`` body, ``spool``
+    an unnamed temporary file that the worker writes its result to.
+
+    Gives None where no temporary file or process can be had. Otherwise it gives
+    ``wait``, which reaps the worker and returns the spool at its start, or None
+    where the worker did not exit with status 0.
+    The worker leaves only through ``os._exit``, with status 0 once ``work``
+    returns and the spool is flushed, so it never returns into the caller's
+    stack and never flushes the buffers it inherited. SIGINT is held while the
+    worker is made, so that an interrupt lands in the worker only inside its
+    ``try``, and here only inside this one: on every way out of the body, an
+    error or an interrupt included, the worker is killed if it still runs and
+    reaped, and the spool is closed.
+    """
+    # imported here, not at module level: only a process that forks pays for them
+    import signal
+    import tempfile
+
+    spool = pid = None
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        try:
+            spool = tempfile.TemporaryFile()
+            pid = os.fork()
+        except OSError:  # no temporary file or no process to be had
+            pass
+        if pid == 0:
+            status = 1
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                work(spool)
+                spool.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+        def wait() -> BinaryIO | None:
+            nonlocal pid
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            spool.seek(0)
+            return spool if status == 0 else None
+
+        yield None if pid is None else wait
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # also after an error before it
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if spool is not None:
+            spool.close()
 
 
 def _replay_sweeps(transports: Sequence[FixtureTransport]) -> Iterator[StorePage]:
@@ -476,53 +538,28 @@ def _replay_sweeps(transports: Sequence[FixtureTransport]) -> Iterator[StorePage
     is false, or where no temporary file or process can be had, this is
     ``collect_sweeps`` itself. Otherwise this process yields its own half's
     pages as they come, reaps the worker, then gives the worker's half from the
-    unnamed temporary file the worker wrote it to, one record at a time. Where
-    that file ends before the worker's last record (the worker died) or cannot
-    be read, this process replays the rest of that half itself. On every way
-    out, an error, a consumer that stops early or an interrupt included, the
-    worker is killed if it still runs and reaped, and the file is closed.
+    spool the worker wrote it to, one record at a time. Where the worker did not
+    finish, or a record cannot be read, this process replays the rest of that
+    half itself. On every way out, a consumer that stops early included, the
+    worker is killed if it still runs and reaped, as ``_forked`` describes.
     """
     if len(transports) < _SPLIT_MIN_SWEEPS or not _fork_allowed():
         yield from collect_sweeps(transports)
         return
-    # imported here, not at module level: only a split replay pays for them
-    import signal
-    import tempfile
-
     split = len(transports) // 2
-    spool = pid = None
-    # SIGINT is held while the worker is made, so that an interrupt lands in the
-    # worker only inside its try, and here only inside this try, which reaps it
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        try:
-            spool = tempfile.TemporaryFile()
-            pid = os.fork()
-        except OSError:  # no temporary file or no process to be had
-            pass
-        if pid == 0:
-            _worker(spool, transports[split:], split + 1, mask)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        if pid is None:
+    rest, first = transports[split:], split + 1
+    with _forked(lambda spool: _spool_events(spool, rest, first)) as wait:
+        if wait is None:
             yield from collect_sweeps(transports)
             return
         yield from _sweep_pages(transports[:split])
-        os.waitpid(pid, 0)
-        pid = None
-        for kind, value in _worker_events(spool, transports[split:], split + 1):
+        for kind, value in _worker_events(wait(), rest, first):
             if kind == "warning":
                 warnings.warn(value)  # a Warning instance keeps its class
             elif kind == "page":
                 yield value
             elif kind == "error":
                 raise value
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # also after an error before it
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if spool is not None:
-            spool.close()
 
 
 def _events(pages: Iterator[StorePage]) -> Iterator[tuple[str, object]]:
@@ -549,38 +586,30 @@ def _events(pages: Iterator[StorePage]) -> Iterator[tuple[str, object]]:
 _SPOOLED = {cls.__name__: cls for cls in (EngageWarning, ParseError, TransportError)}
 
 
-def _worker(spool, transports: Sequence[Transport], first: int, mask) -> NoReturn:
-    """The forked worker: writes the events of the sweeps, numbered from ``first``,
-    to ``spool`` as one marshal record each, then exits. It leaves only through
-    ``os._exit``, so it never returns into the caller's stack and never flushes
-    the buffers it inherited; ``mask`` is the signal mask to restore once inside."""
-    import signal
-
-    status = 1
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for kind, value in _events(_sweep_pages(transports, first=first)):
-            if kind == "page":
-                value = tuple(value)
-            elif kind != "end":
-                cls = type(value)
-                if _SPOOLED.get(cls.__name__) is not cls:
-                    # not written, so that the parent replays this half itself
-                    raise TypeError(f"cannot spool a {cls.__name__}")
-                value = cls.__name__, value.args, vars(value)
-            marshal.dump((kind, value), spool)
-        spool.flush()
-        status = 0
-    finally:
-        os._exit(status)
+def _spool_events(spool: BinaryIO, transports: Sequence[Transport], first: int) -> None:
+    """The replay's worker: writes the events of the sweeps, numbered from
+    ``first``, to ``spool`` as one marshal record each. A warning or error that
+    cannot be spooled stops it with TypeError, so that the parent replays the
+    half itself."""
+    for kind, value in _events(_sweep_pages(transports, first=first)):
+        if kind == "page":
+            value = tuple(value)
+        elif kind != "end":
+            cls = type(value)
+            if _SPOOLED.get(cls.__name__) is not cls:
+                raise TypeError(f"cannot spool a {cls.__name__}")
+            value = cls.__name__, value.args, vars(value)
+        marshal.dump((kind, value), spool)
 
 
-def _worker_events(spool, transports: Sequence[Transport], first: int) -> Iterator[tuple]:
+def _worker_events(
+    spool: BinaryIO | None, transports: Sequence[Transport], first: int
+) -> Iterator[tuple]:
     """The worker's events, read back from ``spool`` one at a time; from the first
-    one that cannot be read, the rest of them from a replay of its sweeps here."""
-    spool.seek(0)
+    one that cannot be read, or from the start where ``spool`` is None, the rest
+    of them from a replay of its sweeps here."""
     read = 0
-    while True:
+    while spool is not None:
         try:
             kind, value = marshal.load(spool)
             if kind == "page":
@@ -590,12 +619,12 @@ def _worker_events(spool, transports: Sequence[Transport], first: int) -> Iterat
                 value = _SPOOLED[name](*args)
                 vars(value).update(attributes)
         except (OSError, EOFError, ValueError, TypeError, KeyError):
-            yield from itertools.islice(_events(_sweep_pages(transports, first=first)), read, None)
-            return
+            break
         read += 1
         yield kind, value
         if kind in ("error", "end"):
             return
+    yield from itertools.islice(_events(_sweep_pages(transports, first=first)), read, None)
 
 
 def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnapshot]:
@@ -605,11 +634,16 @@ def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnap
     return [row[-1] for row in latest.values()]
 
 
-def _latest_by_id(rows: Iterable[tuple]) -> dict[str, tuple]:
+def _latest_by_id(
+    rows: Iterable[tuple], best: dict[str, tuple] | None = None
+) -> dict[str, tuple]:
     """The latest of each id's ``(video_id, fetched_at, ...)`` rows, keyed by id:
     a later fetched_at wins, a tie goes to the later-read row, and the ids keep
-    their first-seen order. The one dedup rule, for ``dedup_latest`` and the load."""
-    best: dict[str, tuple] = {}
+    their first-seen order. The one dedup rule, for ``dedup_latest`` and the load.
+    Given ``best``, the latest rows of earlier reads, it goes on from there and
+    returns ``best`` updated."""
+    if best is None:
+        best = {}
     for row in rows:
         current = best.get(row[0])
         # replacing a key's value keeps the key's place in the dict
@@ -649,11 +683,15 @@ def select_study_sample(candidates: StudySample, n: int) -> StudySample:
     return StudySample(snapshots=tuple(chosen), selection_note=note)
 
 
+def _check_sample_size(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"sample size must be >= 1, got {n}")
+
+
 def _top_rows(rows: Sequence[tuple], n: int, note: str) -> tuple[list[tuple], str]:
     """``select_study_sample`` over rows that begin with a snapshot's fields:
     the chosen rows, best first, and ``note`` with the selection appended."""
-    if n < 1:
-        raise ConfigError(f"sample size must be >= 1, got {n}")
+    _check_sample_size(n)
     eligible = [row for row in rows if row[6]]  # comments_enabled
     # equal to sorted(...)[:n] by (-views, video_id), without sorting the whole eligible set
     chosen = heapq.nsmallest(n, eligible, key=lambda row: (-row[2], row[0]))
@@ -942,6 +980,10 @@ def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
     note. A malformed final line with no line end is the torn tail of an
     interrupted append: either mode skips it with a warning and names it in
     the note.
+    A store of 2 MiB or more is read in two halves where this process may run
+    on two CPUs or more and runs no other thread: a forked worker reads the
+    second half while this process reads the first. The sample, note,
+    warnings and errors are those of a load in one process.
     """
     rows, note = _load_rows(path, lenient)
     # each row is replaced as its snapshot is built, so the two are never both
@@ -953,19 +995,83 @@ def load_snapshots(path: Path, lenient: bool = False) -> StudySample:
     return StudySample(snapshots=unique, selection_note=note)
 
 
+# A split load costs ≈4 ms in process (fork, spool, reap), and each of the worker's
+# rows ≈0.5 µs to pickle and read back, against ≈2.6 µs to read a line: it broke
+# even between 1 and 2 MiB of stored lines, so a smaller store is read in one process.
+_SPLIT_MIN_BYTES = 2 << 20
+
+
+def _split_point(f: BinaryIO) -> int | None:
+    """Where a load of the store open as ``f`` splits between this process and a
+    worker: the end of the first line past the middle. None, for a load in one
+    process, where the store is smaller than ``_SPLIT_MIN_BYTES``, where
+    ``_fork_allowed`` is false, or where no line ends past the middle but the last."""
+    size = os.fstat(f.fileno()).st_size
+    if size < _SPLIT_MIN_BYTES or not _fork_allowed():
+        return None
+    f.seek(size // 2)
+    f.readline()
+    split = f.tell()
+    f.seek(0)
+    return split if split < size else None
+
+
+def _lines_to(f: BinaryIO, end: int) -> Iterator[bytes]:
+    """The lines of ``f`` from where it is up to byte ``end``, a line's end or the
+    file's."""
+    return itertools.chain.from_iterable(_line_blocks(f, end))
+
+
+def _line_blocks(f: BinaryIO, end: int) -> Iterator[io.BytesIO]:
+    """The lines of ``f`` up to byte ``end``, a line's end or the file's, as files
+    of whole lines of about 16 KiB each, so that they are split in C, not here;
+    no larger, as blocks of 64 KiB to 1 MiB raised the peak memory of an analyze
+    by 0.8 to 1.3 MB through the C heap."""
+    left = end - f.tell()
+    while left > 0:
+        block = f.read(min(left, 1 << 14))
+        if len(block) < left:
+            block += f.readline()  # to the line's end, which is at ``end`` at the latest
+        if not block:  # the store shrank under the read
+            return
+        left -= len(block)
+        yield io.BytesIO(block)
+
+
+def _spooled_rows(spool: BinaryIO | None) -> tuple[int, list[_Values]] | None:
+    """The record of a load's worker, its records count and rows, read back from
+    ``spool``; None where there is no spool or its record cannot be read."""
+    import _pickle
+
+    if spool is None:
+        return None
+    try:
+        return _pickle.load(spool)
+    except (OSError, EOFError, _pickle.UnpicklingError):
+        return None
+
+
 def _load_rows(path: Path, lenient: bool = False) -> tuple[list[_Values], str]:
     """``load_snapshots`` without the snapshots: the validated fields of each
     id's latest record, in first-seen order of the ids, and the note. A line
     that ``_canonical_match`` matches is read from its groups; any other goes
     through ``json.loads`` and ``_record_values``, which give it the same
-    fields, warnings and errors."""
+    fields, warnings and errors.
+
+    Where ``_split_point`` gives a split, a forked worker reads the lines after
+    it while this process reads those before, then takes the worker's latest
+    rows into its own by the ``_latest_by_id`` rule: the rows, their order and
+    the note are those of a load in one process. The worker gives up at any
+    line that would warn, be skipped or raise; where it gives no readable
+    record, this process reads that half itself, numbering its lines on from
+    its own, so every warning and error is the one-process one."""
     records = skipped = 0
     torn = False
     match = _canonical_match()
 
-    def rows(lines: Iterable[bytes]) -> Iterator[_Values]:
+    def rows(lines: Iterable[bytes], numbers: Iterator[int]) -> Iterator[_Values]:
         nonlocal records, skipped, torn
-        for lineno, raw in enumerate(lines, start=1):
+        for raw, lineno in zip(lines, numbers):  # lines first: no number is taken past the end
             try:
                 line = raw.decode("utf-8")
                 canonical = match(line)
@@ -989,9 +1095,37 @@ def _load_rows(path: Path, lenient: bool = False) -> tuple[list[_Values], str]:
             records += 1
             yield values
 
+    def second_half(spool: BinaryIO) -> None:
+        """The worker's: the records count and latest rows of the lines from
+        ``split`` on, or no record where any of them would warn, skip or raise."""
+        import _pickle  # the C module alone: pickle.py adds ≈0.4 MB to an analyze's peak
+
+        warnings.simplefilter("error")  # in the worker only, which never returns
+        # a file of its own: the one this process reads shares its offset
+        with open(f"/proc/self/fd/{f.fileno()}", "rb") as rest:
+            rest.seek(split)
+            # its line numbers never show: a line that a message would name stops it
+            latest = _latest_by_id(rows(_lines_to(rest, os.fstat(rest.fileno()).st_size),
+                                        itertools.count()))
+        _pickle.dump((records, list(latest.values())), spool)
+
+    numbers = itertools.count(1)  # line numbers, which go on from one half to the next
     try:
         with open(path, "rb") as f:
-            unique = list(_latest_by_id(rows(f)).values())
+            split = _split_point(f)
+            with contextlib.nullcontext() if split is None else _forked(second_half) as wait:
+                if wait is None:  # one process
+                    latest = _latest_by_id(rows(f, numbers))
+                else:
+                    latest = _latest_by_id(rows(_lines_to(f, split), numbers))
+                    spooled = _spooled_rows(wait())
+                    if spooled is None:  # this process reads that half itself
+                        f.seek(split)
+                        _latest_by_id(rows(f, numbers), latest)
+                    else:
+                        records += spooled[0]
+                        _latest_by_id(spooled[1], latest)
+            unique = list(latest.values())
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
 

@@ -64,13 +64,13 @@ def test_replicate_runs_as_module(tmp_path):
 
 def test_import_loads_no_dependency():
     # -S: no site hooks, so only engage.cli's own imports are counted; the last
-    # ten are slow standard modules that the records, paths, warnings and a
-    # replay's worker do without, or import only when they run
+    # twelve are slow standard modules that the records, paths, warnings and the
+    # forked workers of a replay or a load do without, or import only when they run
     code = ("import sys, engage.cli; print(sorted(set(sys.modules)"
             " & {'scipy', 'numpy', 'requests', 'urllib.request',"
             " 'dataclasses', 'inspect', 'importlib.resources',"
             " 'logging', 'traceback', 'threading', 'tokenize',"
-            " 'tempfile', 'multiprocessing', 'concurrent.futures'}))")
+            " 'tempfile', 'multiprocessing', 'concurrent.futures', 'pickle', '_pickle'}))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -859,6 +859,10 @@ BAD_INPUT_CASES = [
     ("bundle-not-an-object", 4, "is not a JSON object",
      lambda tmp, _: _report(tmp, _write(tmp, "b.json", "[1]"))),
     ("store-line-nested", 4, "line 1", lambda tmp, _: _analyze_store(tmp, DEEP + "\n")),
+    # the sample size is checked before the store is read, so a missing store is not named
+    ("analyze-n-zero-missing-store", 2, "sample size must be >= 1, got 0",
+     lambda tmp, _: ["analyze", "--store", str(tmp / "missing.jsonl"), "--n", "0",
+                     "--out", str(tmp / "b.json")]),
     ("store-fetched-at-past-range", 4, "line 1: bad timestamp",
      lambda tmp, _: _analyze_store(
          tmp, json.dumps({**RECORD, "fetched_at": "9999-12-31T23:59:59-01:00"}) + "\n")),

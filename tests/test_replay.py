@@ -1,7 +1,8 @@
-"""An offline replay split between this process and a forked worker gives what
-the serial replay gives: the same stored bytes, stdout, stderr and exit code,
-with no worker and no spool file left behind on any path."""
+"""An offline replay or a store load split between this process and a forked
+worker gives what one process gives: the same stored bytes, rows, stdout, stderr
+and exit code, with no worker and no spool file left behind on any path."""
 
+import _pickle
 import contextlib
 import io
 import json
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 import engage
 from engage import ingestion
 from engage.cli import main
-from engage.ingestion import MAX_PAGES, FixtureTransport, StoreAppender, fixture_sweeps
+from engage.ingestion import (MAX_PAGES, FixtureTransport, StorageError, StoreAppender,
+                              fixture_sweeps)
 
 BUNDLED_FIXTURES = Path(engage.__file__).parent / "fixtures" / "replication"
 
@@ -58,15 +60,18 @@ def _no_worker_left() -> None:
 
 
 def _allow_split(mp: pytest.MonkeyPatch, allowed: bool = True) -> None:
-    """Let a replay of two sweeps or more fork its worker, or no replay at all."""
+    """Let a replay of two sweeps or more, and a load of any store, fork its
+    worker, or neither."""
     mp.setattr(ingestion, "_fork_allowed", lambda: allowed)
     mp.setattr(ingestion, "_SPLIT_MIN_SWEEPS", 2)
+    mp.setattr(ingestion, "_SPLIT_MIN_BYTES", 0)
 
 
-def _run(argv: list[str], store: Path, capsys, split: bool) -> tuple:
-    """``main(argv)`` with the worker allowed or not: its exit code, stdout,
-    stderr and stored bytes. Checks that a worker was forked exactly when
-    allowed, and that none and no spool file is left; removes the store."""
+def _run(argv: list[str], store: Path, capsys, split: bool, workers: int = 1) -> tuple:
+    """``main(argv)`` with workers allowed or not: its exit code, stdout, stderr
+    and the bytes it wrote to ``store``. Checks that ``workers`` were forked when
+    allowed and none when not, and that none and no spool file is left; removes
+    the file."""
     forks = []
     real_fork = os.fork
 
@@ -83,7 +88,7 @@ def _run(argv: list[str], store: Path, capsys, split: bool) -> tuple:
         mp.setattr(tempfile, "tempdir", str(spool_dir))
         code = main(argv)
     out, err = capsys.readouterr()
-    assert len(forks) == split
+    assert len(forks) == split * workers
     _no_worker_left()
     assert not any(spool_dir.iterdir())
     assert len(os.listdir("/proc/self/fd")) == open_fds  # the spool is closed
@@ -121,8 +126,9 @@ def test_split_replicate_equals_serial(tmp_path, capsys):
     out_dir = tmp_path / "art"
     runs = []
     for split in (True, False):
+        # the replay's worker, then the load's
         code, out, err, _ = _run(["replicate", "--out", str(out_dir)], tmp_path / "s", capsys,
-                                 split)
+                                 split, workers=2)
         files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
         runs.append((code, out, err, files))
         shutil.rmtree(out_dir)
@@ -324,6 +330,17 @@ def test_fork_allowed_needs_fork_two_cpus_and_one_thread(monkeypatch):
     assert not other.is_alive()
 
 
+def test_fork_allowed_needs_sigchld_not_ignored():
+    # a process that ignores SIGCHLD has its children reaped as they exit, so that
+    # waiting for a worker fails with ChildProcessError
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert not ingestion._fork_allowed()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert ingestion._fork_allowed() == (len(os.sched_getaffinity(0)) >= 2)
+
+
 # --- page graphs ----------------------------------------------------------------
 
 PATH_LIKE = ["../x", "a/b", "a\\b", ".", "..", "x\0y"]
@@ -423,3 +440,209 @@ def test_fetch_of_any_page_graph_stores_its_acyclic_prefix(drawn):
         assert len(err_lines) == len(warned) + (fault is not None)
         if fault is not None:
             assert err_lines[-1].startswith("error: ") and fault in err_lines[-1]
+
+
+# --- split load -----------------------------------------------------------------
+
+def _line(video_id: str, stamp: str = "2013-12-11T09:00:00Z", views: int = 100,
+          compact: bool = False, **fields) -> str:
+    """A store line: as the store writes it, or, ``compact``, one that only the
+    JSON path reads."""
+    record = {"video_id": video_id, "fetched_at": stamp, "views": views, "likes": 7,
+              "dislikes": 1, "comments": 3, "comments_enabled": True, "category": "Music",
+              **fields}
+    return json.dumps(record, separators=(",", ":") if compact else None) + "\n"
+
+
+def _store(tmp_path: Path, lines: list[str]) -> Path:
+    store = tmp_path / "s.jsonl"
+    store.write_text("".join(lines), encoding="utf-8")
+    return store
+
+
+def _splits(store: Path) -> bool:
+    """Whether a line of the store ends past its middle, before its last byte."""
+    data = store.read_bytes()
+    return 0 < data.find(b"\n", len(data) // 2) + 1 < len(data)
+
+
+def _load(store: Path, split: bool, lenient: bool = False) -> tuple:
+    """``_load_rows(store, lenient)`` with the worker allowed or not: its rows and
+    note, or its error, and its warnings. Checks that a worker was forked exactly
+    when allowed and the store splits, and that none and no spool file is left."""
+    forks = []
+    real_fork = os.fork
+    spool_dir = store.parent / "spool"
+    spool_dir.mkdir(exist_ok=True)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _allow_split(mp, split)
+        mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        mp.setattr(tempfile, "tempdir", str(spool_dir))
+        try:
+            result = ingestion._load_rows(store, lenient)
+        except StorageError as exc:
+            result = f"error: {exc}"
+    assert len(forks) == (split and _splits(store))
+    _no_worker_left()
+    assert not any(spool_dir.iterdir())
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _load_split_equals_serial(store: Path, lenient: bool = False) -> tuple:
+    split = _load(store, True, lenient)
+    assert split == _load(store, False, lenient)
+    return split
+
+
+STAMPS = ["2013-12-11T09:00:00Z", "2013-12-11T09:00:00+00:00", "2013-12-12T09:00:00Z"]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from(STAMPS),
+                          st.integers(0, 10**6), st.sampled_from(["plain", "compact", "blank"])),
+                min_size=2, max_size=40))
+def test_split_load_equals_one_process_load(drawn):
+    # few ids and stamps, so that ids recur across the split, also at an equal stamp
+    lines = ["  \n" if kind == "blank" else _line(video_id, stamp, views, kind == "compact")
+             for video_id, stamp, views, kind in drawn]
+    with tempfile.TemporaryDirectory() as tmp:
+        (rows, note), caught = _load_split_equals_serial(_store(Path(tmp), lines))
+    stored = [video_id for video_id, *_, kind in drawn if kind != "blank"]
+    assert caught == [] and [row[0] for row in rows] == list(dict.fromkeys(stored))
+    assert note.startswith(f"loaded {len(stored)} records")
+
+
+def _analyze(store: Path, tmp_path: Path) -> tuple[list[str], Path]:
+    out = tmp_path / "b.json"
+    return ["analyze", "--store", str(store), "--n", "5", "--out", str(out)], out
+
+
+@pytest.mark.parametrize("lineno", [5, 35], ids=["this-half", "workers-half"])
+def test_a_malformed_line_in_either_half_exits_4_as_one_process(tmp_path, capsys, lineno):
+    lines = [_line(f"v{i:02d}") for i in range(40)]
+    lines[lineno - 1] = '{"video_id": "v"\n'
+    argv, out = _analyze(_store(tmp_path, lines), tmp_path)
+    code, stdout, err, bundle = _split_equals_serial(argv, out, capsys)
+    assert (code, stdout, bundle) == (4, "", None)
+    assert err.startswith(f"error: s.jsonl line {lineno}: ") and err.count("\n") == 1
+
+
+def test_warnings_in_the_workers_half_come_once_in_order(tmp_path, capsys):
+    lines = [_line(f"v{i:02d}", views=1000 + i) for i in range(40)]
+    lines[3] = _line("neg", likes=-3)  # this process's half
+    lines[25] = _line("neg", likes=-25)  # the worker's, from here on
+    lines[28] = _line("json", compact=True)  # no warning, but not in the store's own layout
+    lines[31] = _line("off", comments_enabled=False, comments=4)
+    argv, out = _analyze(_store(tmp_path, [*lines, '{"video_id": "torn"']), tmp_path)
+    code, stdout, err, _ = _split_equals_serial(argv, out, capsys)
+    assert code == 0
+    assert "loaded 40 records from s.jsonl, 39 unique ids, 1 torn final line skipped" in stdout
+    assert err.splitlines()[:4] == [
+        "warning: video neg: negative likes count -3",
+        "warning: video neg: negative likes count -25",
+        "warning: video off: comment count 4 with commenting disabled; dropping count",
+        "warning: s.jsonl line 41: torn final line skipped: Expecting ',' delimiter:"
+        " line 1 column 20 (char 19)",
+    ]
+
+
+def test_a_lenient_skip_in_the_workers_half_is_given_once(tmp_path):
+    lines = [_line(f"v{i:02d}") for i in range(40)]
+    lines[30] = "not json\n"
+    (rows, note), caught = _load_split_equals_serial(_store(tmp_path, lines), lenient=True)
+    assert len(rows) == 39 and note.endswith(", 1 malformed line(s) skipped")
+    assert caught == [(ingestion.EngageWarning, "s.jsonl line 31 skipped:"
+                       " Expecting value: line 1 column 1 (char 0)")]
+
+
+def _die_in_the_worker(mp):
+    parent, real = os.getpid(), ingestion._latest_by_id
+    mp.setattr(ingestion, "_latest_by_id",
+               lambda *args: os._exit(7) if os.getpid() != parent else real(*args))
+
+
+def _fail_the_read(mp):
+    mp.setattr(_pickle, "load", lambda file: (_ for _ in ()).throw(OSError("read failed")))
+
+
+def _truncate_the_record(mp):
+    mp.setattr(_pickle, "dump", lambda record, file: file.write(_pickle.dumps(record)[:-9]))
+
+
+@pytest.mark.parametrize("fault", [_die_in_the_worker, _fail_the_read, _truncate_the_record])
+def test_a_worker_that_gives_no_readable_record_leaves_its_half_here(tmp_path, fault):
+    lines = [_line(f"v{i:02d}", views=i) for i in range(40)]
+    lines[3] = _line("neg", likes=-1)
+    lines[30] = _line("v02", views=99, compact=True)  # a later record of an id of this half
+    store = _store(tmp_path, lines)
+    serial = _load(store, False)
+    with pytest.MonkeyPatch.context() as mp:
+        fault(mp)
+        assert _load(store, True) == serial
+    (rows, note), caught = serial
+    assert len(rows) == 39 and rows[2][2] == 99 and len(caught) == 1
+
+
+def test_an_interrupt_in_this_half_leaves_no_worker(tmp_path, monkeypatch):
+    store = _store(tmp_path, [_line(f"v{i:02d}") for i in range(40)])
+    _allow_split(monkeypatch)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    parent, real, calls = os.getpid(), ingestion._matched_values, []
+
+    def matched_values(groups):
+        calls.append(1)
+        if os.getpid() == parent and len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(groups)
+
+    monkeypatch.setattr(ingestion, "_matched_values", matched_values)
+    with pytest.raises(KeyboardInterrupt):
+        ingestion._load_rows(store)
+    _no_worker_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]  # no spool
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
+@pytest.mark.parametrize("lines, min_bytes, allowed, forks", [
+    (40, lambda size: size, True, 1),
+    (40, lambda size: size + 1, True, 0),
+    (40, lambda size: 0, False, 0),
+    (1, lambda size: 0, True, 0),  # no line ends past the middle but the last
+], ids=["at-the-size", "below-the-size", "not-allowed", "one-line"])
+def test_only_a_store_of_the_split_size_forks(tmp_path, monkeypatch, lines, min_bytes, allowed,
+                                              forks):
+    store = _store(tmp_path, [_line(f"v{i:02d}") for i in range(lines)])
+    monkeypatch.setattr(ingestion, "_fork_allowed", lambda: allowed)
+    monkeypatch.setattr(ingestion, "_SPLIT_MIN_BYTES", min_bytes(store.stat().st_size))
+    made = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or real_fork())
+    rows, note = ingestion._load_rows(store)
+    assert len(made) == forks
+    assert (len(rows), note) == (lines, f"loaded {lines} records from s.jsonl, {lines} unique ids")
+    _no_worker_left()
+
+
+def test_lines_to_gives_whole_lines_across_blocks():
+    # lines across the 64 KiB blocks, one of them longer than a block, and a last
+    # line with no line end
+    lines = [b"x" * (i % 700) + b"\n" for i in range(400)]
+    lines[150] = b"y" * 100_000 + b"\n"
+    data = b"".join(lines) + b"tail"
+    for end in (0, len(lines[0]), len(b"".join(lines[:151])), len(data) - 4, len(data)):
+        with io.BytesIO(data) as f:
+            assert list(ingestion._lines_to(f, end)) == data[:end].splitlines(keepends=True)
+
+
+def test_forked_gives_the_spool_only_of_a_worker_that_finished():
+    def fail(spool):
+        spool.write(b"part of a record")
+        spool.flush()
+        raise RuntimeError("stops the worker, which exits with status 1")
+
+    with ingestion._forked(fail) as wait:
+        assert wait() is None
+    with ingestion._forked(lambda spool: spool.write(b"a record")) as wait:
+        assert wait().read() == b"a record"
+    _no_worker_left()
