@@ -183,6 +183,8 @@ def run_fetch(args: argparse.Namespace) -> int:
         _check_region(region)  # first, before the API key, and with --ids too
     if occasions is not None:
         occasions = _as_int(occasions, "occasions")
+        if occasions < 1:  # before the fixture scan and the API key
+            raise ConfigError(f"occasions must be >= 1, got {occasions}")
 
     if offline is not None:
         fixture = Path(offline)

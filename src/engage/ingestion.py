@@ -480,7 +480,10 @@ def _forked(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryI
 
     Gives None where no temporary file or process can be had. Otherwise it gives
     ``wait``, which reaps the worker and returns the spool at its start, or None
-    where the worker did not exit with status 0.
+    where the worker did not exit with status 0. The worker gives its whole
+    result or none: every warning is an error in it, whatever the caller's
+    filters, so a warning or an error ends it with status 1, and the caller then
+    does that work itself, where each warning and error is the one-process one.
     The worker leaves only through ``os._exit``, with status 0 once ``work``
     returns and the spool is flushed, so it never returns into the caller's
     stack and never flushes the buffers it inherited. SIGINT is held while the
@@ -505,6 +508,7 @@ def _forked(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryI
             status = 1
             try:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                warnings.simplefilter("error")  # so that any warning ends the worker
                 work(spool)
                 spool.flush()
                 status = 0
@@ -538,93 +542,39 @@ def _replay_sweeps(transports: Sequence[FixtureTransport]) -> Iterator[StorePage
     is false, or where no temporary file or process can be had, this is
     ``collect_sweeps`` itself. Otherwise this process yields its own half's
     pages as they come, reaps the worker, then gives the worker's half from the
-    spool the worker wrote it to, one record at a time. Where the worker did not
-    finish, or a record cannot be read, this process replays the rest of that
-    half itself. On every way out, a consumer that stops early included, the
-    worker is killed if it still runs and reaped, as ``_forked`` describes.
+    spool the worker wrote it to, one marshal record per page. The worker gives
+    up at any page that would warn or fail, as ``_forked`` describes. Where it
+    gave up or died, this process replays that half itself; where a record
+    cannot be read, the rest of that half from that record on. On every way
+    out, a consumer that stops early included, the worker is killed if it still
+    runs and reaped.
     """
     if len(transports) < _SPLIT_MIN_SWEEPS or not _fork_allowed():
         yield from collect_sweeps(transports)
         return
     split = len(transports) // 2
     rest, first = transports[split:], split + 1
-    with _forked(lambda spool: _spool_events(spool, rest, first)) as wait:
+
+    def second_half(spool: BinaryIO) -> None:
+        for page in _sweep_pages(rest, first=first):
+            marshal.dump(tuple(page), spool)
+
+    with _forked(second_half) as wait:
         if wait is None:
             yield from collect_sweeps(transports)
             return
         yield from _sweep_pages(transports[:split])
-        for kind, value in _worker_events(wait(), rest, first):
-            if kind == "warning":
-                warnings.warn(value)  # a Warning instance keeps its class
-            elif kind == "page":
-                yield value
-            elif kind == "error":
-                raise value
-
-
-def _events(pages: Iterator[StorePage]) -> Iterator[tuple[str, object]]:
-    """What ``pages`` gives, as ``(kind, value)`` events in the order it gives
-    them: ``("warning", Warning)``, ``("page", StorePage)``, and last either
-    ``("error", EngageError)`` or ``("end", None)``."""
-    while True:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", EngageWarning)
+        spool, read = wait(), 0
+        while spool is not None:
             try:
-                event = "page", next(pages)
-            except StopIteration:
-                event = "end", None
-            except EngageError as exc:
-                event = "error", exc
-        for caught_warning in caught:
-            yield "warning", caught_warning.message
-        yield event
-        if event[0] != "page":
-            return
-
-
-# The classes whose instances a worker writes as their class name, args and attributes.
-_SPOOLED = {cls.__name__: cls for cls in (EngageWarning, ParseError, TransportError)}
-
-
-def _spool_events(spool: BinaryIO, transports: Sequence[Transport], first: int) -> None:
-    """The replay's worker: writes the events of the sweeps, numbered from
-    ``first``, to ``spool`` as one marshal record each. A warning or error that
-    cannot be spooled stops it with TypeError, so that the parent replays the
-    half itself."""
-    for kind, value in _events(_sweep_pages(transports, first=first)):
-        if kind == "page":
-            value = tuple(value)
-        elif kind != "end":
-            cls = type(value)
-            if _SPOOLED.get(cls.__name__) is not cls:
-                raise TypeError(f"cannot spool a {cls.__name__}")
-            value = cls.__name__, value.args, vars(value)
-        marshal.dump((kind, value), spool)
-
-
-def _worker_events(
-    spool: BinaryIO | None, transports: Sequence[Transport], first: int
-) -> Iterator[tuple]:
-    """The worker's events, read back from ``spool`` one at a time; from the first
-    one that cannot be read, or from the start where ``spool`` is None, the rest
-    of them from a replay of its sweeps here."""
-    read = 0
-    while spool is not None:
-        try:
-            kind, value = marshal.load(spool)
-            if kind == "page":
-                value = StorePage(*value)
-            elif kind != "end":
-                name, args, attributes = value
-                value = _SPOOLED[name](*args)
-                vars(value).update(attributes)
-        except (OSError, EOFError, ValueError, TypeError, KeyError):
-            break
-        read += 1
-        yield kind, value
-        if kind in ("error", "end"):
-            return
-    yield from itertools.islice(_events(_sweep_pages(transports, first=first)), read, None)
+                page = StorePage(*marshal.load(spool))
+            except EOFError:  # the end: a worker that exited 0 wrote whole records
+                return
+            except (OSError, ValueError, TypeError):
+                break
+            read += 1
+            yield page
+        yield from itertools.islice(_sweep_pages(rest, first=first), read, None)
 
 
 def dedup_latest(snapshots: Iterable[VideoStatsSnapshot]) -> list[VideoStatsSnapshot]:
@@ -1100,7 +1050,6 @@ def _load_rows(path: Path, lenient: bool = False) -> tuple[list[_Values], str]:
         ``split`` on, or no record where any of them would warn, skip or raise."""
         import _pickle  # the C module alone: pickle.py adds ≈0.4 MB to an analyze's peak
 
-        warnings.simplefilter("error")  # in the worker only, which never returns
         # a file of its own: the one this process reads shares its offset
         with open(f"/proc/self/fd/{f.fileno()}", "rb") as rest:
             rest.seek(split)

@@ -91,13 +91,15 @@ def test_fetch_offline_occasions_cap(tmp_path, capsys):
     assert "fetched 2 pages, 60 snapshots, 60 unique ids" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("occasions", ["0", "-1"])
-def test_fetch_occasions_below_one_exit2(tmp_path, capsys, occasions):
+@pytest.mark.parametrize("occasions, live", [("0", False), ("-1", False), ("-3", True)],
+                         ids=["0", "-1", "live--3"])
+def test_fetch_occasions_below_one_exit2(tmp_path, capsys, monkeypatch, occasions, live):
+    monkeypatch.delenv(cli.API_KEY_ENV, raising=False)  # named before the key is looked for
     store = tmp_path / "s.jsonl"
-    argv = ["fetch", "--offline", str(BUNDLED_FIXTURES),
-            "--occasions", occasions, "--store", str(store)]
+    source = ["--region", "US"] if live else ["--offline", str(BUNDLED_FIXTURES)]
+    argv = ["fetch", *source, "--occasions", occasions, "--store", str(store)]
     assert main(argv) == 2
-    assert "occasions must be >= 1" in capsys.readouterr().err
+    assert f"occasions must be >= 1, got {occasions}" in capsys.readouterr().err
     assert not store.exists()
 
 

@@ -202,7 +202,7 @@ def test_a_worker_that_dies_still_gives_the_serial_result(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("readable", [0, 1, 4])
 def test_a_spool_that_cannot_be_read_is_replayed_here(tmp_path, capsys, monkeypatch, readable):
-    # the worker's events: a warning then a page for sweep 3, three more pages, the end
+    # the worker's records: the two pages of sweep 3, then the two of sweep 4
     loads = []
 
     def load(file):
@@ -213,7 +213,8 @@ def test_a_spool_that_cannot_be_read_is_replayed_here(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(ingestion, "marshal", types.SimpleNamespace(dump=marshal.dump, load=load))
     directory = _write_sweeps(tmp_path / "f", [2, 2, 2, 2])
-    _edit(directory, 3, 1, lambda data: data["items"].append(_item("neg", likes="-2")))
+    # this process's half: a worker half that warned would be replayed here unread
+    _edit(directory, 1, 1, lambda data: data["items"].append(_item("neg", likes="-2")))
     argv, store = _fetch(directory, tmp_path)
     code, out, err, _ = _split_equals_serial(argv, store, capsys)
     assert loads and code == 0 and "fetched 8 pages, 17 snapshots" in out
@@ -625,7 +626,7 @@ def test_only_a_store_of_the_split_size_forks(tmp_path, monkeypatch, lines, min_
 
 
 def test_lines_to_gives_whole_lines_across_blocks():
-    # lines across the 64 KiB blocks, one of them longer than a block, and a last
+    # lines across the 16 KiB blocks, one of them longer than a block, and a last
     # line with no line end
     lines = [b"x" * (i % 700) + b"\n" for i in range(400)]
     lines[150] = b"y" * 100_000 + b"\n"
@@ -645,4 +646,13 @@ def test_forked_gives_the_spool_only_of_a_worker_that_finished():
         assert wait() is None
     with ingestion._forked(lambda spool: spool.write(b"a record")) as wait:
         assert wait().read() == b"a record"
+
+    def warn(spool):
+        warnings.warn("x", ingestion.EngageWarning)
+        spool.write(b"a record")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the worker's rule holds whatever the caller's
+        with ingestion._forked(warn) as wait:
+            assert wait() is None
     _no_worker_left()
