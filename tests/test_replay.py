@@ -1,6 +1,7 @@
-"""An offline replay or a store load split between this process and a forked
-worker gives what one process gives: the same stored bytes, rows, stdout, stderr
-and exit code, with no worker and no spool file left behind on any path."""
+"""An offline replay, a store load or the report's sums split between this
+process and a forked worker give what one process gives: the same stored bytes,
+rows, bundle, stdout, stderr and exit code, with no worker and no spool file
+left behind on any path."""
 
 import _pickle
 import contextlib
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import engage
-from engage import ingestion
+from engage import _fork, ingestion, stats
 from engage.cli import main
 from engage.ingestion import (MAX_PAGES, FixtureTransport, StorageError, StoreAppender,
                               fixture_sweeps)
@@ -61,8 +62,9 @@ def _no_worker_left() -> None:
 
 def _allow_split(mp: pytest.MonkeyPatch, allowed: bool = True) -> None:
     """Let a replay of two sweeps or more, and a load of any store, fork its
-    worker, or neither."""
+    worker, or neither; and the report's sums, at their own split size, or not."""
     mp.setattr(ingestion, "_fork_allowed", lambda: allowed)
+    mp.setattr(stats, "_fork_allowed", lambda: allowed)
     mp.setattr(ingestion, "_SPLIT_MIN_SWEEPS", 2)
     mp.setattr(ingestion, "_SPLIT_MIN_BYTES", 0)
 
@@ -310,21 +312,21 @@ def test_only_a_replay_of_eight_sweeps_or_more_forks(tmp_path, capsys, monkeypat
 
 
 def test_fork_allowed_needs_fork_two_cpus_and_one_thread(monkeypatch):
-    assert ingestion._fork_allowed() == (len(os.sched_getaffinity(0)) >= 2)
+    assert _fork._fork_allowed() == (len(os.sched_getaffinity(0)) >= 2)
     with monkeypatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not ingestion._fork_allowed()
+        assert not _fork._fork_allowed()
     with monkeypatch.context() as mp:
         mp.delattr(os, "fork")
-        assert not ingestion._fork_allowed()
+        assert not _fork._fork_allowed()
     with monkeypatch.context() as mp:
         mp.delattr(os, "sched_getaffinity")
-        assert not ingestion._fork_allowed()
+        assert not _fork._fork_allowed()
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert not ingestion._fork_allowed()
+        assert not _fork._fork_allowed()
     finally:
         stop.set()
         other.join(timeout=10)
@@ -336,10 +338,10 @@ def test_fork_allowed_needs_sigchld_not_ignored():
     # waiting for a worker fails with ChildProcessError
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        assert not ingestion._fork_allowed()
+        assert not _fork._fork_allowed()
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert ingestion._fork_allowed() == (len(os.sched_getaffinity(0)) >= 2)
+    assert _fork._fork_allowed() == (len(os.sched_getaffinity(0)) >= 2)
 
 
 # --- page graphs ----------------------------------------------------------------
@@ -548,6 +550,23 @@ def test_warnings_in_the_workers_half_come_once_in_order(tmp_path, capsys):
     ]
 
 
+def test_an_analyze_that_splits_its_load_and_its_sums_writes_the_one_process_bundle(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stats, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(stats, "_BLOCK", 3)  # so that each half of the sums has blocks
+    lines = [_line(f"v{i:02d}", views=1000 + 37 * i, likes=i % 9, dislikes=i % 4,
+                   comments=i * i % 50) for i in range(40)]
+    lines[6] = _line("nolikes", views=1500, likes=None)
+    lines[29] = _line("nodislikes", views=2500, dislikes=None)
+    store = _store(tmp_path, lines)
+    out = tmp_path / "b.json"
+    argv = ["analyze", "--store", str(store), "--n", "40", "--out", str(out)]
+    split = _run(argv, out, capsys, split=True, workers=2)  # the load's and the sums'
+    assert split == _run(argv, out, capsys, split=False)
+    code, stdout, _, bundle = split
+    assert code == 0 and stdout.startswith("analyzed 40 videos") and bundle
+
+
 def test_a_lenient_skip_in_the_workers_half_is_given_once(tmp_path):
     lines = [_line(f"v{i:02d}") for i in range(40)]
     lines[30] = "not json\n"
@@ -642,9 +661,9 @@ def test_forked_gives_the_spool_only_of_a_worker_that_finished():
         spool.flush()
         raise RuntimeError("stops the worker, which exits with status 1")
 
-    with ingestion._forked(fail) as wait:
+    with _fork._forked(fail) as wait:
         assert wait() is None
-    with ingestion._forked(lambda spool: spool.write(b"a record")) as wait:
+    with _fork._forked(lambda spool: spool.write(b"a record")) as wait:
         assert wait().read() == b"a record"
 
     def warn(spool):
@@ -653,6 +672,6 @@ def test_forked_gives_the_spool_only_of_a_worker_that_finished():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the worker's rule holds whatever the caller's
-        with ingestion._forked(warn) as wait:
+        with _fork._forked(warn) as wait:
             assert wait() is None
     _no_worker_left()

@@ -1,5 +1,9 @@
+import marshal
 import math
+import os
 import random
+import signal
+import tempfile
 from bisect import bisect_right
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -499,6 +503,126 @@ def test_sums_over_blocks_of_three_rows_equal_those_over_one_block(monkeypatch, 
     assert _matrix_bits(got_full) == _matrix_bits(full)
     assert _matrix_bits(got_upper) == _matrix_bits(upper)
     assert got_summaries == summaries
+
+
+# --- the sums split with a forked worker ---------------------------------------
+
+
+def _summary_bits(summary):
+    return tuple(v.hex() if isinstance(v, float) else v for v in summary)
+
+
+def _split_correlations(drawn, split, spool_dir, fault=None, forks=None):
+    """``_correlations(*drawn)`` at 3 rows a block, with the sums' worker allowed
+    for any number of values or not allowed, as bits. Checks that ``forks``
+    workers were forked (one where allowed, by default), and that none and no
+    spool file is left."""
+    made = []
+    real_fork = os.fork
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_fork_allowed", lambda: split)
+        mp.setattr(stats, "_SPLIT_MIN_VALUES", 0)
+        mp.setattr(stats, "_BLOCK", 3)
+        mp.setattr(os, "fork", lambda: made.append(1) or real_fork())
+        mp.setattr(tempfile, "tempdir", str(spool_dir))
+        if fault is not None:
+            fault(mp)
+        full, summaries, upper = stats._correlations(*drawn)
+    assert len(made) == (split if forks is None else forks)
+    with pytest.raises(ChildProcessError):  # no worker left
+        os.waitpid(-1, os.WNOHANG)
+    assert not any(spool_dir.iterdir())
+    assert len(os.listdir("/proc/self/fd")) == open_fds  # the spool is closed
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    return (_matrix_bits(full), {name: _summary_bits(s) for name, s in summaries.items()},
+            None if upper is None else _matrix_bits(upper))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=summed_columns(), with_kept=st.booleans())
+def test_sums_split_with_a_worker_equal_those_of_one_process(tmp_path, drawn, with_kept):
+    # at 3 rows a block the worker takes the second half of up to ten blocks, kept
+    # rows and others, with absent values in most
+    columns, summarized, kept = drawn
+    drawn = (columns, summarized, kept if with_kept else None)
+    assert (_split_correlations(drawn, True, tmp_path)
+            == _split_correlations(drawn, False, tmp_path))
+
+
+def _die_in_the_worker(mp):
+    parent, real = os.getpid(), stats._row_set_sums
+    mp.setattr(stats, "_row_set_sums",
+               lambda *args: os._exit(7) if os.getpid() != parent else real(*args))
+
+
+def _fail_the_read(mp):
+    mp.setattr(marshal, "load", lambda file: (_ for _ in ()).throw(OSError("read failed")))
+
+
+def _truncate_the_record(mp):
+    mp.setattr(marshal, "dump", lambda record, file: file.write(marshal.dumps(record)[:-9]))
+
+
+def _no_temporary_file(mp):
+    mp.setattr(tempfile, "TemporaryFile", lambda: (_ for _ in ()).throw(OSError("none")))
+
+
+def _no_process(mp):
+    mp.setattr(os, "fork", lambda: (_ for _ in ()).throw(OSError("none")))
+
+
+SPLIT_COLUMNS = ({"views": [10 * i for i in range(20)],
+                  "rate": [None if i % 4 == 1 else i / 7 for i in range(20)],
+                  "likes": [None if i % 5 == 2 else i * i - 30 for i in range(20)]},
+                 ["views", "rate"], [2, 3, 5, 7, 11, 13, 17, 19])
+
+
+@pytest.mark.parametrize("fault, forks", [
+    (_die_in_the_worker, 1), (_fail_the_read, 1), (_truncate_the_record, 1),
+    (_no_temporary_file, 0), (_no_process, 0),
+], ids=["dies", "read-fails", "truncated", "no-temporary-file", "no-process"])
+def test_a_sums_worker_that_gives_no_readable_record_leaves_its_half_here(tmp_path, fault,
+                                                                           forks):
+    serial = _split_correlations(SPLIT_COLUMNS, False, tmp_path)
+    assert _split_correlations(SPLIT_COLUMNS, True, tmp_path, fault, forks) == serial
+
+
+def test_an_interrupt_in_this_half_of_the_sums_leaves_no_worker(tmp_path):
+    parent, real, calls = os.getpid(), stats._row_set_sums, []
+
+    def row_set_sums(*args):
+        calls.append(1)
+        if os.getpid() == parent and len(calls) == 4:  # the second block of this half
+            raise KeyboardInterrupt
+        return real(*args)
+
+    with pytest.raises(KeyboardInterrupt):
+        _split_correlations(SPLIT_COLUMNS, True, tmp_path,
+                            lambda mp: mp.setattr(stats, "_row_set_sums", row_set_sums))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not any(tmp_path.iterdir())
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
+@pytest.mark.parametrize("min_values, allowed, forks", [
+    (60, True, 1), (61, True, 0), (0, False, 0),
+], ids=["at-the-size", "below-the-size", "not-allowed"])
+def test_only_a_sum_of_the_split_size_forks(monkeypatch, min_values, allowed, forks):
+    # three columns of 20 rows: 60 values
+    monkeypatch.setattr(stats, "_fork_allowed", lambda: allowed)
+    monkeypatch.setattr(stats, "_SPLIT_MIN_VALUES", min_values)
+    made = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or real_fork())
+    got = stats._correlations(*SPLIT_COLUMNS)
+    assert len(made) == forks
+    monkeypatch.setattr(stats, "_fork_allowed", lambda: False)
+    assert got == stats._correlations(*SPLIT_COLUMNS)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # huge, tiny and subnormal floats, and columns that mix them
